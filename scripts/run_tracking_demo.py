@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from tacsense import cli, recon, sim
+from tacsense import calib, cli, recon, sim
 from tacsense.core import SensorGeometry
 from tacsense.pose import Pose, track_pose
 
@@ -34,7 +34,7 @@ def main():
     press = sim.sphere_press_depth(geom, cli.CALIB_BALL_RADIUS, 1.9,
                                    thickness=optical.thickness)
     diff = recon.difference(reference, sim.render_tactile(press, optical, illum))
-    model = cli.calibrate_single(diff, cli.CALIB_BALL_RADIUS, geom)
+    model = calib.calibrate_single(diff, cli.CALIB_BALL_RADIUS, geom)
     pipeline = recon.PipelineConfig(model=model, geom=geom,
                                     depth_clamp=optical.thickness)
 

@@ -2,12 +2,15 @@
 
 Two models are produced: a 256-entry mapping list built from a single
 press, and a radial linear-regression model fitted across many presses.
+Either one is stored as a JSON calibration file.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -16,16 +19,18 @@ from .core import (
     DegenerateFitError,
     DepthMap,
     DifferenceImage,
-    GrayImage,
     GeometryError,
     InsufficientContactError,
     NoContactError,
+    SensorError,
     SensorGeometry,
     _freeze,
+    average_frames,  # noqa: F401  (part of this module's API)
     pixel_to_surface,
 )
 from .sim import sphere_press_depth
 
+CALIB_FORMAT = "tacsense-calib-v1"
 DEFAULT_CONTACT_THRESHOLD = 5
 MIN_CONTACT_PIXELS = 32
 MIN_BOUNDARY_PIXELS = 8
@@ -81,35 +86,6 @@ class RegressionModel:
         r = np.hypot(np.asarray(u, dtype=np.float64) - self.center_u,
                      np.asarray(v, dtype=np.float64) - self.center_v)
         return self.k_c * r + self.b_c
-
-
-@dataclass(frozen=True)
-class CalibrationSample:
-    """One pixel's (intensity difference, true depth, radius) observation."""
-
-    delta: float
-    depth: float
-    radius_px: float
-
-    def __post_init__(self):
-        if self.delta < 1:
-            raise ValueError("zero-difference samples carry no slope information")
-        if self.depth <= 0:
-            raise ValueError("sample depth must be positive")
-
-
-def average_frames(frames: list[GrayImage]) -> GrayImage:
-    """Per-pixel arithmetic mean of frames, rounded to the nearest integer."""
-    if not frames:
-        raise ValueError("cannot average zero frames")
-    shape = frames[0].pixels.shape
-    for f in frames[1:]:
-        if f.pixels.shape != shape:
-            raise ValueError("frame dimensions differ")
-    acc = np.zeros(shape, dtype=np.float64)
-    for f in frames:
-        acc += f.pixels
-    return GrayImage.from_float(acc / len(frames))
 
 
 def fit_circle_kasa(us: np.ndarray, vs: np.ndarray) -> tuple[float, float, float]:
@@ -287,39 +263,102 @@ def build_mapping_list(diff: DifferenceImage, truth: DepthMap,
 
 
 def collect_samples(diff: DifferenceImage, truth: DepthMap,
-                    center: tuple[float, float],
-                    max_samples: int | None = 1000,
-                    rng: np.random.Generator | None = None) -> list[CalibrationSample]:
-    """Extract regression samples from one press; zero-difference pixels are dropped."""
+                    center: tuple[float, float], rng: np.random.Generator,
+                    max_samples: int | None = 1000
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(deltas, depths, radii in px) of one press's pixels with both non-zero."""
     if diff.pixels.shape != truth.data.shape:
         raise ValueError("difference image and truth depth map are not aligned")
     valid = (diff.pixels >= 1) & (truth.data > 0)
     vs, us = np.nonzero(valid)
     if max_samples is not None and len(us) > max_samples:
-        if rng is None:
-            rng = np.random.default_rng(0)
         pick = rng.choice(len(us), size=max_samples, replace=False)
         us, vs = us[pick], vs[pick]
-    r = np.hypot(us - center[0], vs - center[1])
     deltas = diff.pixels[vs, us].astype(np.float64)
     depths = truth.data[vs, us]
-    return [CalibrationSample(delta=d, depth=z, radius_px=rr)
-            for d, z, rr in zip(deltas, depths, r)]
+    return deltas, depths, np.hypot(us - center[0], vs - center[1])
 
 
-def fit_regression(samples: list[CalibrationSample],
+def fit_regression(deltas: np.ndarray, depths: np.ndarray, radii: np.ndarray,
                    center: tuple[float, float]) -> RegressionModel:
     """Two-stage radial fit: per-sample slope depth/delta, then OLS slope vs radius."""
-    if len(samples) < MIN_REGRESSION_SAMPLES:
+    if np.any(deltas < 1):
+        raise ValueError("zero-difference samples carry no slope information")
+    if np.any(depths <= 0):
+        raise ValueError("sample depth must be positive")
+    if len(deltas) < MIN_REGRESSION_SAMPLES:
         raise DegenerateFitError(
-            f"need >= {MIN_REGRESSION_SAMPLES} samples, got {len(samples)}")
-    r = np.array([s.radius_px for s in samples])
-    slope = np.array([s.depth / s.delta for s in samples])
-    if np.ptp(r) < 1e-9:
+            f"need >= {MIN_REGRESSION_SAMPLES} samples, got {len(deltas)}")
+    if np.ptp(radii) < 1e-9:
         raise DegenerateFitError("samples span a single radius")
-    k_c, b_c = np.polyfit(r, slope, 1)
+    k_c, b_c = np.polyfit(radii, depths / deltas, 1)
     model = RegressionModel(k_c=float(k_c), b_c=float(b_c),
                             center_u=center[0], center_v=center[1])
-    if model.slope(0, 0) <= 0 or model.slope(r.max() + center[0], center[1]) <= 0:
+    if model.slope(0, 0) <= 0 or model.slope(radii.max() + center[0], center[1]) <= 0:
         raise DegenerateFitError("fitted slope is not positive over the sampled range")
     return model
+
+
+def calibrate_single(diff: DifferenceImage, ball_radius: float,
+                     geom: SensorGeometry) -> MappingList:
+    """Mapping list from one ball press of known radius."""
+    circle = detect_contact_circle(diff)
+    truth = analytic_ball_depth(circle, ball_radius, geom)
+    return build_mapping_list(diff, truth, circle)
+
+
+def calibrate_regression(diffs: list[DifferenceImage], ball_radius: float,
+                         geom: SensorGeometry, scheme: str,
+                         rng: np.random.Generator) -> RegressionModel:
+    """Radial regression model from ball presses under an illumination scheme."""
+    # The corner-cluster scheme darkens away from its corner, so the radial
+    # model is centred there instead of at the image centre.
+    if scheme == "s4":
+        center = (geom.crop_size - 1.0, 0.0)
+    else:
+        center = (geom.crop_size / 2.0, geom.crop_size / 2.0)
+    samples = []
+    for i, diff in enumerate(diffs):
+        try:
+            circle = detect_contact_circle(diff)
+            truth = analytic_ball_depth(circle, ball_radius, geom)
+            samples.append(collect_samples(diff, truth, center, rng))
+        except SensorError as exc:
+            raise type(exc)(f"press {i}: {exc}") from exc
+    deltas, depths, radii = map(np.concatenate, zip(*samples))
+    return fit_regression(deltas, depths, radii, center)
+
+
+def save_calibration(path, model: MappingList | RegressionModel,
+                     thickness: float) -> None:
+    """Write a calibration file for a layer of the given thickness."""
+    if isinstance(model, MappingList):
+        payload = {"format": CALIB_FORMAT, "method": "single",
+                   "thickness": thickness,
+                   "entries": model.depths.tolist(),
+                   "max_calibrated": model.max_calibrated}
+    else:
+        payload = {"format": CALIB_FORMAT, "method": "regression",
+                   "thickness": thickness,
+                   "k_c": model.k_c, "b_c": model.b_c,
+                   "center_u": model.center_u, "center_v": model.center_v}
+    Path(path).write_text(json.dumps(payload))
+
+
+def load_calibration(path) -> tuple[MappingList | RegressionModel, float]:
+    """Read a calibration file: the model and the layer thickness."""
+    payload = json.loads(Path(path).read_text())
+    if payload.get("format") != CALIB_FORMAT:
+        raise ValueError(f"{path}: unsupported calibration format "
+                         f"{payload.get('format')!r}")
+    thickness = payload["thickness"]
+    if payload["method"] == "single":
+        model = MappingList(depths=np.array(payload["entries"]),
+                            max_calibrated=payload["max_calibrated"])
+    elif payload["method"] == "regression":
+        model = RegressionModel(k_c=payload["k_c"], b_c=payload["b_c"],
+                                center_u=payload["center_u"],
+                                center_v=payload["center_v"])
+    else:
+        raise ValueError(f"{path}: unknown method {payload['method']!r}")
+    return model, thickness

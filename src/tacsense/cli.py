@@ -5,19 +5,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import calib, fileio, recon, sim
-from .core import (DepthMap, GrayImage, PointCloud, SensorError,
-                   SensorGeometry, image_mean_std)
-from .pose import IcpReport, Pose, track_pose
+from . import fileio, recon, sim
+from .calib import (calibrate_regression, calibrate_single, load_calibration,
+                    save_calibration)
+from .core import PointCloud, SensorError, SensorGeometry, image_mean_std
+from .pose import Pose, track_pose
 
 RUN_FORMAT = "tacsense-run-v1"
-CALIB_FORMAT = "tacsense-calib-v1"
 
 # Standard study protocol: 1 near-center press calibrates the mapping list,
 # 30 random presses the regression model, 20 random presses test.
@@ -76,44 +75,19 @@ class RunConfig:
                                      led_sigma=self.led_sigma)
 
 
-def _render_averaged(depth: DepthMap, model, illum, noise_sigma, rng,
-                     count: int) -> GrayImage:
-    frames = [sim.render_tactile(depth, model, illum, noise_sigma=noise_sigma, rng=rng)
-              for _ in range(max(1, count))]
-    return calib.average_frames(frames)
-
-
-def _random_press(rng, geom, model, ball_radius, placement: str):
-    d_max = float(rng.uniform(0.25, 0.95) * model.thickness)
-    d_max = min(d_max, ball_radius)
-    if placement == "center":
-        center = tuple(rng.uniform(-1.0, 1.0, size=2))
-    else:
-        # Keep the contact circle comfortably inside the sensing field.
-        a = np.sqrt(2 * ball_radius * d_max - d_max ** 2)
-        lim = max(1.0, geom.field_mm / 2.0 - a - 1.0)
-        center = tuple(rng.uniform(-lim, lim, size=2))
-    return d_max, center
-
-
 def cmd_simulate(cfg: RunConfig, out_dir: Path, object_kind: str | None = None,
                  n_frames: int = 12, step_deg: float = 5.0) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed)
-    geom = cfg.geometry()
-    model = cfg.optical()
-    illum = cfg.illumination()
-    ref_count = 8 if cfg.noise_sigma > 0 else 1
-    reference = _render_averaged(DepthMap(np.zeros_like(illum.gains)), model, illum,
-                                 cfg.noise_sigma, rng, ref_count)
-    fileio.write_pgm(out_dir / "reference.pgm", reference)
+    rig = sim.BallPressRig(cfg.geometry(), cfg.optical(), cfg.illumination(),
+                           cfg.noise_sigma, np.random.default_rng(cfg.seed))
+    fileio.write_pgm(out_dir / "reference.pgm", rig.reference)
     manifest = {
         "format": RUN_FORMAT,
-        "geometry": asdict(geom),
+        "geometry": asdict(rig.geom),
         "scheme": cfg.scheme,
         "seed": cfg.seed,
         "noise_sigma": cfg.noise_sigma,
-        "optical": asdict(model),
+        "optical": asdict(rig.model),
         "reference": "reference.pgm",
     }
     frames = []
@@ -121,12 +95,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, object_kind: str | None = None,
         manifest["kind"] = "presses"
         manifest["ball_radius_mm"] = cfg.ball_radius
         for i in range(cfg.presses):
-            d_max, center = _random_press(rng, geom, model, cfg.ball_radius,
-                                          cfg.placement)
-            depth = sim.sphere_press_depth(geom, cfg.ball_radius, d_max,
-                                           center=center, thickness=model.thickness)
-            img = _render_averaged(depth, model, illum, cfg.noise_sigma, rng,
-                                   cfg.frames_per_press)
+            img, depth, center, d_max = rig.press(cfg.ball_radius, cfg.placement,
+                                                  cfg.frames_per_press)
             image_name = f"frame_{i:03d}.pgm"
             truth_name = f"frame_{i:03d}.dtd"
             fileio.write_pgm(out_dir / image_name, img)
@@ -138,8 +108,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, object_kind: str | None = None,
         manifest["object"] = object_kind
         field = sim.object_depth_field(object_kind)
         poses = [Pose.rot_z(k * step_deg) for k in range(n_frames)]
-        rendered = sim.render_sequence(field, poses, geom, model, illum,
-                                       noise_sigma=cfg.noise_sigma, rng=rng)
+        rendered = sim.render_sequence(field, poses, rig.geom, rig.model, rig.illum,
+                                       noise_sigma=cfg.noise_sigma, rng=rig.rng)
         for i, frame in enumerate(rendered):
             image_name = f"frame_{i:03d}.pgm"
             truth_name = f"frame_{i:03d}.dtd"
@@ -170,68 +140,17 @@ def _load_manifest(run_dir: Path) -> dict:
     return manifest
 
 
-def calibrate_single(diff, ball_radius, geom) -> calib.MappingList:
-    circle = calib.detect_contact_circle(diff)
-    truth = calib.analytic_ball_depth(circle, ball_radius, geom)
-    return calib.build_mapping_list(diff, truth, circle)
-
-
-def calibrate_regression(diffs, ball_radius, geom,
-                         center=None, rng=None) -> calib.RegressionModel:
-    if center is None:
-        center = (geom.crop_size / 2.0, geom.crop_size / 2.0)
-    samples = []
-    for i, diff in enumerate(diffs):
-        try:
-            circle = calib.detect_contact_circle(diff)
-            truth = calib.analytic_ball_depth(circle, ball_radius, geom)
-            samples.extend(calib.collect_samples(diff, truth, center, rng=rng))
-        except SensorError as exc:
-            raise type(exc)(f"press {i}: {exc}") from exc
-    return calib.fit_regression(samples, center)
-
-
-def save_calibration(path, model, thickness: float) -> None:
-    if isinstance(model, calib.MappingList):
-        payload = {"format": CALIB_FORMAT, "method": "single",
-                   "thickness": thickness,
-                   "entries": model.depths.tolist(),
-                   "max_calibrated": model.max_calibrated}
-    else:
-        payload = {"format": CALIB_FORMAT, "method": "regression",
-                   "thickness": thickness,
-                   "k_c": model.k_c, "b_c": model.b_c,
-                   "center_u": model.center_u, "center_v": model.center_v}
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_calibration(path):
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CALIB_FORMAT:
-        raise ValueError(f"{path}: unsupported calibration format "
-                         f"{payload.get('format')!r}")
-    thickness = payload["thickness"]
-    if payload["method"] == "single":
-        model = calib.MappingList(depths=np.array(payload["entries"]),
-                                  max_calibrated=payload["max_calibrated"])
-    elif payload["method"] == "regression":
-        model = calib.RegressionModel(k_c=payload["k_c"], b_c=payload["b_c"],
-                                      center_u=payload["center_u"],
-                                      center_v=payload["center_v"])
-    else:
-        raise ValueError(f"{path}: unknown method {payload['method']!r}")
-    return model, thickness
-
-
 def cmd_calibrate(cfg: RunConfig, run_dir: Path, out_path: Path) -> None:
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     manifest = _load_manifest(run_dir)
     if manifest.get("kind") != "presses":
         raise ValueError("calibration needs a ball-press run")
+    if not manifest["frames"]:
+        raise SensorError(f"{run_dir / 'manifest.json'}: run has no frames "
+                          "to calibrate from")
     geom = SensorGeometry(**manifest["geometry"])
     ball_radius = manifest["ball_radius_mm"]
-    thickness = manifest["optical"]["thickness"]
     reference = fileio.read_pgm(run_dir / manifest["reference"])
     diffs = []
     for i, frame in enumerate(manifest["frames"]):
@@ -243,11 +162,11 @@ def cmd_calibrate(cfg: RunConfig, run_dir: Path, out_path: Path) -> None:
     if cfg.method == "single":
         model = calibrate_single(diffs[0], ball_radius, geom)
     elif cfg.method == "regression":
-        rng = np.random.default_rng(cfg.seed)
-        model = calibrate_regression(diffs, ball_radius, geom, rng=rng)
+        model = calibrate_regression(diffs, ball_radius, geom, manifest["scheme"],
+                                     np.random.default_rng(cfg.seed))
     else:
         raise ValueError(f"unknown method {cfg.method!r}")
-    save_calibration(out_path, model, thickness)
+    save_calibration(out_path, model, manifest["optical"]["thickness"])
 
 
 def _pipeline_config(cfg: RunConfig, model, thickness: float,
@@ -267,19 +186,12 @@ def cmd_reconstruct(cfg: RunConfig, run_dir: Path, calib_path: Path,
     timings = []
     for i, frame in enumerate(manifest["frames"]):
         img = fileio.read_pgm(run_dir / frame["image"])
-        t0 = time.perf_counter()
-        diff = recon.difference(reference, img)
-        t1 = time.perf_counter()
-        depth = recon.map_depth(diff, pipeline)
-        t2 = time.perf_counter()
-        depth = recon.gaussian_denoise(depth, pipeline)
-        t3 = time.perf_counter()
+        stage_ms = {}
+        depth = recon.reconstruct(reference, img, pipeline, stage_ms)
         cloud = recon.depth_to_pointcloud(depth, geom)
         fileio.write_depth(out_dir / f"depth_{i:03d}.dtd", depth)
         fileio.write_ply(out_dir / f"cloud_{i:03d}.ply", cloud)
-        timings.append({"difference_ms": (t1 - t0) * 1e3,
-                        "mapping_ms": (t2 - t1) * 1e3,
-                        "smoothing_ms": (t3 - t2) * 1e3})
+        timings.append(stage_ms)
     report = {"frames": len(manifest["frames"]), "timings_ms": timings}
     (out_dir / "timings.json").write_text(json.dumps(report, indent=2))
     return report
@@ -298,49 +210,32 @@ def run_evaluation(cfg: RunConfig, schemes=sim.SCHEMES) -> dict:
         cell: dict = {}
         results[scheme] = cell
         try:
-            rng = np.random.default_rng(cfg.seed)
-            illum = sim.make_illumination(scheme, cfg.crop_size,
-                                          led_sigma=cfg.led_sigma)
-            ref_count = 8 if cfg.noise_sigma > 0 else 1
-            reference = _render_averaged(
-                DepthMap(np.zeros_like(illum.gains)), model, illum,
-                cfg.noise_sigma, rng, ref_count)
-            cell["reference_std"] = image_mean_std(reference)[1]
+            illum = replace(cfg, scheme=scheme).illumination()
+            rig = sim.BallPressRig(geom, model, illum, cfg.noise_sigma,
+                                   np.random.default_rng(cfg.seed))
+            cell["reference_std"] = image_mean_std(rig.reference)[1]
 
-            def press(ball_radius, placement, avg=1):
-                d_max, center = _random_press(rng, geom, model, ball_radius,
-                                              placement)
-                depth = sim.sphere_press_depth(geom, ball_radius, d_max,
-                                               center=center,
-                                               thickness=model.thickness)
-                img = _render_averaged(depth, model, illum, cfg.noise_sigma,
-                                       rng, avg)
-                return recon.difference(reference, img), depth
+            def press_diff(ball_radius, placement, avg=1):
+                img, depth, _, _ = rig.press(ball_radius, placement, avg)
+                return recon.difference(rig.reference, img), depth
 
             avg = cfg.frames_per_press
-            single_diff, _ = press(CALIB_BALL_RADIUS, "center", avg)
+            single_diff, _ = press_diff(CALIB_BALL_RADIUS, "center", avg)
             single_model = calibrate_single(single_diff, CALIB_BALL_RADIUS, geom)
-            reg_diffs = [press(CALIB_BALL_RADIUS, "random", avg)[0]
+            reg_diffs = [press_diff(CALIB_BALL_RADIUS, "random", avg)[0]
                          for _ in range(REGRESSION_CALIB_PRESSES)]
-            # The corner-cluster scheme darkens away from its corner, so the
-            # regression reference center moves there.
-            reg_center = None
-            if scheme == "s4":
-                reg_center = (cfg.crop_size - 1.0, 0.0)
             reg_model = calibrate_regression(reg_diffs, CALIB_BALL_RADIUS, geom,
-                                             center=reg_center, rng=rng)
-            single_cfg = _pipeline_config(cfg, single_model, model.thickness, geom)
-            reg_cfg = _pipeline_config(cfg, reg_model, model.thickness, geom)
-            maes = {"single": [], "regression": []}
+                                             scheme, rig.rng)
+            pipelines = {key: _pipeline_config(cfg, m, model.thickness, geom)
+                         for key, m in (("single_mae", single_model),
+                                        ("regression_mae", reg_model))}
+            maes = {key: [] for key in pipelines}
             for _ in range(TEST_PRESSES):
-                diff, truth = press(TEST_BALL_RADIUS, "random")
-                for name, pipeline in (("single", single_cfg),
-                                       ("regression", reg_cfg)):
-                    depth = recon.gaussian_denoise(
-                        recon.map_depth(diff, pipeline), pipeline)
-                    maes[name].append(float(np.abs(depth.data - truth.data).mean()))
-            cell["single_mae"] = float(np.mean(maes["single"]))
-            cell["regression_mae"] = float(np.mean(maes["regression"]))
+                diff, truth = press_diff(TEST_BALL_RADIUS, "random")
+                for key, pipeline in pipelines.items():
+                    depth = recon.depth_from_difference(diff, pipeline)
+                    maes[key].append(float(np.abs(depth.data - truth.data).mean()))
+            cell.update({key: float(np.mean(errors)) for key, errors in maes.items()})
         except SensorError as exc:
             cell["error"] = f"{type(exc).__name__}: {exc}"
     return {"format": "tacsense-eval-v1", "seed": cfg.seed,
@@ -380,7 +275,7 @@ def _subsample(cloud: PointCloud, max_points: int = 4000) -> PointCloud:
 
 
 def reconstruct_cloud(diff, pipeline, geom, rim_only: bool = False) -> PointCloud:
-    depth = recon.gaussian_denoise(recon.map_depth(diff, pipeline), pipeline)
+    depth = recon.depth_from_difference(diff, pipeline)
     if rim_only:
         cloud = recon.depth_rim_pointcloud(depth, geom)
     else:

@@ -280,3 +280,12 @@ def image_mean_std(img: GrayImage) -> tuple[float, float]:
         raise ValueError("cannot compute statistics of an empty image")
     p = img.pixels.astype(np.float64)
     return float(p.mean()), float(p.std())
+
+
+def average_frames(frames: list[GrayImage]) -> GrayImage:
+    """Per-pixel arithmetic mean of frames, rounded to the nearest integer."""
+    if not frames:
+        raise ValueError("cannot average zero frames")
+    if any(f.pixels.shape != frames[0].pixels.shape for f in frames):
+        raise ValueError("frame dimensions differ")
+    return GrayImage.from_float(np.mean([f.pixels for f in frames], axis=0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,21 +128,41 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 
 
 def gaussian_denoise(depth: DepthMap, config: PipelineConfig) -> DepthMap:
-    """Sequential separable Gaussian passes with reflection padding."""
+    """`passes` separable Gaussian passes with reflection padding, as one pass.
+
+    Reflection commutes with a symmetric kernel, so sequential passes equal
+    one pass of the kernel convolved with itself `passes` times, borders
+    included. Positive taps keep non-negative depth non-negative.
+    """
     k = gaussian_kernel(config.kernel_size, config.sigma)
-    out = depth.data.copy()
+    taps = np.ones(1)
     for _ in range(config.passes):
-        out = correlate1d(out, k, axis=0, mode="reflect")
-        out = correlate1d(out, k, axis=1, mode="reflect")
-    return DepthMap(np.maximum(out, 0.0))
+        taps = np.convolve(taps, k)
+    out = correlate1d(depth.data, taps, axis=0, mode="reflect")
+    return DepthMap(correlate1d(out, taps, axis=1, mode="reflect"))
 
 
-def reconstruct(reference: GrayImage, contact: GrayImage,
-                config: PipelineConfig) -> DepthMap:
-    """Full per-frame pipeline on already-cropped grayscale images."""
-    diff = difference(reference, contact)
+def depth_from_difference(diff: DifferenceImage, config: PipelineConfig,
+                          timings: dict | None = None) -> DepthMap:
+    """Depth mapping then denoising; stage ms go to `timings`, if given."""
+    t0 = time.perf_counter()
     depth = map_depth(diff, config)
-    return gaussian_denoise(depth, config)
+    t1 = time.perf_counter()
+    depth = gaussian_denoise(depth, config)
+    if timings is not None:
+        timings["mapping_ms"] = (t1 - t0) * 1e3
+        timings["smoothing_ms"] = (time.perf_counter() - t1) * 1e3
+    return depth
+
+
+def reconstruct(reference: GrayImage, contact: GrayImage, config: PipelineConfig,
+                timings: dict | None = None) -> DepthMap:
+    """Full per-frame pipeline on cropped images; stage ms go to `timings`."""
+    t0 = time.perf_counter()
+    diff = difference(reference, contact)
+    if timings is not None:
+        timings["difference_ms"] = (time.perf_counter() - t0) * 1e3
+    return depth_from_difference(diff, config, timings)
 
 
 def preprocess_raw(img: GrayImage, config: PipelineConfig) -> GrayImage:

@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DepthMap, GrayImage, SensorGeometry, _freeze, surface_grid
+from .core import (DepthMap, GrayImage, SensorGeometry, _freeze, average_frames,
+                   surface_grid)
 from .pose import Pose
 
 SCHEMES = ("standard", "s1", "s2", "s3", "s4")
@@ -153,6 +154,48 @@ def render_tactile(depth: DepthMap, model: OpticalModel, illum: IlluminationFiel
     return GrayImage.from_float(img)
 
 
+@dataclass
+class BallPressRig:
+    """Random ball presses on one simulated sensor, all drawn from `rng`.
+
+    The no-contact `reference`, 8 frames averaged when noisy, is drawn first.
+    """
+
+    geom: SensorGeometry
+    model: OpticalModel
+    illum: IlluminationField
+    noise_sigma: float
+    rng: np.random.Generator
+
+    def __post_init__(self):
+        zeros = DepthMap(np.zeros_like(self.illum.gains))
+        self.reference = self._render(zeros, 8 if self.noise_sigma > 0 else 1)
+
+    def _render(self, depth: DepthMap, count: int) -> GrayImage:
+        """Mean of `count` (at least one) noisy renders of `depth`."""
+        return average_frames([
+            render_tactile(depth, self.model, self.illum,
+                           noise_sigma=self.noise_sigma, rng=self.rng)
+            for _ in range(max(1, count))])
+
+    def press(self, ball_radius: float, placement: str, count: int = 1
+              ) -> tuple[GrayImage, DepthMap, tuple[float, float], float]:
+        """(image, true depth, centre, press depth) of a random press, in mm."""
+        thickness = self.model.thickness
+        d_max = float(self.rng.uniform(0.25, 0.95) * thickness)
+        d_max = min(d_max, ball_radius)
+        if placement == "center":
+            center = tuple(self.rng.uniform(-1.0, 1.0, size=2))
+        else:
+            # Keep the contact circle comfortably inside the sensing field.
+            a = np.sqrt(2 * ball_radius * d_max - d_max ** 2)
+            lim = max(1.0, self.geom.field_mm / 2.0 - a - 1.0)
+            center = tuple(self.rng.uniform(-lim, lim, size=2))
+        depth = sphere_press_depth(self.geom, ball_radius, d_max, center=center,
+                                   thickness=thickness)
+        return self._render(depth, count), depth, center, d_max
+
+
 def reference_image(model: OpticalModel, illum: IlluminationField,
                     noise_sigma: float = 0.0,
                     rng: np.random.Generator | None = None) -> GrayImage:
@@ -257,15 +300,6 @@ def synth_object_depth(kind: str, geom: SensorGeometry, thickness: float = 2.0,
     field = object_depth_field(kind, **params)
     xx, yy = surface_grid(geom)
     return DepthMap(np.clip(field(xx, yy), 0.0, thickness))
-
-
-@dataclass(frozen=True)
-class PressScene:
-    """A single simulated press: ground truth plus rendering noise level."""
-
-    depth: DepthMap
-    label: str = ""
-    noise_sigma: float = 0.0
 
 
 @dataclass(frozen=True)

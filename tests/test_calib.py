@@ -194,17 +194,19 @@ class TestBuildMappingList:
             calib.build_mapping_list(diff, DepthMap(truth_zero), circle)
 
 
+def linear_samples(rng, n, k, b, jitter=0.0):
+    """(deltas, depths, radii) with depth/delta = k * radius + b, times noise."""
+    radii = rng.uniform(0, 300, size=n)
+    deltas = rng.integers(1, 150, size=n).astype(np.float64)
+    depths = (k * radii + b) * deltas * rng.uniform(1 - jitter, 1 + jitter, size=n)
+    return deltas, depths, radii
+
+
 class TestFitRegression:
     def test_exact_linear_data_recovered(self):
-        rng = np.random.default_rng(3)
         k_true, b_true = 0.001, 0.01
-        samples = []
-        for _ in range(200):
-            r = float(rng.uniform(0, 300))
-            delta = float(rng.integers(1, 150))
-            samples.append(calib.CalibrationSample(
-                delta=delta, depth=(k_true * r + b_true) * delta, radius_px=r))
-        model = calib.fit_regression(samples, center=(290.0, 290.0))
+        samples = linear_samples(np.random.default_rng(3), 200, k_true, b_true)
+        model = calib.fit_regression(*samples, center=(290.0, 290.0))
         assert model.k_c == pytest.approx(k_true, rel=1e-9)
         assert model.b_c == pytest.approx(b_true, rel=1e-9)
 
@@ -214,32 +216,29 @@ class TestFitRegression:
         assert model.slope(290.0, 290.0) == pytest.approx(0.01)
 
     def test_single_radius_rejected(self):
-        samples = [calib.CalibrationSample(delta=10.0, depth=0.5, radius_px=50.0)
-                   for _ in range(150)]
         with pytest.raises(DegenerateFitError):
-            calib.fit_regression(samples, center=(0.0, 0.0))
+            calib.fit_regression(np.full(150, 10.0), np.full(150, 0.5),
+                                 np.full(150, 50.0), center=(0.0, 0.0))
 
     def test_too_few_samples_rejected(self):
-        samples = [calib.CalibrationSample(delta=10.0, depth=0.5, radius_px=float(i))
-                   for i in range(20)]
         with pytest.raises(DegenerateFitError):
-            calib.fit_regression(samples, center=(0.0, 0.0))
+            calib.fit_regression(np.full(20, 10.0), np.full(20, 0.5),
+                                 np.arange(20.0), center=(0.0, 0.0))
 
     def test_zero_delta_sample_rejected_at_ingestion(self):
-        with pytest.raises(ValueError):
-            calib.CalibrationSample(delta=0.0, depth=0.5, radius_px=10.0)
+        deltas, depths, radii = linear_samples(np.random.default_rng(4), 200,
+                                               0.001, 0.01)
+        deltas[17] = 0.0
+        with pytest.raises(ValueError, match="zero-difference"):
+            calib.fit_regression(deltas, depths, radii, center=(0.0, 0.0))
+        deltas[17] = 1.0
+        depths[5] = 0.0
+        with pytest.raises(ValueError, match="depth must be positive"):
+            calib.fit_regression(deltas, depths, radii, center=(0.0, 0.0))
 
     def test_ols_residual_mean_is_zero(self):
-        rng = np.random.default_rng(9)
-        samples = []
-        for _ in range(300):
-            r = float(rng.uniform(0, 300))
-            delta = float(rng.integers(1, 150))
-            depth = (0.0005 * r + 0.02) * delta * float(rng.uniform(0.9, 1.1))
-            samples.append(calib.CalibrationSample(delta=delta, depth=depth,
-                                                   radius_px=r))
-        model = calib.fit_regression(samples, center=(0.0, 0.0))
-        r = np.array([s.radius_px for s in samples])
-        s = np.array([s.depth / s.delta for s in samples])
-        residuals = s - (model.k_c * r + model.b_c)
+        deltas, depths, radii = linear_samples(np.random.default_rng(9), 300,
+                                               0.0005, 0.02, jitter=0.1)
+        model = calib.fit_regression(deltas, depths, radii, center=(0.0, 0.0))
+        residuals = depths / deltas - (model.k_c * radii + model.b_c)
         assert abs(residuals.mean()) < 1e-9

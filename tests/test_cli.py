@@ -115,6 +115,15 @@ class TestCalibrate:
             cli.cmd_calibrate(RunConfig(method="spline"), run_dir,
                               tmp_path / "c.json")
 
+    def test_s4_regression_centre_is_the_study_corner(self, tmp_path):
+        run_dir = tmp_path / "s4"
+        cli.cmd_simulate(RunConfig(seed=1, scheme="s4", presses=4,
+                                   placement="random"), run_dir)
+        out = tmp_path / "reg" / "calibration.json"
+        cli.cmd_calibrate(RunConfig(method="regression"), run_dir, out)
+        payload = json.loads(out.read_text())
+        assert (payload["center_u"], payload["center_v"]) == (579.0, 0.0)
+
     def test_wrong_format_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"format": "something-else"}))
@@ -195,6 +204,17 @@ class TestMain:
                          "--out", str(tmp_path / "c")])
         assert code == 1
         assert "tacsense calibrate:" in capsys.readouterr().err
+
+    def test_calibrate_run_without_frames_exit_one(self, tmp_path, capsys):
+        run_dir = tmp_path / "empty"
+        assert cli.main(["simulate", "--out", str(run_dir), "--presses", "0"]) == 0
+        code = cli.main(["calibrate", "--run", str(run_dir),
+                         "--out", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert str(run_dir / "manifest.json") in err
+        assert "no frames" in err
 
     def test_flag_overrides_reach_pipeline(self, tmp_path):
         out = tmp_path / "run"

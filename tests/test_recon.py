@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.ndimage import correlate1d
 
 from tacsense import calib, recon, sim
 from tacsense.core import (
@@ -169,6 +172,22 @@ class TestGaussianDenoise:
         cfg = recon.PipelineConfig(model=make_lookup_model(optical), geom=geom)
         out = recon.gaussian_denoise(DepthMap(np.full((32, 32), 0.7)), cfg)
         assert np.abs(out.data - 0.7).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=arrays(np.float64, array_shapes(min_dims=2, max_dims=2,
+                                                 min_side=1, max_side=40),
+                        elements=st.floats(0.0, 100.0)),
+           passes=st.integers(0, 3))
+    def test_equals_sequential_reflect_passes(self, field, passes):
+        model = calib.RegressionModel(k_c=0.0, b_c=1.0, center_u=0.0, center_v=0.0)
+        cfg = recon.PipelineConfig(model=model, passes=passes)
+        k = recon.gaussian_kernel(cfg.kernel_size, cfg.sigma)
+        expected = field
+        for _ in range(passes):
+            expected = correlate1d(expected, k, axis=0, mode="reflect")
+            expected = correlate1d(expected, k, axis=1, mode="reflect")
+        out = recon.gaussian_denoise(DepthMap(field), cfg)
+        assert np.abs(out.data - expected).max() <= 1e-12
 
     def test_interior_mass_preserved(self, optical, geom):
         cfg = recon.PipelineConfig(model=make_lookup_model(optical), geom=geom)
