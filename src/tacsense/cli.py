@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -49,6 +50,11 @@ class RunConfig:
     presses: int = 1
     placement: str = "center"
     frames_per_press: int = 1
+
+    def __post_init__(self):
+        if self.placement not in sim.PLACEMENTS:
+            raise ValueError(f"config key 'placement': unknown value "
+                             f"{self.placement!r}; expected one of {sim.PLACEMENTS}")
 
     @classmethod
     def load(cls, path=None, **overrides) -> "RunConfig":
@@ -175,6 +181,14 @@ def _pipeline_config(cfg: RunConfig, model, thickness: float,
                                 sigma=cfg.gaussian_sigma, depth_clamp=thickness)
 
 
+def _timed(stage_ms: dict, key: str, fn, *args):
+    """fn(*args), with its wall time in ms stored as stage_ms[key]."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    stage_ms[key] = (time.perf_counter() - t0) * 1e3
+    return result
+
+
 def cmd_reconstruct(cfg: RunConfig, run_dir: Path, calib_path: Path,
                     out_dir: Path) -> dict:
     manifest = _load_manifest(run_dir)
@@ -185,12 +199,15 @@ def cmd_reconstruct(cfg: RunConfig, run_dir: Path, calib_path: Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = []
     for i, frame in enumerate(manifest["frames"]):
-        img = fileio.read_pgm(run_dir / frame["image"])
         stage_ms = {}
+        img = _timed(stage_ms, "read_ms", fileio.read_pgm, run_dir / frame["image"])
         depth = recon.reconstruct(reference, img, pipeline, stage_ms)
-        cloud = recon.depth_to_pointcloud(depth, geom)
-        fileio.write_depth(out_dir / f"depth_{i:03d}.dtd", depth)
-        fileio.write_ply(out_dir / f"cloud_{i:03d}.ply", cloud)
+        cloud = _timed(stage_ms, "pointcloud_ms", recon.depth_to_pointcloud,
+                       depth, geom)
+        _timed(stage_ms, "write_depth_ms", fileio.write_depth,
+               out_dir / f"depth_{i:03d}.dtd", depth)
+        _timed(stage_ms, "write_ply_ms", fileio.write_ply,
+               out_dir / f"cloud_{i:03d}.ply", cloud)
         timings.append(stage_ms)
     report = {"frames": len(manifest["frames"]), "timings_ms": timings}
     (out_dir / "timings.json").write_text(json.dumps(report, indent=2))
@@ -330,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--presses", type=int)
     p.add_argument("--ball-radius", type=float, dest="ball_radius")
-    p.add_argument("--placement", choices=["center", "random"])
+    p.add_argument("--placement", choices=sim.PLACEMENTS)
     p.add_argument("--object", choices=["slab", "ball_array", "star", "hex_nut",
                                         "set_screw"])
     p.add_argument("--frames", type=int, default=12)

@@ -19,6 +19,7 @@ from .core import (DepthMap, GrayImage, SensorGeometry, _freeze, average_frames,
 from .pose import Pose
 
 SCHEMES = ("standard", "s1", "s2", "s3", "s4")
+PLACEMENTS = ("center", "random")
 
 DEFAULT_LED_SIGMA = 700.0
 DEFAULT_RING_RADIUS_FRAC = 0.8
@@ -141,15 +142,18 @@ def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
 def render_tactile(depth: DepthMap, model: OpticalModel, illum: IlluminationField,
                    noise_sigma: float = 0.0,
                    rng: np.random.Generator | None = None) -> GrayImage:
-    """Render a tactile frame: illumination-scaled reflectance plus noise."""
+    """Render a tactile frame: illumination-scaled reflectance plus noise.
+
+    Noise is drawn from `rng`, which noise_sigma > 0 requires.
+    """
     if depth.data.shape != illum.gains.shape:
         raise ValueError("depth map and illumination field dimensions differ")
     if depth.data.max() > model.thickness + 1e-12:
         raise ValueError("depth exceeds the layer thickness of the optical model")
+    if noise_sigma > 0 and rng is None:
+        raise ValueError(f"noise_sigma {noise_sigma} needs a seeded rng")
     img = illum.gains * model.intensity(depth.data)
     if noise_sigma > 0:
-        if rng is None:
-            rng = np.random.default_rng()
         img = img + rng.normal(0.0, noise_sigma, size=img.shape)
     return GrayImage.from_float(img)
 
@@ -180,7 +184,14 @@ class BallPressRig:
 
     def press(self, ball_radius: float, placement: str, count: int = 1
               ) -> tuple[GrayImage, DepthMap, tuple[float, float], float]:
-        """(image, true depth, centre, press depth) of a random press, in mm."""
+        """(image, true depth, centre, press depth) of a random press, in mm.
+
+        `placement` is "center" (centre within 1 mm of the middle) or
+        "random" (anywhere the contact circle fits in the field).
+        """
+        if placement not in PLACEMENTS:
+            raise ValueError(f"unknown placement {placement!r}; "
+                             f"expected one of {PLACEMENTS}")
         thickness = self.model.thickness
         d_max = float(self.rng.uniform(0.25, 0.95) * thickness)
         d_max = min(d_max, ball_radius)

@@ -45,6 +45,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.load(path)
 
+    def test_unknown_placement_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"placement": "corner"}))
+        with pytest.raises(ValueError, match="'placement'.*'corner'"):
+            RunConfig.load(path)
+
     def test_derived_objects_reflect_config(self):
         cfg = RunConfig(thickness=1.5, attenuation=2.0)
         assert cfg.optical().thickness == 1.5
@@ -144,6 +150,17 @@ class TestReconstruct:
         depth = fileio.read_depth(out / "depth_000.dtd")
         assert depth.data.shape == (580, 580)
 
+    def test_timings_include_io_stages(self, press_run, single_calib, tmp_path):
+        run_dir, _ = press_run
+        out = tmp_path / "recon"
+        cli.cmd_reconstruct(RunConfig(), run_dir, single_calib, out)
+        report = json.loads((out / "timings.json").read_text())
+        for stages in report["timings_ms"]:
+            assert set(stages) == {"read_ms", "difference_ms", "mapping_ms",
+                                   "smoothing_ms", "pointcloud_ms",
+                                   "write_depth_ms", "write_ply_ms"}
+            assert all(ms >= 0 for ms in stages.values())
+
     def test_reconstruction_close_to_truth(self, press_run, single_calib, tmp_path):
         run_dir, manifest = press_run
         out = tmp_path / "recon"
@@ -215,6 +232,17 @@ class TestMain:
         assert len(err.strip().splitlines()) == 1
         assert str(run_dir / "manifest.json") in err
         assert "no frames" in err
+
+    def test_unknown_placement_exit_one_without_frames(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"placement": "corner"}))
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "placement" in err and "corner" in err
+        assert not out.exists()
 
     def test_flag_overrides_reach_pipeline(self, tmp_path):
         out = tmp_path / "run"

@@ -78,6 +78,20 @@ class TestRenderTactile:
                                rng=np.random.default_rng(7))
         assert np.array_equal(a.pixels, b.pixels)
 
+    def test_noise_without_rng_refused(self, optical):
+        zeros = DepthMap(np.zeros((8, 8)))
+        small = sim.IlluminationField(np.ones((8, 8)))
+        with pytest.raises(ValueError, match="seeded rng"):
+            sim.render_tactile(zeros, optical, small, noise_sigma=1.0)
+
+
+class TestBallPressRig:
+    def test_unknown_placement_refused(self, geom, optical, uniform_illum):
+        rig = sim.BallPressRig(geom, optical, uniform_illum, 0.0,
+                               np.random.default_rng(0))
+        with pytest.raises(ValueError, match="unknown placement 'corner'"):
+            rig.press(4.0, "corner")
+
 
 class TestIllumination:
     def test_max_gain_is_one(self):
