@@ -3,7 +3,8 @@
 
 Renders a simulated rotation sequence, reconstructs a rim point cloud per
 frame, runs incremental ICP seeded from the previous pose, and prints the
-estimated against the true rotation angle for every frame.
+estimated against the true rotation angle for every frame, with the ICP
+residual, iteration count and whether ICP converged before its cap.
 """
 
 import argparse
@@ -48,11 +49,12 @@ def main():
     reports = track_pose(clouds, clouds[0])
 
     print(f"{'frame':>5} {'true deg':>9} {'estimated':>10} "
-          f"{'rmse mm':>8} {'iters':>5}")
+          f"{'rmse mm':>8} {'iters':>5} {'converged':>9}")
     for k, report in enumerate(reports):
         true_deg = args.step_deg * k
         print(f"{k:>5} {true_deg:>9.2f} {report.pose.z_angle_deg():>10.3f} "
-              f"{report.rmse:>8.4f} {report.iterations:>5}")
+              f"{report.rmse:>8.4f} {report.iterations:>5} "
+              f"{'yes' if report.converged else 'NO':>9}")
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,23 @@ TEST_PRESSES = 20
 CALIB_BALL_RADIUS = 4.0
 TEST_BALL_RADIUS = 5.0
 
+METHODS = ("single", "regression")
+_CONFIG_TYPES = {"int": int, "float": (int, float), "str": str}
+_CONFIG_CHOICES = {"scheme": sim.SCHEMES, "method": METHODS,
+                   "placement": sim.PLACEMENTS}
+# Numeric keys must be finite, and > 0 if listed here, else >= 0.
+_CONFIG_POSITIVE = {"thickness", "attenuation", "gain", "led_sigma", "raw_width",
+                    "raw_height", "crop_size", "field_mm", "gaussian_sigma",
+                    "ball_radius", "frames_per_press"}
+
 
 @dataclass
 class RunConfig:
-    """Reproducible experiment manifest; flags override file values."""
+    """Reproducible experiment manifest; flags override file values.
+
+    Construction checks every field's type and range and raises ValueError
+    naming the key.
+    """
 
     seed: int = 0
     scheme: str = "standard"
@@ -52,15 +66,30 @@ class RunConfig:
     frames_per_press: int = 1
 
     def __post_init__(self):
-        if self.placement not in sim.PLACEMENTS:
-            raise ValueError(f"config key 'placement': unknown value "
-                             f"{self.placement!r}; expected one of {sim.PLACEMENTS}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, but a JSON true is no count or length.
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[f.type]):
+                raise ValueError(f"config key {f.name!r}: expected {f.type}, "
+                                 f"got {type(value).__name__} {value!r}")
+            if f.name in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[f.name]:
+                raise ValueError(f"config key {f.name!r}: unknown {f.name} {value!r}; "
+                                 f"expected one of {_CONFIG_CHOICES[f.name]}")
+            if f.type == "str":
+                continue
+            positive = f.name in _CONFIG_POSITIVE
+            if (isinstance(value, float) and not math.isfinite(value)) or not (
+                    value > 0 if positive else value >= 0):
+                raise ValueError(f"config key {f.name!r}: value {value!r} must be "
+                                 f"finite and {'> 0' if positive else '>= 0'}")
 
     @classmethod
     def load(cls, path=None, **overrides) -> "RunConfig":
         values = {}
         if path is not None:
             values = json.loads(Path(path).read_text())
+            if not isinstance(values, dict):
+                raise ValueError(f"{path}: config must be a JSON object")
             unknown = set(values) - set(cls.__dataclass_fields__)
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -167,11 +196,9 @@ def cmd_calibrate(cfg: RunConfig, run_dir: Path, out_path: Path) -> None:
             raise ValueError(f"frame {i}: {exc}") from exc
     if cfg.method == "single":
         model = calibrate_single(diffs[0], ball_radius, geom)
-    elif cfg.method == "regression":
+    else:
         model = calibrate_regression(diffs, ball_radius, geom, manifest["scheme"],
                                      np.random.default_rng(cfg.seed))
-    else:
-        raise ValueError(f"unknown method {cfg.method!r}")
     save_calibration(out_path, model, manifest["optical"]["thickness"])
 
 
@@ -320,7 +347,8 @@ def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"format": "tacsense-track-v1",
                "frames": [{"pose": _pose_to_list(r.pose), "rmse": r.rmse,
-                           "iterations": r.iterations, "converged": r.converged}
+                           "iterations": r.iterations, "converged": r.converged,
+                           "inlier_fraction": r.inlier_fraction}
                           for r in reports]}
     (out_dir / "track_report.json").write_text(json.dumps(payload, indent=2))
     return payload
@@ -337,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--method", choices=["single", "regression"])
+        p.add_argument("--method", choices=METHODS)
         p.add_argument("--scheme", choices=list(sim.SCHEMES))
         p.add_argument("--thickness", type=float, help="layer thickness in mm")
         p.add_argument("--noise", type=float, dest="noise_sigma",

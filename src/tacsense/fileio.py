@@ -85,8 +85,13 @@ def read_depth(path) -> DepthMap:
         raise FormatError(
             f"{path}: truncated depth data at byte {pos + len(raw)}, "
             f"expected {expected} bytes")
-    values = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(height, width)
-    return DepthMap(values)
+    values = np.frombuffer(raw, dtype="<f4")
+    bad = ~(np.isfinite(values) & (values >= 0.0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise FormatError(f"{path}: depth value {values[i]} (must be finite "
+                          f"and >= 0) at byte {pos + 4 * i}")
+    return DepthMap(values.astype(np.float64).reshape(height, width))
 
 
 PLY_SCALARS = {

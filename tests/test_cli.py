@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,39 @@ class TestRunConfig:
         path.write_text(json.dumps({"placement": "corner"}))
         with pytest.raises(ValueError, match="'placement'.*'corner'"):
             RunConfig.load(path)
+
+    @pytest.mark.parametrize("values, message", [
+        ({"seed": "abc"}, "'seed': expected int, got str 'abc'"),
+        ({"presses": 2.5}, "'presses': expected int, got float 2.5"),
+        ({"seed": True}, "'seed': expected int, got bool"),
+        ({"scheme": 3}, "'scheme': expected str"),
+        ({"method": "spline"}, "'method': unknown method 'spline'"),
+        ({"thickness": 0}, "'thickness': value 0 must be finite and > 0"),
+        ({"noise_sigma": -1.0}, "'noise_sigma': value -1.0 must be finite and >= 0"),
+        ({"gain": float("nan")}, "'gain': value nan"),
+        ({"presses": -1}, "'presses': value -1"),
+        ({"frames_per_press": 0}, "'frames_per_press': value 0"),
+    ])
+    def test_bad_value_names_the_key(self, tmp_path, values, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig.load(path)
+
+    def test_bad_flag_override_rejected(self):
+        with pytest.raises(ValueError, match="'seed'"):
+            RunConfig.load(None, seed=-3)
+
+    def test_non_object_config_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            RunConfig.load(path)
+
+    def test_integer_accepted_for_float_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"thickness": 2}))
+        assert RunConfig.load(path).optical().thickness == 2.0
 
     def test_derived_objects_reflect_config(self):
         cfg = RunConfig(thickness=1.5, attenuation=2.0)
@@ -204,6 +238,7 @@ class TestTrack:
         assert len(payload["frames"]) == 3
         for frame in payload["frames"]:
             assert frame["converged"]
+            assert frame["inlier_fraction"] == 1.0
             pose = cli._pose_from_list(frame["pose"])
             # acos near +1 amplifies 1e-16 matrix error to ~1e-6 degrees
             assert pose.rotation_angle_deg() <= 1e-4
@@ -242,6 +277,20 @@ class TestMain:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert "placement" in err and "corner" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values, key", [({"seed": "abc"}, "seed"),
+                                             ({"presses": 2.5}, "presses")])
+    def test_bad_config_type_exit_one_without_output(self, tmp_path, capsys,
+                                                     values, key):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert f"config key '{key}'" in err
         assert not out.exists()
 
     def test_flag_overrides_reach_pipeline(self, tmp_path):

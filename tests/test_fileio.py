@@ -87,6 +87,14 @@ class TestDepth:
         with pytest.raises(FormatError, match="header at byte 8"):
             fileio.read_depth(path)
 
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_invalid_value_reports_offset(self, tmp_path, value):
+        path = tmp_path / "bad.dtd"
+        values = np.array([0.5, 0.0, value, 1.0], dtype="<f4")
+        path.write_bytes(b"DTDEPTH1\n2 2\n" + values.tobytes())
+        with pytest.raises(FormatError, match="at byte 21"):
+            fileio.read_depth(path)
+
 
 XYZ_HEADER = ("element vertex {n}\n"
               "property float x\nproperty float y\nproperty float z\n"
@@ -290,3 +298,52 @@ class TestPlyFuzz:
                 fileio.read_ply(ply_file(tmp_path, bytes(data), f"{fmt}.ply"))
             except FormatError:
                 pass
+
+
+shapes = st.tuples(st.integers(0, 6), st.integers(0, 6))
+images = arrays(np.uint8, shapes)
+depths = arrays(np.float32, shapes, elements=st.floats(0.0, 1e6, width=32))
+
+
+def write_rasters(tmp_path, pixels, depth):
+    """{format: (file content, reader)} for a PGM frame and a depth map."""
+    fileio.write_pgm(tmp_path / "a.pgm", GrayImage(pixels))
+    fileio.write_depth(tmp_path / "a.dtd", DepthMap(depth.astype(np.float64)))
+    return {"pgm": ((tmp_path / "a.pgm").read_bytes(), fileio.read_pgm),
+            "depth": ((tmp_path / "a.dtd").read_bytes(), fileio.read_depth)}
+
+
+def read_or_format_error(tmp_path, name, content, reader):
+    path = tmp_path / f"fuzz.{name}"
+    path.write_bytes(content)
+    try:
+        reader(path)
+    except FormatError:
+        pass
+
+
+class TestRasterFuzz:
+    @FUZZ
+    @given(pixels=images, depth=depths)
+    def test_round_trip_exact(self, tmp_path, pixels, depth):
+        write_rasters(tmp_path, pixels, depth)
+        assert np.array_equal(fileio.read_pgm(tmp_path / "a.pgm").pixels, pixels)
+        assert np.array_equal(fileio.read_depth(tmp_path / "a.dtd").data, depth)
+
+    @FUZZ
+    @given(pixels=images, depth=depths, cut=st.floats(0.0, 1.0))
+    def test_truncation_reads_or_raises_format_error(self, tmp_path, pixels,
+                                                     depth, cut):
+        for name, (content, reader) in write_rasters(tmp_path, pixels, depth).items():
+            read_or_format_error(tmp_path, name, content[:int(cut * len(content))],
+                                 reader)
+
+    @FUZZ
+    @given(pixels=images, depth=depths, where=st.floats(0.0, 1.0),
+           byte=st.integers(0, 255))
+    def test_byte_mutation_reads_or_raises_format_error(self, tmp_path, pixels,
+                                                        depth, where, byte):
+        for name, (content, reader) in write_rasters(tmp_path, pixels, depth).items():
+            data = bytearray(content)
+            data[min(int(where * len(data)), len(data) - 1)] = byte
+            read_or_format_error(tmp_path, name, bytes(data), reader)

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
+from tacsense import calib, cli, pose as pose_module, recon, sim
 from tacsense.core import DegenerateGeometryError, PointCloud
 from tacsense.pose import (
     IcpReport,
     Pose,
     best_rigid_transform,
+    estimate_normals,
     icp,
+    least_variance_axis,
     nearest_neighbors,
+    point_to_plane_step,
     track_pose,
 )
 
@@ -18,6 +24,41 @@ from tacsense.pose import (
 def random_cloud(n=300, seed=0, scale=10.0):
     rng = np.random.default_rng(seed)
     return PointCloud(rng.uniform(-scale, scale, (n, 3)))
+
+
+def graph_surface(n, seed, amplitude=1.0):
+    """Points on the smooth graph z = f(x, y), like a reconstructed depth map."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(-5.0, 5.0, (2, n))
+    z = amplitude * (np.sin(0.6 * x) + np.cos(0.4 * y) + 0.05 * x * y)
+    return PointCloud(np.column_stack([x, y, z]))
+
+
+def small_motion(rng, max_deg, max_mm):
+    axis = rng.normal(size=3)
+    angle = np.radians(rng.uniform(-max_deg, max_deg))
+    rot = Rotation.from_rotvec(angle * axis / np.linalg.norm(axis)).as_matrix()
+    return Pose(rot, rng.uniform(-max_mm, max_mm, 3))
+
+
+@pytest.fixture(scope="module")
+def hex_nut_rims(geom):
+    """Rim clouds of a 12-frame hex-nut rotation in 5-degree steps."""
+    optical = sim.OpticalModel()
+    illum = sim.uniform_illumination(geom.crop_size)
+    reference = sim.reference_image(optical, illum)
+    press = sim.sphere_press_depth(geom, cli.CALIB_BALL_RADIUS, 1.9,
+                                   thickness=optical.thickness)
+    diff = recon.difference(reference, sim.render_tactile(press, optical, illum))
+    model = calib.calibrate_single(diff, cli.CALIB_BALL_RADIUS, geom)
+    pipeline = recon.PipelineConfig(model=model, geom=geom,
+                                    depth_clamp=optical.thickness)
+    poses = [Pose.rot_z(5.0 * k) for k in range(12)]
+    frames = sim.render_sequence(sim.object_depth_field("hex_nut"), poses,
+                                 geom, optical, illum)
+    return [cli.reconstruct_cloud(recon.difference(reference, f.image),
+                                  pipeline, geom, rim_only=True)
+            for f in frames]
 
 
 class TestPose:
@@ -191,6 +232,100 @@ class TestIcp:
         report = icp(cloud, cloud)
         assert isinstance(report, IcpReport)
         assert report.iterations >= 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.2, 2.0))
+    def test_rmse_non_increasing_on_graph_surfaces(self, seed, amplitude):
+        src = graph_surface(150, seed, amplitude)
+        motion = small_motion(np.random.default_rng(seed), 6.0, 0.3)
+        dst = PointCloud(motion.apply(src.points))
+        rmses = [icp(src, dst, max_iter=k, tol_mm=0.0).rmse for k in range(1, 7)]
+        assert all(b <= a for a, b in zip(rmses, rmses[1:]))
+
+    def test_recovers_motion_on_graph_surface(self):
+        src = graph_surface(400, seed=22)
+        true = small_motion(np.random.default_rng(23), 5.0, 0.3)
+        report = icp(src, PointCloud(true.apply(src.points)))
+        assert report.converged
+        assert report.iterations <= 10
+        err = report.pose.compose(true.inverse())
+        assert err.rotation_angle_deg() <= 1e-3
+        assert np.linalg.norm(err.translation) <= 1e-4
+
+    def test_planar_target_takes_svd_step_and_aligns(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        target = PointCloud(np.column_stack([rng.uniform(-10, 10, (400, 2)),
+                                             np.zeros(400)]))
+        true = Pose.rot_z(2.0, translation=(0.1, -0.05, 0.0))
+        source = PointCloud(true.inverse().apply(target.points))
+        plane_steps, svd_steps = [], []
+
+        def spy(fn, calls):
+            def wrapped(*args, **kwargs):
+                calls.append(fn(*args, **kwargs))
+                return calls[-1]
+            return wrapped
+
+        monkeypatch.setattr(pose_module, "point_to_plane_step",
+                            spy(point_to_plane_step, plane_steps))
+        monkeypatch.setattr(pose_module, "best_rigid_transform",
+                            spy(best_rigid_transform, svd_steps))
+        report = icp(source, target)
+        assert plane_steps and all(step is None for step in plane_steps)
+        assert len(svd_steps) == report.iterations
+        assert report.converged
+        err = report.pose.compose(true.inverse())
+        assert np.abs(err.rotation - np.eye(3)).max() < 1e-9
+        assert np.abs(err.translation).max() < 1e-9
+
+    def test_inlier_fraction_counts_rejected_outliers(self):
+        surface = graph_surface(200, seed=25).points
+        far = np.full((20, 3), 100.0) + np.arange(20)[:, None]
+        source = PointCloud(np.vstack([surface, far]))
+        report = icp(source, PointCloud(surface))
+        assert report.inlier_fraction == pytest.approx(200 / 220)
+        assert report.rmse < 1e-9
+
+    def test_hex_nut_rim_sequence_converges_within_ten_iterations(self, hex_nut_rims):
+        reports = track_pose(hex_nut_rims, hex_nut_rims[0])
+        for k, report in enumerate(reports):
+            assert report.converged, k
+            assert report.iterations <= 10, k
+            # Scored modulo the nut's 60-degree rotational symmetry.
+            err = (report.pose.z_angle_deg() - 5.0 * k + 30.0) % 60.0 - 30.0
+            assert abs(err) <= 0.555, k
+
+
+class TestPointToPlane:
+    def test_least_variance_axis_matches_eigh(self):
+        rng = np.random.default_rng(26)
+        q, _ = np.linalg.qr(rng.normal(size=(500, 3, 3)))
+        eig = rng.uniform(0.0, 1.0, (500, 3))
+        eig[:, 0] *= 0.5  # keep the least axis well separated
+        eig.sort(axis=1)
+        cov = q @ (eig[:, :, None] * q.transpose(0, 2, 1))
+        reference = np.linalg.eigh(cov)[1][:, :, 0]
+        axis = least_variance_axis(cov)
+        assert np.allclose(np.linalg.norm(axis, axis=1), 1.0, atol=1e-12)
+        assert np.abs(np.abs(np.sum(axis * reference, axis=1)) - 1.0).max() < 1e-9
+
+    def test_least_variance_axis_of_zero_matrix_is_zero(self):
+        assert np.array_equal(least_variance_axis(np.zeros((2, 3, 3))),
+                              np.zeros((2, 3)))
+
+    def test_plane_step_is_exact_for_pure_translation(self):
+        src = graph_surface(300, seed=27).points
+        normals = estimate_normals(src, cKDTree(src))
+        shift = np.array([0.02, -0.01, 0.03])
+        step = point_to_plane_step(src, src + shift, normals)
+        assert np.abs(step.rotation - np.eye(3)).max() < 1e-12
+        assert np.abs(step.translation - shift).max() < 1e-12
+
+    def test_plane_step_rank_deficient_on_plane(self):
+        pts = np.column_stack([np.random.default_rng(28).uniform(-5, 5, (50, 2)),
+                               np.zeros(50)])
+        normals = np.tile([0.0, 0.0, 1.0], (50, 1))
+        assert point_to_plane_step(pts, pts + [0.1, 0.0, 0.0], normals) is None
 
 
 class TestTrackPose:
