@@ -104,12 +104,8 @@ def fit_circle_kasa(us: np.ndarray, vs: np.ndarray) -> tuple[float, float, float
 
 
 def _boundary_mask(mask: np.ndarray) -> np.ndarray:
-    interior = mask.copy()
-    interior[1:, :] &= mask[:-1, :]
-    interior[:-1, :] &= mask[1:, :]
-    interior[:, 1:] &= mask[:, :-1]
-    interior[:, :-1] &= mask[:, 1:]
-    return mask & ~interior
+    """Mask pixels with a four-neighbour outside the mask (off-image is inside)."""
+    return mask & ~ndimage.binary_erosion(mask, border_value=1)
 
 
 def _refine_radius(delta: np.ndarray, cu: float, cv: float, r0: float,
@@ -333,16 +329,14 @@ def save_calibration(path, model: MappingList | RegressionModel,
                      thickness: float) -> None:
     """Write a calibration file for a layer of the given thickness."""
     if isinstance(model, MappingList):
-        payload = {"format": CALIB_FORMAT, "method": "single",
-                   "thickness": thickness,
-                   "entries": model.depths.tolist(),
-                   "max_calibrated": model.max_calibrated}
+        method, fields = "single", {"entries": model.depths.tolist(),
+                                    "max_calibrated": model.max_calibrated}
     else:
-        payload = {"format": CALIB_FORMAT, "method": "regression",
-                   "thickness": thickness,
-                   "k_c": model.k_c, "b_c": model.b_c,
-                   "center_u": model.center_u, "center_v": model.center_v}
-    Path(path).write_text(json.dumps(payload))
+        method, fields = "regression", {"k_c": model.k_c, "b_c": model.b_c,
+                                        "center_u": model.center_u,
+                                        "center_v": model.center_v}
+    payload = {"format": CALIB_FORMAT, "method": method, "thickness": thickness}
+    Path(path).write_text(json.dumps({**payload, **fields}))
 
 
 def load_calibration(path) -> tuple[MappingList | RegressionModel, float]:

@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 from . import fileio, recon, sim
 from .calib import (calibrate_regression, calibrate_single, load_calibration,
                     save_calibration)
-from .core import PointCloud, SensorError, SensorGeometry, image_mean_std
+from .core import GrayImage, SensorError, SensorGeometry, image_mean_std
 from .pose import Pose, track_pose
 
 RUN_FORMAT = "tacsense-run-v1"
@@ -126,18 +125,20 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, object_kind: str | None = None,
         "reference": "reference.pgm",
     }
     frames = []
+
+    def write_frame(image, depth, **info):
+        stem = f"frame_{len(frames):03d}"
+        fileio.write_pgm(out_dir / f"{stem}.pgm", image)
+        fileio.write_depth(out_dir / f"{stem}.dtd", depth)
+        frames.append({"image": f"{stem}.pgm", "truth": f"{stem}.dtd", **info})
+
     if object_kind is None:
         manifest["kind"] = "presses"
         manifest["ball_radius_mm"] = cfg.ball_radius
-        for i in range(cfg.presses):
+        for _ in range(cfg.presses):
             img, depth, center, d_max = rig.press(cfg.ball_radius, cfg.placement,
                                                   cfg.frames_per_press)
-            image_name = f"frame_{i:03d}.pgm"
-            truth_name = f"frame_{i:03d}.dtd"
-            fileio.write_pgm(out_dir / image_name, img)
-            fileio.write_depth(out_dir / truth_name, depth)
-            frames.append({"image": image_name, "truth": truth_name,
-                           "center_mm": list(center), "d_max_mm": d_max})
+            write_frame(img, depth, center_mm=list(center), d_max_mm=d_max)
     else:
         manifest["kind"] = "sequence"
         manifest["object"] = object_kind
@@ -145,14 +146,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, object_kind: str | None = None,
         poses = [Pose.rot_z(k * step_deg) for k in range(n_frames)]
         rendered = sim.render_sequence(field, poses, rig.geom, rig.model, rig.illum,
                                        noise_sigma=cfg.noise_sigma, rng=rig.rng)
-        for i, frame in enumerate(rendered):
-            image_name = f"frame_{i:03d}.pgm"
-            truth_name = f"frame_{i:03d}.dtd"
-            fileio.write_pgm(out_dir / image_name, frame.image)
-            fileio.write_depth(out_dir / truth_name, frame.depth)
-            frames.append({"image": image_name, "truth": truth_name,
-                           "pose": _pose_to_list(frame.pose),
-                           "in_field": frame.in_field})
+        for frame in rendered:
+            write_frame(frame.image, frame.depth, pose=_pose_to_list(frame.pose),
+                        in_field=frame.in_field)
     manifest["frames"] = frames
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return manifest
@@ -167,76 +163,83 @@ def _pose_from_list(values) -> Pose:
     return Pose(v[:9].reshape(3, 3), v[9:12])
 
 
-def _load_manifest(run_dir: Path) -> dict:
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    if manifest.get("format") != RUN_FORMAT:
-        raise ValueError(f"{run_dir}/manifest.json: unsupported format "
-                         f"{manifest.get('format')!r}")
-    return manifest
+@dataclass(frozen=True)
+class Run:
+    """A `simulate` output directory with at least one frame."""
+
+    path: Path
+    manifest: dict
+    geom: SensorGeometry
+    reference: GrayImage
+
+    @classmethod
+    def load(cls, run_dir: Path) -> "Run":
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if manifest.get("format") != RUN_FORMAT:
+            raise ValueError(f"{manifest_path}: unsupported format "
+                             f"{manifest.get('format')!r}")
+        if not manifest["frames"]:
+            raise SensorError(f"{manifest_path}: run has no frames")
+        return cls(run_dir, manifest, SensorGeometry(**manifest["geometry"]),
+                   fileio.read_pgm(run_dir / manifest["reference"]))
+
+    def differences(self):
+        """Yield (difference image, stage ms) per frame; errors name the frame."""
+        for i, frame in enumerate(self.manifest["frames"]):
+            stage_ms = {}
+            try:
+                img = recon.timed(stage_ms, "read_ms", fileio.read_pgm,
+                                  self.path / frame["image"])
+                diff = recon.timed(stage_ms, "difference_ms", recon.difference,
+                                   self.reference, img)
+            except (SensorError, ValueError, OSError) as exc:
+                raise SensorError(f"frame {i}: {exc}") from exc
+            yield diff, stage_ms
+
+    def pipeline(self, calib_path: Path, sigma: float) -> recon.PipelineConfig:
+        """The depth pipeline of a calibration file made at this run's thickness."""
+        model, thickness = load_calibration(calib_path)
+        run_thickness = self.manifest["optical"]["thickness"]
+        if thickness != run_thickness:
+            raise SensorError(f"{calib_path}: calibration thickness {thickness} mm "
+                              f"differs from the run's {run_thickness} mm")
+        return recon.PipelineConfig(model=model, geom=self.geom, sigma=sigma,
+                                    depth_clamp=thickness)
 
 
 def cmd_calibrate(cfg: RunConfig, run_dir: Path, out_path: Path) -> None:
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest = _load_manifest(run_dir)
-    if manifest.get("kind") != "presses":
+    run = Run.load(run_dir)
+    if run.manifest.get("kind") != "presses":
         raise ValueError("calibration needs a ball-press run")
-    if not manifest["frames"]:
-        raise SensorError(f"{run_dir / 'manifest.json'}: run has no frames "
-                          "to calibrate from")
-    geom = SensorGeometry(**manifest["geometry"])
-    ball_radius = manifest["ball_radius_mm"]
-    reference = fileio.read_pgm(run_dir / manifest["reference"])
-    diffs = []
-    for i, frame in enumerate(manifest["frames"]):
-        img = fileio.read_pgm(run_dir / frame["image"])
-        try:
-            diffs.append(recon.difference(reference, img))
-        except ValueError as exc:
-            raise ValueError(f"frame {i}: {exc}") from exc
+    diffs = [diff for diff, _ in run.differences()]
+    ball_radius = run.manifest["ball_radius_mm"]
     if cfg.method == "single":
-        model = calibrate_single(diffs[0], ball_radius, geom)
+        model = calibrate_single(diffs[0], ball_radius, run.geom)
     else:
-        model = calibrate_regression(diffs, ball_radius, geom, manifest["scheme"],
+        model = calibrate_regression(diffs, ball_radius, run.geom,
+                                     run.manifest["scheme"],
                                      np.random.default_rng(cfg.seed))
-    save_calibration(out_path, model, manifest["optical"]["thickness"])
-
-
-def _pipeline_config(cfg: RunConfig, model, thickness: float,
-                     geom: SensorGeometry) -> recon.PipelineConfig:
-    return recon.PipelineConfig(model=model, geom=geom, camera=None,
-                                sigma=cfg.gaussian_sigma, depth_clamp=thickness)
-
-
-def _timed(stage_ms: dict, key: str, fn, *args):
-    """fn(*args), with its wall time in ms stored as stage_ms[key]."""
-    t0 = time.perf_counter()
-    result = fn(*args)
-    stage_ms[key] = (time.perf_counter() - t0) * 1e3
-    return result
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+    save_calibration(out_path, model, run.manifest["optical"]["thickness"])
 
 
 def cmd_reconstruct(cfg: RunConfig, run_dir: Path, calib_path: Path,
                     out_dir: Path) -> dict:
-    manifest = _load_manifest(run_dir)
-    geom = SensorGeometry(**manifest["geometry"])
-    model, thickness = load_calibration(calib_path)
-    pipeline = _pipeline_config(cfg, model, thickness, geom)
-    reference = fileio.read_pgm(run_dir / manifest["reference"])
+    run = Run.load(run_dir)
+    pipeline = run.pipeline(calib_path, cfg.gaussian_sigma)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = []
-    for i, frame in enumerate(manifest["frames"]):
-        stage_ms = {}
-        img = _timed(stage_ms, "read_ms", fileio.read_pgm, run_dir / frame["image"])
-        depth = recon.reconstruct(reference, img, pipeline, stage_ms)
-        cloud = _timed(stage_ms, "pointcloud_ms", recon.depth_to_pointcloud,
-                       depth, geom)
-        _timed(stage_ms, "write_depth_ms", fileio.write_depth,
-               out_dir / f"depth_{i:03d}.dtd", depth)
-        _timed(stage_ms, "write_ply_ms", fileio.write_ply,
-               out_dir / f"cloud_{i:03d}.ply", cloud)
+    for i, (diff, stage_ms) in enumerate(run.differences()):
+        depth = recon.depth_from_difference(diff, pipeline, stage_ms)
+        cloud = recon.timed(stage_ms, "pointcloud_ms", recon.depth_to_pointcloud,
+                            depth, run.geom)
+        recon.timed(stage_ms, "write_depth_ms", fileio.write_depth,
+                    out_dir / f"depth_{i:03d}.dtd", depth)
+        recon.timed(stage_ms, "write_ply_ms", fileio.write_ply,
+                    out_dir / f"cloud_{i:03d}.ply", cloud)
         timings.append(stage_ms)
-    report = {"frames": len(manifest["frames"]), "timings_ms": timings}
+    report = {"frames": len(timings), "timings_ms": timings}
     (out_dir / "timings.json").write_text(json.dumps(report, indent=2))
     return report
 
@@ -270,7 +273,9 @@ def run_evaluation(cfg: RunConfig, schemes=sim.SCHEMES) -> dict:
                          for _ in range(REGRESSION_CALIB_PRESSES)]
             reg_model = calibrate_regression(reg_diffs, CALIB_BALL_RADIUS, geom,
                                              scheme, rig.rng)
-            pipelines = {key: _pipeline_config(cfg, m, model.thickness, geom)
+            pipelines = {key: recon.PipelineConfig(model=m, geom=geom,
+                                                   sigma=cfg.gaussian_sigma,
+                                                   depth_clamp=model.thickness)
                          for key, m in (("single_mae", single_model),
                                         ("regression_mae", reg_model))}
             maes = {key: [] for key in pipelines}
@@ -310,37 +315,14 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> dict:
     return report
 
 
-def _subsample(cloud: PointCloud, max_points: int = 4000) -> PointCloud:
-    n = len(cloud)
-    if n <= max_points:
-        return cloud
-    step = -(-n // max_points)
-    return PointCloud(cloud.points[::step])
-
-
-def reconstruct_cloud(diff, pipeline, geom, rim_only: bool = False) -> PointCloud:
-    depth = recon.depth_from_difference(diff, pipeline)
-    if rim_only:
-        cloud = recon.depth_rim_pointcloud(depth, geom)
-    else:
-        cloud = recon.depth_to_pointcloud(depth, geom, contact_only=True)
-    return _subsample(cloud)
-
-
 def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
               model_cloud_path: Path | None = None) -> dict:
-    manifest = _load_manifest(run_dir)
-    geom = SensorGeometry(**manifest["geometry"])
-    model, thickness = load_calibration(calib_path)
-    pipeline = _pipeline_config(cfg, model, thickness, geom)
-    reference = fileio.read_pgm(run_dir / manifest["reference"])
-    clouds = []
-    for frame in manifest["frames"]:
-        img = fileio.read_pgm(run_dir / frame["image"])
-        diff = recon.difference(reference, img)
-        clouds.append(reconstruct_cloud(diff, pipeline, geom, rim_only=True))
+    run = Run.load(run_dir)
+    pipeline = run.pipeline(calib_path, cfg.gaussian_sigma)
+    clouds = [recon.reconstruct_cloud(diff, pipeline, run.geom, rim_only=True)
+              for diff, _ in run.differences()]
     if model_cloud_path is not None:
-        model_cloud = _subsample(fileio.read_ply(model_cloud_path))
+        model_cloud = recon.subsample(fileio.read_ply(model_cloud_path))
     else:
         model_cloud = clouds[0]
     reports = track_pose(clouds, model_cloud)

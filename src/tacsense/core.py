@@ -41,18 +41,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GrayImage:
-    """8-bit single-channel image, shape (height, width)."""
+class _Raster:
+    """Validated uint8 raster; subclasses set `_kind`, their name in errors."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.pixels)
-        if p.ndim != 2:
-            raise ValueError(f"gray image must be 2-D, got shape {p.shape}")
+        self._check_shape(p.shape)
         if p.dtype != np.uint8:
-            raise ValueError(f"gray image must be uint8, got {p.dtype}")
+            raise ValueError(f"{self._kind} must be uint8, got {p.dtype}")
         object.__setattr__(self, "pixels", _freeze(p))
+
+    def _check_shape(self, shape: tuple) -> None:
+        if len(shape) != 2:
+            raise ValueError(f"{self._kind} must be 2-D, got shape {shape}")
 
     @property
     def width(self) -> int:
@@ -61,6 +64,13 @@ class GrayImage:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
+
+
+@dataclass(frozen=True)
+class GrayImage(_Raster):
+    """8-bit single-channel image, shape (height, width)."""
+
+    _kind = "gray image"
 
     @classmethod
     def from_float(cls, arr: np.ndarray) -> "GrayImage":
@@ -69,49 +79,21 @@ class GrayImage:
 
 
 @dataclass(frozen=True)
-class RgbImage:
+class RgbImage(_Raster):
     """8-bit three-channel image, shape (height, width, 3)."""
 
-    pixels: np.ndarray
+    _kind = "rgb image"
 
-    def __post_init__(self):
-        p = np.asarray(self.pixels)
-        if p.ndim != 3 or p.shape[2] != 3:
-            raise ValueError(f"rgb image must have shape (h, w, 3), got {p.shape}")
-        if p.dtype != np.uint8:
-            raise ValueError(f"rgb image must be uint8, got {p.dtype}")
-        object.__setattr__(self, "pixels", _freeze(p))
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    def _check_shape(self, shape: tuple) -> None:
+        if len(shape) != 3 or shape[2] != 3:
+            raise ValueError(f"rgb image must have shape (h, w, 3), got {shape}")
 
 
 @dataclass(frozen=True)
-class DifferenceImage:
+class DifferenceImage(_Raster):
     """Non-negative intensity drop from reference to contact frame."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.pixels)
-        if p.ndim != 2:
-            raise ValueError(f"difference image must be 2-D, got shape {p.shape}")
-        if p.dtype != np.uint8:
-            raise ValueError(f"difference image must be uint8, got {p.dtype}")
-        object.__setattr__(self, "pixels", _freeze(p))
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    _kind = "difference image"
 
 
 @dataclass(frozen=True)

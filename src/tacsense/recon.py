@@ -34,16 +34,10 @@ class PipelineConfig:
     model: MappingList | RegressionModel
     geom: SensorGeometry = field(default_factory=SensorGeometry)
     camera: CameraModel | None = None
-    kernel_size: int = 7
-    passes: int = 2
     sigma: float = 1.5
     depth_clamp: float = 2.0
 
     def __post_init__(self):
-        if self.kernel_size % 2 != 1:
-            raise ValueError("gaussian kernel size must be odd")
-        if self.passes < 0:
-            raise ValueError("passes must be >= 0")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.depth_clamp <= 0:
@@ -128,41 +122,38 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 
 
 def gaussian_denoise(depth: DepthMap, config: PipelineConfig) -> DepthMap:
-    """`passes` separable Gaussian passes with reflection padding, as one pass.
+    """Two separable 7-tap Gaussian passes with reflection padding, as one pass.
 
-    Reflection commutes with a symmetric kernel, so sequential passes equal
-    one pass of the kernel convolved with itself `passes` times, borders
-    included. Positive taps keep non-negative depth non-negative.
+    Reflection commutes with a symmetric kernel, so the two sequential passes
+    equal one pass of the kernel convolved with itself, borders included.
+    Positive taps keep non-negative depth non-negative.
     """
-    k = gaussian_kernel(config.kernel_size, config.sigma)
-    taps = np.ones(1)
-    for _ in range(config.passes):
-        taps = np.convolve(taps, k)
+    k = gaussian_kernel(7, config.sigma)
+    taps = np.convolve(k, k)
     out = correlate1d(depth.data, taps, axis=0, mode="reflect")
     return DepthMap(correlate1d(out, taps, axis=1, mode="reflect"))
+
+
+def timed(stages: dict | None, key: str, fn, *args):
+    """fn(*args); its wall time in ms goes to stages[key] unless stages is None."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    if stages is not None:
+        stages[key] = (time.perf_counter() - t0) * 1e3
+    return result
 
 
 def depth_from_difference(diff: DifferenceImage, config: PipelineConfig,
                           timings: dict | None = None) -> DepthMap:
     """Depth mapping then denoising; stage ms go to `timings`, if given."""
-    t0 = time.perf_counter()
-    depth = map_depth(diff, config)
-    t1 = time.perf_counter()
-    depth = gaussian_denoise(depth, config)
-    if timings is not None:
-        timings["mapping_ms"] = (t1 - t0) * 1e3
-        timings["smoothing_ms"] = (time.perf_counter() - t1) * 1e3
-    return depth
+    depth = timed(timings, "mapping_ms", map_depth, diff, config)
+    return timed(timings, "smoothing_ms", gaussian_denoise, depth, config)
 
 
-def reconstruct(reference: GrayImage, contact: GrayImage, config: PipelineConfig,
-                timings: dict | None = None) -> DepthMap:
-    """Full per-frame pipeline on cropped images; stage ms go to `timings`."""
-    t0 = time.perf_counter()
-    diff = difference(reference, contact)
-    if timings is not None:
-        timings["difference_ms"] = (time.perf_counter() - t0) * 1e3
-    return depth_from_difference(diff, config, timings)
+def reconstruct(reference: GrayImage, contact: GrayImage,
+                config: PipelineConfig) -> DepthMap:
+    """Full per-frame pipeline on cropped images."""
+    return depth_from_difference(difference(reference, contact), config)
 
 
 def preprocess_raw(img: GrayImage, config: PipelineConfig) -> GrayImage:
@@ -196,6 +187,26 @@ def depth_rim_pointcloud(depth: DepthMap, geom: SensorGeometry,
     d = depth.data
     keep = (d > min_depth) & (d < plateau_frac * d.max())
     return PointCloud(np.column_stack([xx[keep], yy[keep], -d[keep]]))
+
+
+def subsample(cloud: PointCloud, max_points: int = 4000) -> PointCloud:
+    """Every step-th point, with the step that leaves at most `max_points`."""
+    n = len(cloud)
+    if n <= max_points:
+        return cloud
+    step = -(-n // max_points)
+    return PointCloud(cloud.points[::step])
+
+
+def reconstruct_cloud(diff: DifferenceImage, config: PipelineConfig,
+                      geom: SensorGeometry, rim_only: bool = False) -> PointCloud:
+    """Depth, then its contact (or rim) point cloud, subsampled for ICP."""
+    depth = depth_from_difference(diff, config)
+    if rim_only:
+        cloud = depth_rim_pointcloud(depth, geom)
+    else:
+        cloud = depth_to_pointcloud(depth, geom, contact_only=True)
+    return subsample(cloud)
 
 
 def raycast_project(depth: DepthMap, shape: SurfaceShape, geom: SensorGeometry,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from tacsense import calib, recon, sim
 from tacsense.core import (
@@ -109,6 +110,20 @@ class TestKasaCircleFit:
         assert cu == pytest.approx(cx, abs=1e-6)
         assert cv == pytest.approx(cy, abs=1e-6)
         assert rr == pytest.approx(r, abs=1e-6)
+
+
+class TestBoundaryMask:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                         max_side=29)))
+    def test_matches_four_neighbour_definition(self, mask):
+        # A mask pixel is on the boundary when one of its four neighbours is
+        # outside the mask; neighbours beyond the image edge count as inside.
+        padded = np.pad(mask, 1, constant_values=True)
+        interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
+                    & padded[1:-1, :-2] & padded[1:-1, 2:])
+        np.testing.assert_array_equal(calib._boundary_mask(mask),
+                                      mask & ~interior)
 
 
 class TestAnalyticBallDepth:

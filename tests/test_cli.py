@@ -6,6 +6,7 @@ import pytest
 
 from tacsense import calib, cli, fileio
 from tacsense.cli import RunConfig
+from tacsense.core import GrayImage
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +268,52 @@ class TestMain:
         assert len(err.strip().splitlines()) == 1
         assert str(run_dir / "manifest.json") in err
         assert "no frames" in err
+
+    @pytest.mark.parametrize("command", ["calibrate", "reconstruct", "track"])
+    def test_run_without_frames_exit_one_without_output(self, single_calib,
+                                                        tmp_path, capsys, command):
+        run_dir = tmp_path / "empty"
+        assert cli.main(["simulate", "--out", str(run_dir), "--presses", "0"]) == 0
+        out = tmp_path / "out"
+        calib_args = [] if command == "calibrate" else ["--calib", str(single_calib)]
+        code = cli.main([command, "--run", str(run_dir), *calib_args,
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert str(run_dir / "manifest.json") in err
+        assert "no frames" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "track"])
+    def test_calibration_thickness_mismatch_exit_one(self, single_calib, tmp_path,
+                                                     capsys, command):
+        run_dir = tmp_path / "thick"
+        assert cli.main(["simulate", "--out", str(run_dir), "--presses", "1",
+                         "--thickness", "3.0", "--scheme", "s4"]) == 0
+        out = tmp_path / "out"
+        code = cli.main([command, "--run", str(run_dir), "--calib",
+                         str(single_calib), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert str(single_calib) in err
+        assert "2.0 mm" in err and "3.0 mm" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "track"])
+    def test_frame_error_names_the_frame(self, single_calib, tmp_path, capsys,
+                                         command):
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--out", str(run_dir), "--presses", "2"]) == 0
+        fileio.write_pgm(run_dir / "frame_001.pgm",
+                         GrayImage(np.zeros((4, 4), dtype=np.uint8)))
+        code = cli.main([command, "--run", str(run_dir), "--calib",
+                         str(single_calib), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "frame 1: reference and contact image dimensions differ" in err
 
     def test_unknown_placement_exit_one_without_frames(self, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tacsense.core import (
     DepthMap,
+    DifferenceImage,
     GeometryError,
     GrayImage,
     RgbImage,
@@ -117,6 +120,25 @@ class TestTypeInvariants:
     def test_gray_rejects_wrong_dtype(self):
         with pytest.raises(ValueError):
             GrayImage(np.zeros((4, 4), dtype=np.float64))
+
+    @pytest.mark.parametrize("cls, shape, message", [
+        (GrayImage, (4,), "gray image must be 2-D, got shape (4,)"),
+        (GrayImage, (4, 4), "gray image must be uint8, got float64"),
+        (DifferenceImage, (4, 4, 3), "difference image must be 2-D, got shape (4, 4, 3)"),
+        (DifferenceImage, (4, 4), "difference image must be uint8, got float64"),
+        (RgbImage, (4, 4), "rgb image must have shape (h, w, 3), got (4, 4)"),
+        (RgbImage, (4, 4, 3), "rgb image must be uint8, got float64"),
+    ])
+    def test_raster_errors_name_the_type(self, cls, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(np.zeros(shape, dtype=np.float64))
+
+    @pytest.mark.parametrize("cls, shape", [(GrayImage, (3, 5)),
+                                            (DifferenceImage, (3, 5)),
+                                            (RgbImage, (3, 5, 3))])
+    def test_raster_width_and_height(self, cls, shape):
+        img = cls(np.zeros(shape, dtype=np.uint8))
+        assert (img.width, img.height) == (5, 3)
 
     def test_images_are_immutable(self):
         img = GrayImage(np.zeros((4, 4), dtype=np.uint8))
