@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,11 @@ from .core import (
     SensorGeometry,
     _freeze,
     average_frames,  # noqa: F401  (part of this module's API)
+    mask_box,
+    pixel_box,
     pixel_to_surface,
 )
+from .fileio import FormatError, check_fields, read_json
 from .sim import sphere_press_depth
 
 CALIB_FORMAT = "tacsense-calib-v1"
@@ -37,17 +40,29 @@ MIN_BOUNDARY_PIXELS = 8
 MIN_REGRESSION_SAMPLES = 100
 
 
+RADIUS_SOURCES = ("refined", "few_edge_annuli", "non_negative_slope",
+                  "root_outside_band")
+
+
 @dataclass(frozen=True)
 class ContactCircle:
-    """Sub-pixel contact circle in crop-frame pixel coordinates."""
+    """Sub-pixel contact circle in crop-frame pixel coordinates.
+
+    `radius_source` says how the radius was found: "refined" to the zero
+    crossing of the radial profile, or the reason the circle fit's radius
+    was kept (one of RADIUS_SOURCES).
+    """
 
     center_u: float
     center_v: float
     radius: float
+    radius_source: str = "refined"
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("circle radius must be positive")
+        if self.radius_source not in RADIUS_SOURCES:
+            raise ValueError(f"unknown radius source {self.radius_source!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +85,10 @@ class MappingList:
         object.__setattr__(self, "depths", _freeze(d))
 
     def lookup(self, deltas: np.ndarray) -> np.ndarray:
-        return self.depths[np.asarray(deltas, dtype=np.intp)]
+        deltas = np.asarray(deltas)
+        # uint8 differences index the table as they are, without an intp copy.
+        return self.depths[deltas if deltas.dtype == np.uint8
+                           else deltas.astype(np.intp)]
 
 
 @dataclass(frozen=True)
@@ -81,11 +99,23 @@ class RegressionModel:
     b_c: float
     center_u: float
     center_v: float
+    _slope_fields: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def slope(self, u, v):
         r = np.hypot(np.asarray(u, dtype=np.float64) - self.center_u,
                      np.asarray(v, dtype=np.float64) - self.center_v)
         return self.k_c * r + self.b_c
+
+    def slope_field(self, shape: tuple[int, int]) -> np.ndarray:
+        """Read-only slope at every pixel of an image of `shape`, built once per shape."""
+        shape = tuple(shape)
+        slopes = self._slope_fields.get(shape)
+        if slopes is None:
+            slopes = self.slope(np.arange(shape[1]), np.arange(shape[0])[:, None])
+            slopes.flags.writeable = False
+            self._slope_fields[shape] = slopes
+        return slopes
 
 
 def fit_circle_kasa(us: np.ndarray, vs: np.ndarray) -> tuple[float, float, float]:
@@ -109,16 +139,21 @@ def _boundary_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def _refine_radius(delta: np.ndarray, cu: float, cv: float, r0: float,
-                   threshold: int) -> float:
+                   threshold: int) -> tuple[float, str]:
     """Extrapolate the radial intensity profile to its zero crossing.
 
     The threshold contour sits inside the true contact edge wherever the
     intensity ramps up gradually; extrapolating the near-edge annulus means
-    down to zero recovers the contact radius at sub-pixel accuracy.
+    down to zero recovers the contact radius at sub-pixel accuracy. Returns
+    the radius and its source: "refined", or why r0 was kept instead.
     """
     band_half = 20.0
-    vv, uu = np.mgrid[0:delta.shape[0], 0:delta.shape[1]]
-    rad = np.hypot(uu - cu, vv - cv)
+    # Only the band's bounding box can hold band pixels; its row-major pixel
+    # order matches the full frame's, so the annulus sums are the same.
+    rows, cols = pixel_box(cu, cv, r0 + band_half, delta.shape)
+    delta = delta[rows, cols]
+    rad = np.hypot(np.arange(cols.start, cols.stop) - cu,
+                   (np.arange(rows.start, rows.stop) - cv)[:, None])
     r_lo = max(r0 - band_half, 0.0)
     band = (rad > r_lo) & (rad < r0 + band_half)
     bins = np.floor(rad[band] - r_lo).astype(np.intp)
@@ -133,14 +168,14 @@ def _refine_radius(delta: np.ndarray, cu: float, cv: float, r0: float,
         profile = profile - tail.mean()
     near_edge = (profile >= 0.4 * threshold) & (profile <= 2.0 * threshold)
     if near_edge.sum() < 3:
-        return r0
+        return r0, "few_edge_annuli"
     slope, intercept = np.polyfit(centers[near_edge], profile[near_edge], 1)
     if slope >= 0:
-        return r0
+        return r0, "non_negative_slope"
     root = -intercept / slope
     if not (r_lo < root < r0 + band_half):
-        return r0
-    return float(root)
+        return r0, "root_outside_band"
+    return float(root), "refined"
 
 
 def detect_contact_circle(diff: DifferenceImage,
@@ -155,19 +190,24 @@ def detect_contact_circle(diff: DifferenceImage,
     if not mask.any():
         raise NoContactError(f"no pixel reaches threshold {threshold}")
     # Salt noise can clear the threshold in isolated pixels; keep only the
-    # largest connected blob.
-    labels, count = ndimage.label(mask)
-    if count > 1:
-        sizes = np.bincount(labels.ravel())[1:]
-        mask = labels == (int(sizes.argmax()) + 1)
-    boundary = _boundary_mask(mask)
-    vs, us = np.nonzero(boundary)
+    # largest connected blob. Every blob lies in the mask's box, so labelling
+    # the box finds the same blobs in the same order as the full frame.
+    rows, cols = mask_box(mask, pad=1)
+    labels, count = ndimage.label(mask[rows, cols])
+    blob = 1 if count == 1 else int(np.bincount(labels.ravel())[1:].argmax()) + 1
+    blob_mask = labels == blob
+    # The padded boxes stop short of 1 px beyond the blob only at the image
+    # edge, where the erosion's border value counts off-image as inside, as
+    # it does for the full frame.
+    blob_rows, blob_cols = mask_box(blob_mask, pad=1)
+    vs, us = np.nonzero(_boundary_mask(blob_mask[blob_rows, blob_cols]))
     if len(us) < MIN_BOUNDARY_PIXELS:
         raise InsufficientContactError(
             f"only {len(us)} boundary pixels, need {MIN_BOUNDARY_PIXELS}")
-    cu, cv, r = fit_circle_kasa(us, vs)
-    r = _refine_radius(diff.pixels, cu, cv, r, threshold)
-    return ContactCircle(center_u=cu, center_v=cv, radius=r)
+    cu, cv, r = fit_circle_kasa(us + (cols.start + blob_cols.start),
+                                vs + (rows.start + blob_rows.start))
+    r, source = _refine_radius(diff.pixels, cu, cv, r, threshold)
+    return ContactCircle(center_u=cu, center_v=cv, radius=r, radius_source=source)
 
 
 def analytic_ball_depth(circle: ContactCircle, ball_radius: float,
@@ -227,14 +267,18 @@ def build_mapping_list(diff: DifferenceImage, truth: DepthMap,
     """
     if diff.pixels.shape != truth.data.shape:
         raise ValueError("difference image and truth depth map are not aligned")
-    vv, uu = np.mgrid[0:diff.height, 0:diff.width]
-    inside = (uu - circle.center_u) ** 2 + (vv - circle.center_v) ** 2 <= circle.radius ** 2
+    # Pixels of the circle's bounding box, in the full frame's row-major order.
+    rows, cols = pixel_box(circle.center_u, circle.center_v, circle.radius,
+                           diff.pixels.shape)
+    inside = ((np.arange(cols.start, cols.stop) - circle.center_u) ** 2
+              + ((np.arange(rows.start, rows.stop) - circle.center_v) ** 2)[:, None]
+              <= circle.radius ** 2)
     if inside.sum() < MIN_CONTACT_PIXELS:
         raise InsufficientContactError(
             f"contact circle covers {int(inside.sum())} pixels, "
             f"need {MIN_CONTACT_PIXELS}")
-    deltas = diff.pixels[inside].astype(np.intp)
-    depths = truth.data[inside]
+    deltas = diff.pixels[rows, cols][inside].astype(np.intp)
+    depths = truth.data[rows, cols][inside]
     sums = np.bincount(deltas, weights=depths, minlength=256)
     counts = np.bincount(deltas, minlength=256)
     observed = counts > 0
@@ -339,20 +383,33 @@ def save_calibration(path, model: MappingList | RegressionModel,
     Path(path).write_text(json.dumps({**payload, **fields}))
 
 
+# Keys of each method's model in a calibration file; see fileio.check_fields.
+_MODEL_FIELDS = {
+    "single": {"entries": "numbers", "max_calibrated": "int"},
+    "regression": {"k_c": "number", "b_c": "number",
+                   "center_u": "number", "center_v": "number"},
+}
+
+
 def load_calibration(path) -> tuple[MappingList | RegressionModel, float]:
     """Read a calibration file: the model and the layer thickness."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     if payload.get("format") != CALIB_FORMAT:
         raise ValueError(f"{path}: unsupported calibration format "
                          f"{payload.get('format')!r}")
-    thickness = payload["thickness"]
-    if payload["method"] == "single":
-        model = MappingList(depths=np.array(payload["entries"]),
-                            max_calibrated=payload["max_calibrated"])
-    elif payload["method"] == "regression":
-        model = RegressionModel(k_c=payload["k_c"], b_c=payload["b_c"],
-                                center_u=payload["center_u"],
-                                center_v=payload["center_v"])
-    else:
-        raise ValueError(f"{path}: unknown method {payload['method']!r}")
-    return model, thickness
+    check_fields(path, payload, {"method": "str", "thickness": "number"})
+    method = payload["method"]
+    if method not in _MODEL_FIELDS:
+        raise ValueError(f"{path}: unknown method {method!r}")
+    check_fields(path, payload, _MODEL_FIELDS[method])
+    try:
+        if method == "single":
+            model = MappingList(depths=np.array(payload["entries"]),
+                                max_calibrated=payload["max_calibrated"])
+        else:
+            model = RegressionModel(k_c=payload["k_c"], b_c=payload["b_c"],
+                                    center_u=payload["center_u"],
+                                    center_v=payload["center_v"])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return model, payload["thickness"]

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -163,6 +167,17 @@ def _pose_from_list(values) -> Pose:
     return Pose(v[:9].reshape(3, 3), v[9:12])
 
 
+# Keys every run manifest needs, and those a ball-press run adds; see
+# fileio.check_fields.
+_MANIFEST_FIELDS = {
+    "frames": "list", "reference": "str", "kind": "str",
+    "geometry": "object", "geometry.raw_width": "int", "geometry.raw_height": "int",
+    "geometry.crop_size": "int", "geometry.field_mm": "number",
+    "optical": "object", "optical.thickness": "number",
+}
+_PRESS_MANIFEST_FIELDS = {"ball_radius_mm": "number", "scheme": "str"}
+
+
 @dataclass(frozen=True)
 class Run:
     """A `simulate` output directory with at least one frame."""
@@ -175,13 +190,23 @@ class Run:
     @classmethod
     def load(cls, run_dir: Path) -> "Run":
         manifest_path = run_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
+        manifest = fileio.read_json(manifest_path)
         if manifest.get("format") != RUN_FORMAT:
             raise ValueError(f"{manifest_path}: unsupported format "
                              f"{manifest.get('format')!r}")
+        fileio.check_fields(manifest_path, manifest, _MANIFEST_FIELDS)
+        if manifest["kind"] == "presses":
+            fileio.check_fields(manifest_path, manifest, _PRESS_MANIFEST_FIELDS)
         if not manifest["frames"]:
             raise SensorError(f"{manifest_path}: run has no frames")
-        return cls(run_dir, manifest, SensorGeometry(**manifest["geometry"]),
+        for i, frame in enumerate(manifest["frames"]):
+            fileio.check_fields(manifest_path, frame, {"image": "str"},
+                                at=f"frames[{i}]")
+        try:
+            geom = SensorGeometry(**manifest["geometry"])
+        except (TypeError, ValueError) as exc:
+            raise fileio.FormatError(f"{manifest_path}: geometry: {exc}") from None
+        return cls(run_dir, manifest, geom,
                    fileio.read_pgm(run_dir / manifest["reference"]))
 
     def differences(self):
@@ -224,23 +249,43 @@ def cmd_calibrate(cfg: RunConfig, run_dir: Path, out_path: Path) -> None:
     save_calibration(out_path, model, run.manifest["optical"]["thickness"])
 
 
+@contextlib.contextmanager
+def staged_output(out_dir: Path):
+    """A fresh directory whose files move into `out_dir` if the block succeeds.
+
+    If it fails, `out_dir` is left as it was: none of the block's files
+    appear there, and a directory created for them is removed again.
+    """
+    created = not out_dir.exists()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
+    try:
+        yield stage
+        for path in stage.iterdir():
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+        if created and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+
+
 def cmd_reconstruct(cfg: RunConfig, run_dir: Path, calib_path: Path,
                     out_dir: Path) -> dict:
     run = Run.load(run_dir)
     pipeline = run.pipeline(calib_path, cfg.gaussian_sigma)
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings = []
-    for i, (diff, stage_ms) in enumerate(run.differences()):
-        depth = recon.depth_from_difference(diff, pipeline, stage_ms)
-        cloud = recon.timed(stage_ms, "pointcloud_ms", recon.depth_to_pointcloud,
-                            depth, run.geom)
-        recon.timed(stage_ms, "write_depth_ms", fileio.write_depth,
-                    out_dir / f"depth_{i:03d}.dtd", depth)
-        recon.timed(stage_ms, "write_ply_ms", fileio.write_ply,
-                    out_dir / f"cloud_{i:03d}.ply", cloud)
-        timings.append(stage_ms)
-    report = {"frames": len(timings), "timings_ms": timings}
-    (out_dir / "timings.json").write_text(json.dumps(report, indent=2))
+    with staged_output(out_dir) as stage:
+        for i, (diff, stage_ms) in enumerate(run.differences()):
+            depth = recon.depth_from_difference(diff, pipeline, stage_ms)
+            cloud = recon.timed(stage_ms, "pointcloud_ms", recon.depth_to_pointcloud,
+                                depth, run.geom)
+            recon.timed(stage_ms, "write_depth_ms", fileio.write_depth,
+                        stage / f"depth_{i:03d}.dtd", depth)
+            recon.timed(stage_ms, "write_ply_ms", fileio.write_ply,
+                        stage / f"cloud_{i:03d}.ply", cloud)
+            timings.append(stage_ms)
+        report = {"frames": len(timings), "timings_ms": timings}
+        (stage / "timings.json").write_text(json.dumps(report, indent=2))
     return report
 
 
@@ -282,8 +327,8 @@ def run_evaluation(cfg: RunConfig, schemes=sim.SCHEMES) -> dict:
             for _ in range(TEST_PRESSES):
                 diff, truth = press_diff(TEST_BALL_RADIUS, "random")
                 for key, pipeline in pipelines.items():
-                    depth = recon.depth_from_difference(diff, pipeline)
-                    maes[key].append(float(np.abs(depth.data - truth.data).mean()))
+                    error = recon.depth_from_difference(diff, pipeline).data - truth.data
+                    maes[key].append(float(np.abs(error, out=error).mean()))
             cell.update({key: float(np.mean(errors)) for key, errors in maes.items()})
         except SensorError as exc:
             cell["error"] = f"{type(exc).__name__}: {exc}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +76,9 @@ class GrayImage(_Raster):
     @classmethod
     def from_float(cls, arr: np.ndarray) -> "GrayImage":
         """Round and clamp a float array into [0, 255]."""
-        return cls(np.clip(np.round(arr), 0, 255).astype(np.uint8))
+        out = np.round(arr)
+        np.clip(out, 0, 255, out=out)
+        return cls(out.astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,13 @@ class DepthMap:
         d = np.asarray(self.data, dtype=np.float64)
         if d.ndim != 2:
             raise ValueError(f"depth map must be 2-D, got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("depth map contains non-finite values")
-        if d.size and d.min() < 0:
-            raise ValueError("depth map contains negative values")
+        if d.size:
+            # min and max propagate NaN, so together they see every non-finite value.
+            lo, hi = d.min(), d.max()
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("depth map contains non-finite values")
+            if lo < 0:
+                raise ValueError("depth map contains negative values")
         object.__setattr__(self, "data", _freeze(d))
 
     @property
@@ -160,11 +166,35 @@ def pixel_to_surface(geom: SensorGeometry, u: float, v: float) -> tuple[float, f
     return ((u - half) * geom.pixel_pitch, (v - half) * geom.pixel_pitch)
 
 
-def surface_grid(geom: SensorGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y) mm coordinate arrays of shape (crop_size, crop_size)."""
+def surface_axis(geom: SensorGeometry) -> np.ndarray:
+    """mm coordinate of each crop column (x) or row (y); the axes of surface_grid."""
     c = np.arange(geom.crop_size, dtype=np.float64) - geom.crop_size / 2.0
     c *= geom.pixel_pitch
+    return c
+
+
+def surface_grid(geom: SensorGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) mm coordinate arrays of shape (crop_size, crop_size)."""
+    c = surface_axis(geom)
     return np.meshgrid(c, c)
+
+
+def mask_box(mask: np.ndarray, pad: int = 0) -> tuple[slice, slice]:
+    """(rows, cols) of a non-empty mask's True pixels, widened by `pad` px inside the image."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask[rows[0]:rows[-1] + 1].any(axis=0))
+    return (slice(max(rows[0] - pad, 0), rows[-1] + 1 + pad),
+            slice(max(cols[0] - pad, 0), cols[-1] + 1 + pad))
+
+
+def pixel_box(center_u: float, center_v: float, half: float,
+              shape: tuple[int, int]) -> tuple[slice, slice]:
+    """(rows, cols) of an image of `shape` within `half` px of (u, v) on each
+    axis, widened by a 2 px margin and clipped to the image."""
+    def span(c, n):
+        lo = min(max(math.floor(c - half) - 2, 0), n)
+        return slice(lo, min(max(math.ceil(c + half) + 3, lo), n))
+    return span(center_v, shape[0]), span(center_u, shape[1])
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,17 @@ x, y, z vertex properties. `read_ply` reads that and `format ascii 1.0`: the
 first element must be `vertex`, with scalar properties (char, uchar, short,
 ushort, int, uint, float, double and their sized aliases) that include x, y
 and z; other vertex properties and later elements are skipped.
+
+JSON files (run manifests, calibrations) are read by `read_json` and their
+keys checked by `check_fields`; errors name the file and the key path.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import re
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -280,3 +286,56 @@ def read_ply(path) -> PointCloud:
         i = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
         raise FormatError(f"{path}: non-finite PLY vertex {i} at byte {row_at(i)}")
     return PointCloud(points)
+
+
+def read_json(path) -> dict:
+    """A JSON file holding one object."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: expected a JSON object, "
+                          f"got {type(payload).__name__}")
+    return payload
+
+
+def _is_json_number(value) -> bool:
+    # bool is an int subclass, but a JSON true is no number.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+_JSON_KINDS = {
+    "object": lambda v: isinstance(v, dict),
+    "list": lambda v: isinstance(v, list),
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": _is_json_number,
+    "numbers": lambda v: isinstance(v, list) and all(map(_is_json_number, v)),
+}
+
+
+def check_fields(path, payload, schema: dict[str, str], at: str = "") -> None:
+    """Raise FormatError unless `payload` holds every key of `schema`.
+
+    `schema` maps a dotted key path to its kind: "object", "list", "str",
+    "int", "number" (finite) or "numbers" (a list of them). A parent object
+    must come before its keys. `at` is the key path of `payload` in the file,
+    used in messages such as "manifest.json: optical.thickness: missing".
+    """
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: {at}: expected object, "
+                          f"got {type(payload).__name__}")
+    for key, kind in schema.items():
+        owner = payload
+        *parents, name = key.split(".")
+        for parent in parents:
+            owner = owner[parent]
+        where = f"{at}.{key}" if at else key
+        if name not in owner:
+            raise FormatError(f"{path}: {where}: missing")
+        value = owner[name]
+        if not _JSON_KINDS[kind](value):
+            raise FormatError(f"{path}: {where}: expected {kind}, got "
+                              f"{type(value).__name__} {reprlib.repr(value)}")

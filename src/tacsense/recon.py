@@ -108,9 +108,8 @@ def map_depth(diff: DifferenceImage, config: PipelineConfig) -> DepthMap:
     if isinstance(model, MappingList):
         depth = model.lookup(diff.pixels)
     else:
-        vv, uu = np.mgrid[0:diff.height, 0:diff.width]
-        depth = model.slope(uu, vv) * diff.pixels
-    return DepthMap(np.clip(depth, 0.0, config.depth_clamp))
+        depth = model.slope_field(diff.pixels.shape) * diff.pixels
+    return DepthMap(np.clip(depth, 0.0, config.depth_clamp, out=depth))
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:

@@ -9,13 +9,13 @@ intensity-to-depth model exhibits visible mismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .core import (DepthMap, GrayImage, SensorGeometry, _freeze, average_frames,
-                   surface_grid)
+                   mask_box, pixel_box, surface_axis, surface_grid)
 from .pose import Pose
 
 SCHEMES = ("standard", "s1", "s2", "s3", "s4")
@@ -63,6 +63,8 @@ class IlluminationField:
 
     gains: np.ndarray
     scheme: str = "uniform"
+    _flat_frames: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gains, dtype=np.float64)
@@ -73,6 +75,15 @@ class IlluminationField:
         if abs(g.max() - 1.0) > 1e-12:
             raise ValueError("illumination field must be normalized to max 1")
         object.__setattr__(self, "gains", _freeze(g))
+
+    def flat_frame(self, model: OpticalModel) -> np.ndarray:
+        """Read-only noise-free intensity with no contact, built once per model."""
+        frame = self._flat_frames.get(model)
+        if frame is None:
+            frame = self.gains * model.intensity(0.0)
+            frame.flags.writeable = False
+            self._flat_frames[model] = frame
+        return frame
 
 
 def _led_angles(scheme: str) -> np.ndarray:
@@ -124,7 +135,9 @@ def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
     """Spherical-cap indentation depth field of a rigid ball press.
 
     D(r) = d_max - radius + sqrt(radius^2 - r^2) inside the contact circle
-    of radius sqrt(2 * radius * d_max - d_max^2), zero outside.
+    of radius sqrt(2 * radius * d_max - d_max^2), zero outside. The cap is
+    evaluated only in the circle's bounding box (plus a margin); every pixel
+    outside it is 0 in the formula too.
     """
     if d_max <= 0 or d_max > radius:
         raise ValueError(f"press depth {d_max} must be in (0, ball radius {radius}]")
@@ -133,10 +146,17 @@ def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
     half = geom.field_mm / 2.0
     if not (-half <= center[0] <= half and -half <= center[1] <= half):
         raise ValueError(f"press center {center} outside sensing field")
-    xx, yy = surface_grid(geom)
-    r2 = (xx - center[0]) ** 2 + (yy - center[1]) ** 2
-    depth = d_max - radius + np.sqrt(np.maximum(radius ** 2 - r2, 0.0))
-    return DepthMap(np.maximum(depth, 0.0))
+    pitch = geom.pixel_pitch
+    contact_px = math.sqrt(2.0 * radius * d_max - d_max ** 2) / pitch
+    size = geom.crop_size
+    rows, cols = pixel_box(center[0] / pitch + size / 2.0,
+                           center[1] / pitch + size / 2.0, contact_px, (size, size))
+    axis = surface_axis(geom)
+    r2 = (axis[cols] - center[0]) ** 2 + ((axis[rows] - center[1]) ** 2)[:, None]
+    cap = d_max - radius + np.sqrt(np.maximum(radius ** 2 - r2, 0.0))
+    depth = np.zeros((size, size))
+    depth[rows, cols] = np.maximum(cap, 0.0)
+    return DepthMap(depth)
 
 
 def render_tactile(depth: DepthMap, model: OpticalModel, illum: IlluminationField,
@@ -144,18 +164,38 @@ def render_tactile(depth: DepthMap, model: OpticalModel, illum: IlluminationFiel
                    rng: np.random.Generator | None = None) -> GrayImage:
     """Render a tactile frame: illumination-scaled reflectance plus noise.
 
-    Noise is drawn from `rng`, which noise_sigma > 0 requires.
+    Noise is drawn from `rng`, which noise_sigma > 0 requires. The optical
+    law is evaluated only in the bounding box of the non-zero depth; the
+    rest of the frame is the illumination's cached flat frame.
     """
     if depth.data.shape != illum.gains.shape:
         raise ValueError("depth map and illumination field dimensions differ")
-    if depth.data.max() > model.thickness + 1e-12:
+    peak = depth.data.max()
+    if peak > model.thickness + 1e-12:
         raise ValueError("depth exceeds the layer thickness of the optical model")
     if noise_sigma > 0 and rng is None:
         raise ValueError(f"noise_sigma {noise_sigma} needs a seeded rng")
-    img = illum.gains * model.intensity(depth.data)
+    box = window = None
+    if peak > 0:
+        box = mask_box(depth.data != 0)
+        window = illum.gains[box] * model.intensity(depth.data[box])
+    flat = illum.flat_frame(model)
     if noise_sigma > 0:
-        img = img + rng.normal(0.0, noise_sigma, size=img.shape)
-    return GrayImage.from_float(img)
+        # rng.normal(0, noise_sigma)'s values and stream position, drawn
+        # without its per-sample loc/scale arithmetic.
+        img = rng.standard_normal(flat.shape)
+        img *= noise_sigma
+        if box is not None:
+            window += img[box]
+        img += flat
+    else:
+        img = flat.copy()
+    if box is not None:
+        img[box] = window
+    # GrayImage.from_float, rounding in place.
+    np.round(img, out=img)
+    np.clip(img, 0, 255, out=img)
+    return GrayImage(img.astype(np.uint8))
 
 
 @dataclass
@@ -177,10 +217,11 @@ class BallPressRig:
 
     def _render(self, depth: DepthMap, count: int) -> GrayImage:
         """Mean of `count` (at least one) noisy renders of `depth`."""
-        return average_frames([
-            render_tactile(depth, self.model, self.illum,
-                           noise_sigma=self.noise_sigma, rng=self.rng)
-            for _ in range(max(1, count))])
+        frames = [render_tactile(depth, self.model, self.illum,
+                                 noise_sigma=self.noise_sigma, rng=self.rng)
+                  for _ in range(max(1, count))]
+        # The mean of one uint8 frame rounds back to that frame.
+        return frames[0] if len(frames) == 1 else average_frames(frames)
 
     def press(self, ball_radius: float, placement: str, count: int = 1
               ) -> tuple[GrayImage, DepthMap, tuple[float, float], float]:

@@ -1,9 +1,12 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import ndimage
 
 from tacsense import calib, recon, sim
 from tacsense.core import (
@@ -13,6 +16,7 @@ from tacsense.core import (
     GeometryError,
     NoContactError,
     DegenerateFitError,
+    SensorError,
 )
 
 
@@ -99,6 +103,107 @@ class TestDetectContactCircle:
         c1 = calib.detect_contact_circle(moved)
         assert c1.center_u - c0.center_u == pytest.approx(shift_px, abs=0.5)
         assert c1.center_v - c0.center_v == pytest.approx(0.0, abs=0.5)
+
+
+def full_frame_circle(delta, threshold=calib.DEFAULT_CONTACT_THRESHOLD):
+    """(centre u, centre v, radius) of detect_contact_circle, computed on every pixel."""
+    labels, _ = ndimage.label(delta >= threshold)
+    mask = labels == np.bincount(labels.ravel())[1:].argmax() + 1
+    vs, us = np.nonzero(mask & ~ndimage.binary_erosion(mask, border_value=1))
+    cu, cv, r0 = calib.fit_circle_kasa(us, vs)
+    vv, uu = np.mgrid[0:delta.shape[0], 0:delta.shape[1]]
+    rad = np.hypot(uu - cu, vv - cv)
+    r_lo = max(r0 - 20.0, 0.0)
+    band = (rad > r_lo) & (rad < r0 + 20.0)
+    bins = np.floor(rad[band] - r_lo).astype(np.intp)
+    profile = (np.bincount(bins, weights=delta[band].astype(np.float64))
+               / np.maximum(np.bincount(bins), 1))
+    centers = np.arange(len(profile)) + 0.5 + r_lo
+    tail = profile[centers > r0 + 10.0]
+    if tail.size:
+        profile = profile - tail.mean()
+    near = (profile >= 0.4 * threshold) & (profile <= 2.0 * threshold)
+    if near.sum() < 3:
+        return cu, cv, r0
+    slope, intercept = np.polyfit(centers[near], profile[near], 1)
+    root = -intercept / slope
+    return cu, cv, float(root) if slope < 0 and r_lo < root < r0 + 20.0 else r0
+
+
+class TestWindowedDetection:
+    """Detection works in the blob's and the band's boxes; full frames are the reference."""
+
+    def assert_matches_full_frame(self, diff):
+        circle = calib.detect_contact_circle(diff)
+        expected = full_frame_circle(diff.pixels)
+        assert (circle.center_u, circle.center_v, circle.radius) == expected
+
+    @pytest.mark.parametrize("center", [(11.5, 0.0), (-12.0, 12.0), (3.0, -11.0)])
+    def test_blob_touching_the_border(self, geom, optical, standard_illum,
+                                      standard_reference, center):
+        diff, _ = press_difference(geom, optical, standard_illum, standard_reference,
+                                   4.0, 1.5, center=center)
+        rows, cols = np.nonzero(diff.pixels >= calib.DEFAULT_CONTACT_THRESHOLD)
+        assert min(rows.min(), cols.min()) == 0 or max(rows.max(), cols.max()) == 579
+        self.assert_matches_full_frame(diff)
+
+    def test_noisy_frame_with_salt(self, geom, optical, standard_illum,
+                                   standard_reference):
+        rng = np.random.default_rng(2)
+        diff, _ = press_difference(geom, optical, standard_illum, standard_reference,
+                                   4.0, 1.2, center=(-4.0, 5.0), noise_sigma=2.0,
+                                   rng=rng)
+        salted = diff.pixels.copy()
+        salted[rng.integers(0, 580, 40), rng.integers(0, 580, 40)] = 200
+        salted[0:3, 570:580] = 90  # a salt blob on the image corner
+        salted = DifferenceImage(salted)
+        assert ndimage.label(salted.pixels >= 5)[1] > 30
+        self.assert_matches_full_frame(salted)
+        circle = calib.detect_contact_circle(salted)
+        truth = calib.analytic_ball_depth(circle, 4.0, geom)
+        mapping = calib.build_mapping_list(salted, truth, circle)
+        assert mapping.max_calibrated > 0
+
+
+def radial_image(shape, cu, cv, profile):
+    """uint8 image whose value depends only on the distance to (cu, cv)."""
+    vv, uu = np.mgrid[0:shape[0], 0:shape[1]]
+    return np.clip(np.round(profile(np.hypot(uu - cu, vv - cv))), 0, 255).astype(np.uint8)
+
+
+class TestRadiusSource:
+    def test_refined(self):
+        delta = radial_image((120, 120), 60, 60, lambda r: np.clip(30 - r, 0, 60))
+        r, source = calib._refine_radius(delta, 60, 60, 25.0, 5)
+        assert source == "refined"
+        assert r == pytest.approx(30.0, abs=0.5)
+
+    def test_few_edge_annuli(self):
+        delta = radial_image((120, 120), 60, 60, lambda r: np.where(r < 25, 50, 0))
+        assert calib._refine_radius(delta, 60, 60, 25.0, 5) == (25.0, "few_edge_annuli")
+
+    def test_non_negative_slope(self):
+        delta = radial_image((120, 120), 60, 60, lambda r: np.where(r < 36, 0.3 * r, 0))
+        assert calib._refine_radius(delta, 60, 60, 25.0, 5) == (25.0, "non_negative_slope")
+
+    def test_root_outside_band(self):
+        # The band runs past the image, so no tail annuli reference the floor.
+        delta = radial_image((40, 40), 20, 20, lambda r: 9.0 - 0.05 * r)
+        assert calib._refine_radius(delta, 20, 20, 25.0, 5) == (25.0, "root_outside_band")
+
+    def test_detected_circle_carries_its_source(self, geom, optical, uniform_illum,
+                                                flat_reference):
+        diff, _ = press_difference(geom, optical, uniform_illum, flat_reference,
+                                   4.0, 1.0)
+        assert calib.detect_contact_circle(diff).radius_source == "refined"
+        step = DifferenceImage(radial_image((120, 120), 60, 60,
+                                            lambda r: np.where(r < 25, 50, 0)))
+        assert calib.detect_contact_circle(step).radius_source == "few_edge_annuli"
+
+    def test_default_and_unknown_source(self):
+        assert calib.ContactCircle(5.0, 5.0, 2.0).radius_source == "refined"
+        with pytest.raises(ValueError, match="radius source"):
+            calib.ContactCircle(5.0, 5.0, 2.0, radius_source="guessed")
 
 
 class TestKasaCircleFit:
@@ -257,3 +362,54 @@ class TestFitRegression:
         model = calib.fit_regression(deltas, depths, radii, center=(0.0, 0.0))
         residuals = depths / deltas - (model.k_c * radii + model.b_c)
         assert abs(residuals.mean()) < 1e-9
+
+
+class TestLoadCalibration:
+    @pytest.fixture
+    def files(self, tmp_path):
+        single = calib.MappingList(np.linspace(0.0, 2.0, 256), 200)
+        regression = calib.RegressionModel(1e-4, 0.01, 290.0, 290.0)
+        paths = {}
+        for name, model in (("single", single), ("regression", regression)):
+            paths[name] = tmp_path / f"{name}.json"
+            calib.save_calibration(paths[name], model, 2.0)
+        return paths
+
+    def rewrite(self, path, edit):
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("method, key", [
+        ("single", "entries"), ("single", "max_calibrated"), ("single", "thickness"),
+        ("regression", "k_c"), ("regression", "center_v"), ("regression", "method"),
+    ])
+    def test_deleted_key_named(self, files, method, key):
+        self.rewrite(files[method], lambda p: p.pop(key))
+        with pytest.raises(SensorError, match=re.escape(f"{method}.json: {key}: missing")):
+            calib.load_calibration(files[method])
+
+    @pytest.mark.parametrize("method, key, value, kind", [
+        ("single", "thickness", "2", "number"),
+        ("single", "max_calibrated", 3.5, "int"),
+        ("single", "entries", [0.0, "x"], "numbers"),
+        ("regression", "b_c", None, "number"),
+        ("regression", "k_c", True, "number"),
+        ("regression", "method", 1, "str"),
+    ])
+    def test_retyped_key_named(self, files, method, key, value, kind):
+        self.rewrite(files[method], lambda p: p.update({key: value}))
+        with pytest.raises(SensorError,
+                           match=re.escape(f"{method}.json: {key}: expected {kind}")):
+            calib.load_calibration(files[method])
+
+    def test_invalid_model_names_the_file(self, files):
+        self.rewrite(files["single"], lambda p: p.update(entries=[0.0, 1.0]))
+        with pytest.raises(SensorError, match="single.json: mapping list must have 256"):
+            calib.load_calibration(files["single"])
+
+    def test_non_object_named(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SensorError, match="c.json: expected a JSON object, got list"):
+            calib.load_calibration(path)

@@ -314,6 +314,65 @@ class TestMain:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert "frame 1: reference and contact image dimensions differ" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_reconstruct_leaves_existing_output_alone(self, single_calib,
+                                                             tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--out", str(run_dir), "--presses", "2"]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["reconstruct", "--run", str(run_dir), "--calib",
+                         str(single_calib), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        fileio.write_pgm(run_dir / "frame_001.pgm",
+                         GrayImage(np.zeros((4, 4), dtype=np.uint8)))
+        assert cli.main(["reconstruct", "--run", str(run_dir), "--calib",
+                         str(single_calib), "--out", str(out)]) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["calibrate", "reconstruct", "track"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: {k: v for k, v in m.items() if k != "optical"},
+         "manifest.json: optical: missing"),
+        (lambda m: [1, 2], "manifest.json: expected a JSON object, got list"),
+        (lambda m: {**m, "optical": {**m["optical"], "thickness": "2"}},
+         "manifest.json: optical.thickness: expected number, got str '2'"),
+        (lambda m: {**m, "frames": [{}]}, "manifest.json: frames[0].image: missing"),
+        (lambda m: {**m, "geometry": {**m["geometry"], "extra": 1}},
+         "manifest.json: geometry: "),
+    ])
+    def test_broken_manifest_exit_one(self, single_calib, tmp_path, capsys,
+                                      command, edit, message):
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--out", str(run_dir), "--presses", "1"]) == 0
+        manifest_path = run_dir / "manifest.json"
+        manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+        out = tmp_path / "out"
+        calib_args = [] if command == "calibrate" else ["--calib", str(single_calib)]
+        code = cli.main([command, "--run", str(run_dir), *calib_args,
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "track"])
+    def test_broken_calibration_exit_one(self, press_run, single_calib, tmp_path,
+                                         capsys, command):
+        payload = json.loads(single_calib.read_text())
+        del payload["max_calibrated"]
+        broken = tmp_path / "calibration.json"
+        broken.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code = cli.main([command, "--run", str(press_run[0]), "--calib", str(broken),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert f"{broken}: max_calibrated: missing" in err
+        assert not out.exists()
 
     def test_unknown_placement_exit_one_without_frames(self, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -138,6 +138,38 @@ class TestMapDepth:
         assert np.all(recon.map_depth(diff, cfg).data == 2.0)
 
 
+class TestSlopeFieldCache:
+    """map_depth reuses each regression model's slope field; full frames are the reference."""
+
+    def test_regression_matches_full_frame_slope(self, geom):
+        rng = np.random.default_rng(3)
+        models = [calib.RegressionModel(-1e-4, 0.02, 20.0, 25.0),
+                  calib.RegressionModel(2e-4, 0.01, 0.0, 39.0)]
+        diffs = [DifferenceImage(rng.integers(0, 80, shape, dtype=np.uint8))
+                 for shape in ((40, 50), (40, 50), (31, 17))]
+        # Two models of one shape, each used again after the other.
+        for model in models + models:
+            cfg = recon.PipelineConfig(model=model, geom=geom, depth_clamp=1.0)
+            for diff in diffs:
+                vv, uu = np.mgrid[0:diff.height, 0:diff.width]
+                expected = np.clip(model.slope(uu, vv) * diff.pixels, 0.0, 1.0)
+                assert np.array_equal(recon.map_depth(diff, cfg).data, expected)
+
+    def test_field_is_cached_read_only(self):
+        model = calib.RegressionModel(1e-4, 0.01, 3.0, 4.0)
+        field = model.slope_field((6, 7))
+        assert field is model.slope_field([6, 7])
+        assert not field.flags.writeable
+        assert model == calib.RegressionModel(1e-4, 0.01, 3.0, 4.0)
+
+    def test_lookup_index_types_agree(self, optical):
+        model = make_lookup_model(optical)
+        deltas = np.array([[0, 1, 7], [80, 200, 255]])
+        expected = model.depths[deltas]
+        for dtype in (np.uint8, np.int64, np.float64):
+            assert np.array_equal(model.lookup(deltas.astype(dtype)), expected)
+
+
 class TestGaussianDenoise:
     def test_kernel_normalized_and_symmetric(self):
         k = recon.gaussian_kernel(7, 1.5)

@@ -2,10 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tacsense import sim
-from tacsense.core import DepthMap, image_mean_std
+from tacsense.core import DepthMap, SensorGeometry, image_mean_std, surface_grid
 from tacsense.pose import Pose
+
+
+def full_frame_sphere(geom, radius, d_max, center):
+    """The spherical-cap formula of sphere_press_depth on every pixel."""
+    xx, yy = surface_grid(geom)
+    r2 = (xx - center[0]) ** 2 + (yy - center[1]) ** 2
+    return np.maximum(d_max - radius + np.sqrt(np.maximum(radius ** 2 - r2, 0.0)), 0.0)
+
+
+def full_frame_render(depth, model, illum, noise_sigma=0.0, rng=None):
+    """render_tactile's optical law and rng.normal noise on every pixel."""
+    img = illum.gains * model.intensity(depth)
+    if noise_sigma > 0:
+        img = img + rng.normal(0.0, noise_sigma, size=img.shape)
+    return np.clip(np.round(img), 0, 255).astype(np.uint8)
+
+
+def rounded_mean(frames):
+    return np.clip(np.round(np.mean(frames, axis=0)), 0, 255).astype(np.uint8)
 
 
 class TestSpherePressDepth:
@@ -34,6 +54,67 @@ class TestSpherePressDepth:
             sim.sphere_press_depth(geom, 4.0, 4.5)
         with pytest.raises(ValueError):
             sim.sphere_press_depth(geom, 4.0, 2.5, thickness=2.0)
+
+
+class TestWindowedPress:
+    """The press and its render are computed in windows; full frames are the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(geom=st.sampled_from([SensorGeometry(),
+                                 SensorGeometry(crop_size=61, field_mm=5.0)]),
+           fx=st.floats(-1.0, 1.0), fy=st.floats(-1.0, 1.0),
+           radius=st.floats(0.01, 8.0), frac=st.floats(1e-3, 1.0))
+    @example(geom=SensorGeometry(), fx=1.0, fy=-1.0, radius=4.0, frac=1.0)
+    @example(geom=SensorGeometry(), fx=-1.0, fy=0.0, radius=6.0, frac=0.5)
+    def test_sphere_matches_full_frame(self, geom, fx, fy, radius, frac):
+        center = (fx * geom.field_mm / 2.0, fy * geom.field_mm / 2.0)
+        d_max = frac * radius
+        depth = sim.sphere_press_depth(geom, radius, d_max, center=center)
+        expected = full_frame_sphere(geom, radius, d_max, center)
+        assert depth.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 1.5])
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_rig_matches_full_frame_renders(self, geom, optical, standard_illum,
+                                            noise_sigma, count):
+        rig = sim.BallPressRig(geom, optical, standard_illum, noise_sigma,
+                               np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+
+        def renders(depth, n):
+            return rounded_mean([full_frame_render(depth, optical, standard_illum,
+                                                   noise_sigma, rng)
+                                 for _ in range(n)])
+
+        flat = np.zeros((geom.crop_size,) * 2)
+        assert np.array_equal(rig.reference.pixels,
+                              renders(flat, 8 if noise_sigma > 0 else 1))
+        for _ in range(2):
+            image, depth, center, d_max = rig.press(4.0, "center", count)
+            assert d_max == min(float(rng.uniform(0.25, 0.95) * optical.thickness), 4.0)
+            assert center == tuple(rng.uniform(-1.0, 1.0, size=2))
+            truth = full_frame_sphere(geom, 4.0, d_max, center)
+            assert np.array_equal(depth.data, truth)
+            assert np.array_equal(image.pixels, renders(truth, count))
+
+    @pytest.mark.parametrize("kind", ["hex_nut", "set_screw", "star"])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 2.0])
+    def test_render_matches_full_frame(self, geom, standard_illum, kind, noise_sigma):
+        # Two optical models share one illumination and its cached flat frames.
+        for model in (sim.OpticalModel(), sim.OpticalModel(thickness=3.0, gain=150.0)):
+            depth = sim.synth_object_depth(kind, geom, thickness=model.thickness)
+            image = sim.render_tactile(depth, model, standard_illum, noise_sigma,
+                                       np.random.default_rng(3))
+            expected = full_frame_render(depth.data, model, standard_illum,
+                                         noise_sigma, np.random.default_rng(3))
+            assert np.array_equal(image.pixels, expected)
+
+    def test_flat_frame_is_cached_read_only(self, optical, standard_illum):
+        frame = standard_illum.flat_frame(optical)
+        assert frame is standard_illum.flat_frame(optical)
+        assert not frame.flags.writeable
+        assert np.array_equal(frame, standard_illum.gains * optical.intensity(
+            np.zeros_like(standard_illum.gains)))
 
 
 class TestRenderTactile:
