@@ -43,8 +43,7 @@ def main():
     frames = sim.render_sequence(sim.object_depth_field(args.object), poses,
                                  geom, optical, illum,
                                  noise_sigma=args.noise, rng=rng)
-    clouds = [recon.reconstruct_cloud(recon.difference(reference, f.image),
-                                      pipeline, geom, rim_only=True)
+    clouds = [recon.reconstruct_cloud(recon.difference(reference, f.image), pipeline)
               for f in frames]
     reports = track_pose(clouds, clouds[0])
 

@@ -34,7 +34,8 @@ from .fileio import FormatError, check_fields, read_json
 from .sim import sphere_press_depth
 
 CALIB_FORMAT = "tacsense-calib-v1"
-DEFAULT_CONTACT_THRESHOLD = 5
+CONTACT_THRESHOLD = 5  # smallest intensity drop counted as contact
+MAX_SAMPLES_PER_PRESS = 1000
 MIN_CONTACT_PIXELS = 32
 MIN_BOUNDARY_PIXELS = 8
 MIN_REGRESSION_SAMPLES = 100
@@ -178,17 +179,16 @@ def _refine_radius(delta: np.ndarray, cu: float, cv: float, r0: float,
     return float(root), "refined"
 
 
-def detect_contact_circle(diff: DifferenceImage,
-                          threshold: int = DEFAULT_CONTACT_THRESHOLD) -> ContactCircle:
-    """Fit a circle to the boundary of the thresholded contact blob.
+def detect_contact_circle(diff: DifferenceImage) -> ContactCircle:
+    """Fit a circle to the boundary of the contact blob (>= CONTACT_THRESHOLD).
 
     The center comes from an algebraic circle fit of the contour; the
     radius is then refined to the zero crossing of the radial profile so it
     tracks the true contact edge rather than the threshold contour.
     """
-    mask = diff.pixels >= threshold
+    mask = diff.pixels >= CONTACT_THRESHOLD
     if not mask.any():
-        raise NoContactError(f"no pixel reaches threshold {threshold}")
+        raise NoContactError(f"no pixel reaches threshold {CONTACT_THRESHOLD}")
     # Salt noise can clear the threshold in isolated pixels; keep only the
     # largest connected blob. Every blob lies in the mask's box, so labelling
     # the box finds the same blobs in the same order as the full frame.
@@ -206,7 +206,7 @@ def detect_contact_circle(diff: DifferenceImage,
             f"only {len(us)} boundary pixels, need {MIN_BOUNDARY_PIXELS}")
     cu, cv, r = fit_circle_kasa(us + (cols.start + blob_cols.start),
                                 vs + (rows.start + blob_rows.start))
-    r, source = _refine_radius(diff.pixels, cu, cv, r, threshold)
+    r, source = _refine_radius(diff.pixels, cu, cv, r, CONTACT_THRESHOLD)
     return ContactCircle(center_u=cu, center_v=cv, radius=r, radius_source=source)
 
 
@@ -302,18 +302,21 @@ def build_mapping_list(diff: DifferenceImage, truth: DepthMap,
     return MappingList(depths=entries, max_calibrated=max_calibrated)
 
 
-def collect_samples(diff: DifferenceImage, truth: DepthMap,
-                    center: tuple[float, float], rng: np.random.Generator,
-                    max_samples: int | None = 1000
+def collect_samples(diff: DifferenceImage, truth: DepthMap, circle: ContactCircle,
+                    center: tuple[float, float], rng: np.random.Generator
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(deltas, depths, radii in px) of one press's pixels with both non-zero."""
+    """(deltas, depths, radii in px) of up to MAX_SAMPLES_PER_PRESS pixels with both
+    non-zero, drawn by `rng`. `truth`, the analytic depth of `circle`, is zero
+    outside it, so only the circle's box is scanned, in full-frame pixel order."""
     if diff.pixels.shape != truth.data.shape:
         raise ValueError("difference image and truth depth map are not aligned")
-    valid = (diff.pixels >= 1) & (truth.data > 0)
-    vs, us = np.nonzero(valid)
-    if max_samples is not None and len(us) > max_samples:
-        pick = rng.choice(len(us), size=max_samples, replace=False)
+    rows, cols = pixel_box(circle.center_u, circle.center_v, circle.radius,
+                           diff.pixels.shape)
+    vs, us = np.nonzero((diff.pixels[rows, cols] >= 1) & (truth.data[rows, cols] > 0))
+    if len(us) > MAX_SAMPLES_PER_PRESS:
+        pick = rng.choice(len(us), size=MAX_SAMPLES_PER_PRESS, replace=False)
         us, vs = us[pick], vs[pick]
+    us, vs = us + cols.start, vs + rows.start
     deltas = diff.pixels[vs, us].astype(np.float64)
     depths = truth.data[vs, us]
     return deltas, depths, np.hypot(us - center[0], vs - center[1])
@@ -362,7 +365,7 @@ def calibrate_regression(diffs: list[DifferenceImage], ball_radius: float,
         try:
             circle = detect_contact_circle(diff)
             truth = analytic_ball_depth(circle, ball_radius, geom)
-            samples.append(collect_samples(diff, truth, center, rng))
+            samples.append(collect_samples(diff, truth, circle, center, rng))
         except SensorError as exc:
             raise type(exc)(f"press {i}: {exc}") from exc
     deltas, depths, radii = map(np.concatenate, zip(*samples))

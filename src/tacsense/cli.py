@@ -162,11 +162,6 @@ def _pose_to_list(pose: Pose) -> list[float]:
     return [*pose.rotation.ravel().tolist(), *pose.translation.tolist()]
 
 
-def _pose_from_list(values) -> Pose:
-    v = np.asarray(values, dtype=np.float64)
-    return Pose(v[:9].reshape(3, 3), v[9:12])
-
-
 # Keys every run manifest needs, and those a ball-press run adds; see
 # fileio.check_fields.
 _MANIFEST_FIELDS = {
@@ -206,8 +201,13 @@ class Run:
             geom = SensorGeometry(**manifest["geometry"])
         except (TypeError, ValueError) as exc:
             raise fileio.FormatError(f"{manifest_path}: geometry: {exc}") from None
-        return cls(run_dir, manifest, geom,
-                   fileio.read_pgm(run_dir / manifest["reference"]))
+        reference = fileio.read_pgm(run_dir / manifest["reference"])
+        if reference.pixels.shape != (geom.crop_size, geom.crop_size):
+            raise fileio.FormatError(
+                f"{manifest_path}: geometry.crop_size {geom.crop_size} does not "
+                f"match reference {manifest['reference']!r}, "
+                f"{reference.width}x{reference.height} px")
+        return cls(run_dir, manifest, geom, reference)
 
     def differences(self):
         """Yield (difference image, stage ms) per frame; errors name the frame."""
@@ -364,10 +364,13 @@ def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
               model_cloud_path: Path | None = None) -> dict:
     run = Run.load(run_dir)
     pipeline = run.pipeline(calib_path, cfg.gaussian_sigma)
-    clouds = [recon.reconstruct_cloud(diff, pipeline, run.geom, rim_only=True)
+    clouds = [recon.reconstruct_cloud(diff, pipeline)
               for diff, _ in run.differences()]
     if model_cloud_path is not None:
         model_cloud = recon.subsample(fileio.read_ply(model_cloud_path))
+        if len(model_cloud) < 3:
+            raise SensorError(f"{model_cloud_path}: model cloud has "
+                              f"{len(model_cloud)} points, need at least 3")
     else:
         model_cloud = clouds[0]
     reports = track_pose(clouds, model_cloud)

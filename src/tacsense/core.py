@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,12 +147,6 @@ class SensorGeometry:
         """mm per pixel on the sensing field."""
         return self.field_mm / self.crop_size
 
-    @property
-    def crop_origin(self) -> tuple[int, int]:
-        """(u, v) of the crop window's top-left corner in the raw frame."""
-        return ((self.raw_width - self.crop_size) // 2,
-                (self.raw_height - self.crop_size) // 2)
-
 
 def pixel_to_surface(geom: SensorGeometry, u: float, v: float) -> tuple[float, float]:
     """Map a crop-frame pixel to surface mm, origin at crop center.
@@ -218,10 +212,6 @@ class CameraModel:
     @property
     def is_identity(self) -> bool:
         return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0
-
-    @classmethod
-    def identity(cls, width: int = 800, height: int = 600, focal: float = 600.0) -> "CameraModel":
-        return cls(fx=focal, fy=focal, cx=width / 2.0, cy=height / 2.0)
 
 
 @dataclass(frozen=True)

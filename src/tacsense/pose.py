@@ -17,6 +17,8 @@ NORMAL_NEIGHBORS = 10
 # Smallest/largest eigenvalue ratio below which the point-to-plane system
 # counts as rank-deficient.
 RANK_TOL = 1e-9
+# ICP drops pairs farther than this multiple of the median pair distance.
+REJECT_RATIO = 5.0
 
 
 @dataclass(frozen=True)
@@ -201,20 +203,13 @@ def _rms(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum(values ** 2, axis=1))))
 
 
-def _inliers(distances: np.ndarray, reject_ratio: float | None) -> np.ndarray:
-    if reject_ratio is None:
-        return np.ones(len(distances), dtype=bool)
-    return distances <= reject_ratio * max(float(np.median(distances)), 1e-12)
-
-
 def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
-        max_iter: int = 50, tol_mm: float = 1e-5,
-        reject_ratio: float | None = 5.0) -> IcpReport:
+        max_iter: int = 50, tol_mm: float = 1e-5) -> IcpReport:
     """Guarded point-to-plane ICP aligning `source` onto `target`.
 
     Target normals are estimated once by k-NN PCA. Each iteration pairs
     every moved source point with its nearest target point, drops pairs
-    farther than reject_ratio times the median pair distance, and takes a
+    farther than REJECT_RATIO times the median pair distance, and takes a
     linearised point-to-plane step. The guard re-matches after the step:
     if the inlier RMSE rose, or the plane system was rank-deficient (e.g. a
     planar target), the closed-form SVD point-to-point step from the same
@@ -241,7 +236,7 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
     def match(candidate: Pose):
         """(candidate, nearest target index per source point, inlier mask, inlier RMSE)."""
         distances, indices = tree.query(candidate.apply(source.points), k=1)
-        keep = _inliers(distances, reject_ratio)
+        keep = distances <= REJECT_RATIO * max(float(np.median(distances)), 1e-12)
         if keep.sum() < 3:
             raise DegenerateGeometryError("fewer than 3 usable correspondences")
         rmse = _rms(distances[keep])
@@ -275,22 +270,22 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
                      converged=converged, inlier_fraction=float(keep.mean()))
 
 
-def track_pose(frames: list[PointCloud], model: PointCloud,
-               init: Pose | None = None, **icp_kwargs) -> list[IcpReport]:
+def track_pose(frames: list[PointCloud], model: PointCloud) -> list[IcpReport]:
     """Track the model's pose across frames, seeding each ICP from the last pose.
 
-    Empty frames yield a not-converged report carrying the last good pose.
+    The first ICP starts from the identity. Empty frames yield a
+    not-converged report carrying the last good pose.
     """
     if not frames:
         raise ValueError("need at least one frame")
-    pose = init if init is not None else Pose.identity()
+    pose = Pose.identity()
     reports = []
     for cloud in frames:
         if len(cloud) < 3:
             reports.append(IcpReport(pose=pose, rmse=math.inf, iterations=0,
                                      converged=False, inlier_fraction=0.0))
             continue
-        report = icp(model, cloud, init=pose, **icp_kwargs)
+        report = icp(model, cloud, init=pose)
         pose = report.pose
         reports.append(report)
     return reports

@@ -24,7 +24,9 @@ from .core import (
     surface_grid,
 )
 
-DEFAULT_CONTACT_MIN_DEPTH = 0.05  # mm
+CONTACT_MIN_DEPTH = 0.05  # mm; shallower pixels are not in contact
+PLATEAU_FRAC = 0.92       # rim pixels are shallower than this share of the deepest
+MAX_ICP_POINTS = 4000     # subsample's cap on a cloud handed to ICP
 
 
 @dataclass(frozen=True)
@@ -160,57 +162,43 @@ def preprocess_raw(img: GrayImage, config: PipelineConfig) -> GrayImage:
     return crop_center(undistort(img, config.camera), config.geom)
 
 
-def depth_to_pointcloud(depth: DepthMap, geom: SensorGeometry,
-                        contact_only: bool = False,
-                        min_depth: float = DEFAULT_CONTACT_MIN_DEPTH) -> PointCloud:
+def depth_to_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
     """One point per pixel at (x, y, -depth); z = 0 is the undeformed surface."""
     xx, yy = surface_grid(geom)
     pts = np.column_stack([xx.ravel(), yy.ravel(), -depth.data.ravel()])
-    if contact_only:
-        pts = pts[depth.data.ravel() > min_depth]
     return PointCloud(pts)
 
 
-def depth_rim_pointcloud(depth: DepthMap, geom: SensorGeometry,
-                         min_depth: float = DEFAULT_CONTACT_MIN_DEPTH,
-                         plateau_frac: float = 0.92) -> PointCloud:
+def depth_rim_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
     """Points on the sloped rim between contact onset and the flat plateau.
 
     Flat-topped objects produce large constant-depth regions that are
     uninformative for in-plane registration; the rim band carries the
-    object's outline geometry instead.
+    object's outline geometry instead. The rim is deeper than
+    CONTACT_MIN_DEPTH and shallower than PLATEAU_FRAC of the deepest pixel.
     """
-    if not 0.0 < plateau_frac <= 1.0:
-        raise ValueError("plateau_frac must be in (0, 1]")
     xx, yy = surface_grid(geom)
     d = depth.data
-    keep = (d > min_depth) & (d < plateau_frac * d.max())
+    keep = (d > CONTACT_MIN_DEPTH) & (d < PLATEAU_FRAC * d.max())
     return PointCloud(np.column_stack([xx[keep], yy[keep], -d[keep]]))
 
 
-def subsample(cloud: PointCloud, max_points: int = 4000) -> PointCloud:
-    """Every step-th point, with the step that leaves at most `max_points`."""
+def subsample(cloud: PointCloud) -> PointCloud:
+    """Every step-th point, with the step that leaves at most MAX_ICP_POINTS."""
     n = len(cloud)
-    if n <= max_points:
+    if n <= MAX_ICP_POINTS:
         return cloud
-    step = -(-n // max_points)
+    step = -(-n // MAX_ICP_POINTS)
     return PointCloud(cloud.points[::step])
 
 
-def reconstruct_cloud(diff: DifferenceImage, config: PipelineConfig,
-                      geom: SensorGeometry, rim_only: bool = False) -> PointCloud:
-    """Depth, then its contact (or rim) point cloud, subsampled for ICP."""
+def reconstruct_cloud(diff: DifferenceImage, config: PipelineConfig) -> PointCloud:
+    """Depth on config.geom, then its rim point cloud, subsampled for ICP."""
     depth = depth_from_difference(diff, config)
-    if rim_only:
-        cloud = depth_rim_pointcloud(depth, geom)
-    else:
-        cloud = depth_to_pointcloud(depth, geom, contact_only=True)
-    return subsample(cloud)
+    return subsample(depth_rim_pointcloud(depth, config.geom))
 
 
-def raycast_project(depth: DepthMap, shape: SurfaceShape, geom: SensorGeometry,
-                    contact_only: bool = False,
-                    min_depth: float = DEFAULT_CONTACT_MIN_DEPTH
+def raycast_project(depth: DepthMap, shape: SurfaceShape, geom: SensorGeometry
                     ) -> tuple[PointCloud, int]:
     """Project a depth map onto the nominal surface along per-pixel view rays.
 
@@ -218,17 +206,12 @@ def raycast_project(depth: DepthMap, shape: SurfaceShape, geom: SensorGeometry,
     pressed depth along the ray toward the surface interior. Rays that miss
     the surface are skipped and counted. Returns (cloud, skipped count).
     """
+    if isinstance(shape, Planar):
+        return depth_to_pointcloud(depth, geom), 0
     xx, yy = surface_grid(geom)
     x = xx.ravel()
     y = yy.ravel()
     d = depth.data.ravel()
-    if contact_only:
-        keep = d > min_depth
-        x, y, d = x[keep], y[keep], d[keep]
-
-    if isinstance(shape, Planar):
-        pts = np.column_stack([x, y, -d])
-        return PointCloud(pts), 0
 
     if isinstance(shape, Sphere):
         r = shape.radius

@@ -22,7 +22,7 @@ SCHEMES = ("standard", "s1", "s2", "s3", "s4")
 PLACEMENTS = ("center", "random")
 
 DEFAULT_LED_SIGMA = 700.0
-DEFAULT_RING_RADIUS_FRAC = 0.8
+RING_RADIUS_FRAC = 0.8  # LED ring radius as a share of the crop size
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def _led_angles(scheme: str) -> np.ndarray:
 
 
 def make_illumination(scheme: str, crop_size: int,
-                      led_sigma: float = DEFAULT_LED_SIGMA,
-                      ring_radius: float | None = None) -> IlluminationField:
+                      led_sigma: float = DEFAULT_LED_SIGMA) -> IlluminationField:
     """Sum-of-Gaussians field from LEDs on a ring around the image center.
 
     The standard scheme lights all eight ring positions; s1..s4 are
@@ -111,8 +110,7 @@ def make_illumination(scheme: str, crop_size: int,
     cluster). The field is normalized so its maximum gain is 1.
     """
     angles = _led_angles(scheme)
-    if ring_radius is None:
-        ring_radius = DEFAULT_RING_RADIUS_FRAC * crop_size
+    ring_radius = RING_RADIUS_FRAC * crop_size
     center = (crop_size - 1) / 2.0
     uu, vv = np.meshgrid(np.arange(crop_size, dtype=np.float64),
                          np.arange(crop_size, dtype=np.float64))
@@ -349,9 +347,8 @@ def object_depth_field(kind: str, **params) -> DepthField:
 def synth_object_depth(kind: str, geom: SensorGeometry, thickness: float = 2.0,
                        **params) -> DepthMap:
     """Evaluate a synthetic object's depth field on the pixel grid, clamped to the layer."""
-    field = object_depth_field(kind, **params)
-    xx, yy = surface_grid(geom)
-    return DepthMap(np.clip(field(xx, yy), 0.0, thickness))
+    return _posed_depth(object_depth_field(kind, **params), Pose.identity(),
+                        geom, thickness)[0]
 
 
 @dataclass(frozen=True)

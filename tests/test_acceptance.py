@@ -217,8 +217,7 @@ def test_criterion_8_hex_nut_tracking(geom, announce):
     poses = [Pose.rot_z(step * k) for k in range(12)]
     frames = sim.render_sequence(sim.object_depth_field("hex_nut"), poses,
                                  geom, optical, illum)
-    clouds = [recon.reconstruct_cloud(recon.difference(reference, f.image),
-                                      pipeline, geom, rim_only=True)
+    clouds = [recon.reconstruct_cloud(recon.difference(reference, f.image), pipeline)
               for f in frames]
     reports = track_pose(clouds, clouds[0])
     errors = []

@@ -67,7 +67,7 @@ class TestDetectContactCircle:
     def test_centered_press(self, geom, optical, uniform_illum, flat_reference):
         diff, _ = press_difference(geom, optical, uniform_illum, flat_reference,
                                    4.0, 1.0)
-        circle = calib.detect_contact_circle(diff, threshold=5)
+        circle = calib.detect_contact_circle(diff)
         assert circle.center_u == pytest.approx(290.0, abs=1.0)
         assert circle.center_v == pytest.approx(290.0, abs=1.0)
         expected = math.sqrt(7.0) / geom.pixel_pitch
@@ -105,7 +105,7 @@ class TestDetectContactCircle:
         assert c1.center_v - c0.center_v == pytest.approx(0.0, abs=0.5)
 
 
-def full_frame_circle(delta, threshold=calib.DEFAULT_CONTACT_THRESHOLD):
+def full_frame_circle(delta, threshold=calib.CONTACT_THRESHOLD):
     """(centre u, centre v, radius) of detect_contact_circle, computed on every pixel."""
     labels, _ = ndimage.label(delta >= threshold)
     mask = labels == np.bincount(labels.ravel())[1:].argmax() + 1
@@ -143,7 +143,7 @@ class TestWindowedDetection:
                                       standard_reference, center):
         diff, _ = press_difference(geom, optical, standard_illum, standard_reference,
                                    4.0, 1.5, center=center)
-        rows, cols = np.nonzero(diff.pixels >= calib.DEFAULT_CONTACT_THRESHOLD)
+        rows, cols = np.nonzero(diff.pixels >= calib.CONTACT_THRESHOLD)
         assert min(rows.min(), cols.min()) == 0 or max(rows.max(), cols.max()) == 579
         self.assert_matches_full_frame(diff)
 
@@ -312,6 +312,40 @@ class TestBuildMappingList:
         circle = calib.ContactCircle(32.0, 32.0, 2.0)
         with pytest.raises(InsufficientContactError):
             calib.build_mapping_list(diff, DepthMap(truth_zero), circle)
+
+
+def full_frame_samples(diff, truth, center, rng):
+    """collect_samples computed on every pixel of the frame."""
+    vs, us = np.nonzero((diff.pixels >= 1) & (truth.data > 0))
+    if len(us) > calib.MAX_SAMPLES_PER_PRESS:
+        pick = rng.choice(len(us), size=calib.MAX_SAMPLES_PER_PRESS, replace=False)
+        us, vs = us[pick], vs[pick]
+    return (diff.pixels[vs, us].astype(np.float64), truth.data[vs, us],
+            np.hypot(us - center[0], vs - center[1]))
+
+
+class TestCollectSamples:
+    """Samples come from the circle's box; full frames are the reference."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_full_frame(self, geom, seed):
+        rng = np.random.default_rng(seed)
+        size = geom.crop_size
+        # Odd seeds put the centre within 15 px of the field edge.
+        u, v = rng.uniform(0, 15, 2) if seed % 2 else rng.uniform(0, size, 2)
+        if seed % 4 == 3:
+            u, v = size - u, size - v
+        circle = calib.ContactCircle(u, v, rng.uniform(5.0, 110.0))
+        truth = calib.analytic_ball_depth(circle, 5.0, geom)
+        diff = DifferenceImage(rng.integers(0, 40, (size, size), dtype=np.uint8))
+        center = [(size / 2.0, size / 2.0), (size - 1.0, 0.0)][seed % 2]
+        got = calib.collect_samples(diff, truth, circle, center,
+                                    np.random.default_rng(seed))
+        reference_rng = np.random.default_rng(seed)
+        expected = full_frame_samples(diff, truth, center, reference_rng)
+        assert len(expected[0]) > 0
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def linear_samples(rng, n, k, b, jitter=0.0):

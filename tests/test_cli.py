@@ -6,7 +6,14 @@ import pytest
 
 from tacsense import calib, cli, fileio
 from tacsense.cli import RunConfig
-from tacsense.core import GrayImage
+from tacsense.core import GrayImage, PointCloud
+from tacsense.pose import Pose
+
+
+def pose_from_list(values) -> Pose:
+    """Inverse of the 12-number pose lists in manifests and track reports."""
+    v = np.asarray(values, dtype=np.float64)
+    return Pose(v[:9].reshape(3, 3), v[9:12])
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +131,7 @@ class TestSimulate:
                                     n_frames=3, step_deg=5.0)
         assert manifest["kind"] == "sequence"
         assert len(manifest["frames"]) == 3
-        pose = cli._pose_from_list(manifest["frames"][1]["pose"])
+        pose = pose_from_list(manifest["frames"][1]["pose"])
         assert pose.z_angle_deg() == pytest.approx(5.0, abs=1e-9)
 
 
@@ -240,12 +247,28 @@ class TestTrack:
         for frame in payload["frames"]:
             assert frame["converged"]
             assert frame["inlier_fraction"] == 1.0
-            pose = cli._pose_from_list(frame["pose"])
+            pose = pose_from_list(frame["pose"])
             # acos near +1 amplifies 1e-16 matrix error to ~1e-6 degrees
             assert pose.rotation_angle_deg() <= 1e-4
 
 
 class TestMain:
+    @pytest.mark.parametrize("points", [0, 2])
+    def test_track_small_model_cloud_exit_one(self, single_calib, tmp_path, capsys,
+                                              points):
+        seq = tmp_path / "seq"
+        cli.cmd_simulate(RunConfig(), seq, object_kind="hex_nut", n_frames=2)
+        model_cloud = tmp_path / "model.ply"
+        fileio.write_ply(model_cloud, PointCloud(np.zeros((points, 3))))
+        out = tmp_path / "out"
+        code = cli.main(["track", "--run", str(seq), "--calib", str(single_calib),
+                         "--out", str(out), "--model-cloud", str(model_cloud)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert f"{model_cloud}: model cloud has {points} points, need at least 3" in err
+        assert not out.exists()
+
     def test_simulate_exit_zero(self, tmp_path):
         out = tmp_path / "run"
         code = cli.main(["simulate", "--out", str(out), "--presses", "1"])
@@ -341,6 +364,9 @@ class TestMain:
         (lambda m: {**m, "frames": [{}]}, "manifest.json: frames[0].image: missing"),
         (lambda m: {**m, "geometry": {**m["geometry"], "extra": 1}},
          "manifest.json: geometry: "),
+        (lambda m: {**m, "geometry": {**m["geometry"], "crop_size": 500}},
+         "manifest.json: geometry.crop_size 500 does not match reference "
+         "'reference.pgm', 580x580 px"),
     ])
     def test_broken_manifest_exit_one(self, single_calib, tmp_path, capsys,
                                       command, edit, message):

@@ -59,9 +59,6 @@ class TestGeometry:
     def test_pixel_pitch(self, geom):
         assert geom.pixel_pitch == pytest.approx(24.0 / 580)
 
-    def test_crop_origin(self, geom):
-        assert geom.crop_origin == (110, 10)
-
     def test_crop_must_fit(self):
         with pytest.raises(ValueError):
             SensorGeometry(raw_width=500, raw_height=600, crop_size=580)

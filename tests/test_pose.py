@@ -56,8 +56,7 @@ def hex_nut_rims(geom):
     poses = [Pose.rot_z(5.0 * k) for k in range(12)]
     frames = sim.render_sequence(sim.object_depth_field("hex_nut"), poses,
                                  geom, optical, illum)
-    return [recon.reconstruct_cloud(recon.difference(reference, f.image),
-                                    pipeline, geom, rim_only=True)
+    return [recon.reconstruct_cloud(recon.difference(reference, f.image), pipeline)
             for f in frames]
 
 

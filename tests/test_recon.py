@@ -252,14 +252,6 @@ class TestPointCloud:
         cloud = recon.depth_to_pointcloud(depth, geom)
         assert len(cloud) == geom.crop_size ** 2
 
-    def test_contact_only_filters_shallow_pixels(self, geom):
-        d = np.zeros((geom.crop_size,) * 2)
-        d[100, 100] = 0.5
-        d[101, 101] = 0.01
-        cloud = recon.depth_to_pointcloud(DepthMap(d), geom, contact_only=True)
-        assert len(cloud) == 1
-        assert cloud.points[0, 2] == pytest.approx(-0.5)
-
 
 class TestRimPointCloud:
     def test_keeps_slope_drops_plateau_and_background(self, geom):
@@ -272,11 +264,6 @@ class TestRimPointCloud:
         assert len(cloud) > 0
         assert depths.min() > 0.05
         assert depths.max() < 0.92 * smooth.data.max()
-
-    def test_bad_plateau_fraction_rejected(self, geom):
-        depth = DepthMap(np.zeros((geom.crop_size,) * 2))
-        with pytest.raises(ValueError):
-            recon.depth_rim_pointcloud(depth, geom, plateau_frac=1.5)
 
 
 class TestRaycastProject:
