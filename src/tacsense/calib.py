@@ -139,8 +139,8 @@ def _boundary_mask(mask: np.ndarray) -> np.ndarray:
     return mask & ~ndimage.binary_erosion(mask, border_value=1)
 
 
-def _refine_radius(delta: np.ndarray, cu: float, cv: float, r0: float,
-                   threshold: int) -> tuple[float, str]:
+def _refine_radius(delta: np.ndarray, cu: float, cv: float,
+                   r0: float) -> tuple[float, str]:
     """Extrapolate the radial intensity profile to its zero crossing.
 
     The threshold contour sits inside the true contact edge wherever the
@@ -167,7 +167,7 @@ def _refine_radius(delta: np.ndarray, cu: float, cv: float, r0: float,
     tail = profile[centers > r0 + band_half / 2.0]
     if tail.size:
         profile = profile - tail.mean()
-    near_edge = (profile >= 0.4 * threshold) & (profile <= 2.0 * threshold)
+    near_edge = (profile >= 0.4 * CONTACT_THRESHOLD) & (profile <= 2 * CONTACT_THRESHOLD)
     if near_edge.sum() < 3:
         return r0, "few_edge_annuli"
     slope, intercept = np.polyfit(centers[near_edge], profile[near_edge], 1)
@@ -206,7 +206,7 @@ def detect_contact_circle(diff: DifferenceImage) -> ContactCircle:
             f"only {len(us)} boundary pixels, need {MIN_BOUNDARY_PIXELS}")
     cu, cv, r = fit_circle_kasa(us + (cols.start + blob_cols.start),
                                 vs + (rows.start + blob_rows.start))
-    r, source = _refine_radius(diff.pixels, cu, cv, r, CONTACT_THRESHOLD)
+    r, source = _refine_radius(diff.pixels, cu, cv, r)
     return ContactCircle(center_u=cu, center_v=cv, radius=r, radius_source=source)
 
 

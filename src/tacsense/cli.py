@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, calibrate, reconstruct, evaluate, track."""
+"""tacsense command line: simulate, calibrate, reconstruct, evaluate and track."""
 
 from __future__ import annotations
 
@@ -88,17 +88,12 @@ class RunConfig:
 
     @classmethod
     def load(cls, path=None, **overrides) -> "RunConfig":
-        values = {}
-        if path is not None:
-            values = json.loads(Path(path).read_text())
-            if not isinstance(values, dict):
-                raise ValueError(f"{path}: config must be a JSON object")
-            unknown = set(values) - set(cls.__dataclass_fields__)
-            if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**values)
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        return replace(cfg, **overrides)
+        values = {} if path is None else fileio.read_json(path)
+        unknown = set(values) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+        return replace(cls(**values),
+                       **{k: v for k, v in overrides.items() if v is not None})
 
     def geometry(self) -> SensorGeometry:
         return SensorGeometry(raw_width=self.raw_width, raw_height=self.raw_height,
@@ -384,64 +379,69 @@ def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
     return payload
 
 
+# The RunConfig keys that have a flag: key -> (flag, argparse options).
+_CONFIG_FLAGS = {
+    "seed": ("--seed", {"type": int}),
+    "method": ("--method", {"choices": METHODS}),
+    "scheme": ("--scheme", {"choices": sim.SCHEMES}),
+    "thickness": ("--thickness", {"type": float, "help": "layer thickness in mm"}),
+    "noise_sigma": ("--noise", {"type": float, "help": "noise sigma in gray levels"}),
+    "presses": ("--presses", {"type": int}),
+    "ball_radius": ("--ball-radius", {"type": float}),
+    "placement": ("--placement", {"choices": sim.PLACEMENTS}),
+}
+# Each command's help and the _CONFIG_FLAGS keys it reads; argparse refuses any
+# other flag. calibrate takes the scheme and thickness from the run's manifest.
+COMMANDS = {
+    "simulate": ("render press or sequence frames", ("seed", "scheme", "thickness",
+                 "noise_sigma", "presses", "ball_radius", "placement")),
+    "calibrate": ("build a calibration model from a run", ("seed", "method")),
+    "reconstruct": ("reconstruct depth and point clouds", ()),
+    "evaluate": ("per-scheme closed-loop study", ("seed", "thickness", "noise_sigma")),
+    "track": ("ICP pose tracking over a sequence", ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tacsense",
-        description="Tactile sensor simulation, calibration, reconstruction, "
-                    "and pose tracking")
+    parser = argparse.ArgumentParser(prog="tacsense", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--method", choices=METHODS)
-        p.add_argument("--scheme", choices=list(sim.SCHEMES))
-        p.add_argument("--thickness", type=float, help="layer thickness in mm")
-        p.add_argument("--noise", type=float, dest="noise_sigma",
-                       help="render noise sigma in gray levels")
-
-    p = sub.add_parser("simulate", help="render press or sequence frames")
-    common(p)
-    p.add_argument("--presses", type=int)
-    p.add_argument("--ball-radius", type=float, dest="ball_radius")
-    p.add_argument("--placement", choices=sim.PLACEMENTS)
-    p.add_argument("--object", choices=["slab", "ball_array", "star", "hex_nut",
-                                        "set_screw"])
-    p.add_argument("--frames", type=int, default=12)
-    p.add_argument("--step-deg", type=float, default=5.0)
-
-    p = sub.add_parser("calibrate", help="build a calibration model from a run")
-    common(p)
-    p.add_argument("--run", type=Path, required=True, help="simulate output dir")
-
-    p = sub.add_parser("reconstruct", help="reconstruct depth and point clouds")
-    common(p)
-    p.add_argument("--run", type=Path, required=True)
-    p.add_argument("--calib", type=Path, required=True)
-
-    p = sub.add_parser("evaluate", help="per-scheme closed-loop study")
-    common(p)
-
-    p = sub.add_parser("track", help="ICP pose tracking over a sequence")
-    common(p)
-    p.add_argument("--run", type=Path, required=True)
-    p.add_argument("--calib", type=Path, required=True)
-    p.add_argument("--model-cloud", type=Path, dest="model_cloud")
-
+        for key in keys:
+            flag, options = _CONFIG_FLAGS[key]
+            p.add_argument(flag, dest=key, **options)
+        if command == "simulate":
+            p.add_argument("--object", choices=sim.OBJECT_KINDS)
+            p.add_argument("--frames", type=int, help="sequence frames (default 12)")
+            p.add_argument("--step-deg", type=float, help="sequence step (default 5.0)")
+        elif command != "evaluate":
+            p.add_argument("--run", type=Path, required=True, help="simulate output dir")
+        if command in ("reconstruct", "track"):
+            p.add_argument("--calib", type=Path, required=True)
+        if command == "track":
+            p.add_argument("--model-cloud", type=Path)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k, None)
-                 for k in ("seed", "method", "scheme", "thickness", "noise_sigma",
-                           "presses", "ball_radius", "placement")}
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate":
+        # Ball presses, or with --object a sequence: each refuses the other's flags.
+        rule = "not allowed with" if args.object else "requires"
+        for dest in (("presses", "ball_radius", "placement") if args.object
+                     else ("frames", "step_deg")):
+            if getattr(args, dest) is not None:
+                parser.error(f"argument --{dest.replace('_', '-')}: {rule} --object")
+    overrides = {key: getattr(args, key) for key in COMMANDS[args.command][1]}
     try:
         cfg = RunConfig.load(args.config, **overrides)
         if args.command == "simulate":
-            cmd_simulate(cfg, args.out, object_kind=args.object,
-                         n_frames=args.frames, step_deg=args.step_deg)
+            sequence = {k: v for k, v in (("n_frames", args.frames),
+                                          ("step_deg", args.step_deg)) if v is not None}
+            cmd_simulate(cfg, args.out, object_kind=args.object, **sequence)
         elif args.command == "calibrate":
             cmd_calibrate(cfg, args.run, args.out / "calibration.json")
         elif args.command == "reconstruct":
@@ -449,8 +449,7 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             cmd_evaluate(cfg, args.out)
         elif args.command == "track":
-            cmd_track(cfg, args.run, args.calib, args.out,
-                      model_cloud_path=args.model_cloud)
+            cmd_track(cfg, args.run, args.calib, args.out, args.model_cloud)
     except (SensorError, ValueError, OSError) as exc:
         print(f"tacsense {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -333,6 +333,7 @@ _OBJECT_FIELDS = {
     "hex_nut": hex_nut_field,
     "set_screw": set_screw_field,
 }
+OBJECT_KINDS = tuple(_OBJECT_FIELDS)
 
 
 def object_depth_field(kind: str, **params) -> DepthField:

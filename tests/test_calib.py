@@ -174,22 +174,22 @@ def radial_image(shape, cu, cv, profile):
 class TestRadiusSource:
     def test_refined(self):
         delta = radial_image((120, 120), 60, 60, lambda r: np.clip(30 - r, 0, 60))
-        r, source = calib._refine_radius(delta, 60, 60, 25.0, 5)
+        r, source = calib._refine_radius(delta, 60, 60, 25.0)
         assert source == "refined"
         assert r == pytest.approx(30.0, abs=0.5)
 
     def test_few_edge_annuli(self):
         delta = radial_image((120, 120), 60, 60, lambda r: np.where(r < 25, 50, 0))
-        assert calib._refine_radius(delta, 60, 60, 25.0, 5) == (25.0, "few_edge_annuli")
+        assert calib._refine_radius(delta, 60, 60, 25.0) == (25.0, "few_edge_annuli")
 
     def test_non_negative_slope(self):
         delta = radial_image((120, 120), 60, 60, lambda r: np.where(r < 36, 0.3 * r, 0))
-        assert calib._refine_radius(delta, 60, 60, 25.0, 5) == (25.0, "non_negative_slope")
+        assert calib._refine_radius(delta, 60, 60, 25.0) == (25.0, "non_negative_slope")
 
     def test_root_outside_band(self):
         # The band runs past the image, so no tail annuli reference the floor.
         delta = radial_image((40, 40), 20, 20, lambda r: 9.0 - 0.05 * r)
-        assert calib._refine_radius(delta, 20, 20, 25.0, 5) == (25.0, "root_outside_band")
+        assert calib._refine_radius(delta, 20, 20, 25.0) == (25.0, "root_outside_band")
 
     def test_detected_circle_carries_its_source(self, geom, optical, uniform_illum,
                                                 flat_reference):

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +88,7 @@ class TestRunConfig:
     def test_non_object_config_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
-        with pytest.raises(ValueError, match="JSON object"):
+        with pytest.raises(fileio.FormatError, match="expected a JSON object"):
             RunConfig.load(path)
 
     def test_integer_accepted_for_float_key(self, tmp_path):
@@ -434,3 +437,88 @@ class TestMain:
         assert manifest["seed"] == 11
         assert manifest["scheme"] == "s2"
         assert len(manifest["frames"]) == 2
+
+    def test_truncated_config_exit_one_naming_the_file(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"seed": 1,\n')
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert f"tacsense simulate: {config}: Expecting property name" in err
+        assert not out.exists()
+
+
+class TestFlags:
+    """Each command takes only the flags it reads; argparse refuses the rest."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--method"),
+        *[("calibrate", f) for f in ("--scheme", "--thickness", "--noise")],
+        *[("reconstruct", f) for f in ("--seed", "--method", "--scheme",
+                                       "--thickness", "--noise")],
+        ("evaluate", "--method"), ("evaluate", "--scheme"),
+        *[("track", f) for f in ("--seed", "--method", "--scheme", "--thickness",
+                                 "--noise")],
+    ])
+    def test_unread_flag_exit_two_without_output(self, tmp_path, capsys,
+                                                 command, flag):
+        value = {"--method": "regression", "--scheme": "s2"}.get(flag, "3")
+        run_args = {"calibrate": ["--run", "r"],
+                    "reconstruct": ["--run", "r", "--calib", "c"],
+                    "track": ["--run", "r", "--calib", "c"]}.get(command, [])
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *run_args, "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--frames", "3"], "argument --frames: requires --object"),
+        (["--step-deg", "2"], "argument --step-deg: requires --object"),
+        (["--object", "hex_nut", "--presses", "7"],
+         "argument --presses: not allowed with --object"),
+        (["--object", "star", "--ball-radius", "9"],
+         "argument --ball-radius: not allowed with --object"),
+        (["--object", "slab", "--placement", "random"],
+         "argument --placement: not allowed with --object"),
+    ])
+    def test_simulate_modes_refuse_each_others_flags(self, tmp_path, capsys,
+                                                     args, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--out", str(out), *args])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sequence_flags_reach_the_run(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--out", str(out), "--object", "hex_nut",
+                         "--frames", "2", "--step-deg", "10"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        angles = [pose_from_list(f["pose"]).rotation_angle_deg()
+                  for f in manifest["frames"]]
+        assert angles == pytest.approx([0.0, 10.0], abs=1e-6)
+
+
+def test_benchmark_cli_calls_exit_zero(tmp_path, monkeypatch):
+    """The simulate and reconstruct argv of perfbench's batch_reconstruct.
+
+    Its set-up and one operation are run as they are, so a flag cut that
+    breaks the benchmark's CLI calls fails here.
+    """
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    bench = workloads.BatchReconstruct()
+    state = bench.setup([11, 12], tmp_path)
+    op = bench.op(state, 0)
+    assert op.frames == workloads.BATCH_FRAMES_PER_RUN
+    assert (tmp_path / "out_0" / "timings.json").exists()
