@@ -12,16 +12,15 @@ import argparse
 import numpy as np
 
 from tacsense import calib, cli, recon, sim
-from tacsense.core import SensorGeometry
-from tacsense.pose import Pose, track_pose
+from tacsense.core import Pose, SensorGeometry
+from tacsense.pose import track_pose
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--frames", type=int, default=12)
     parser.add_argument("--step-deg", type=float, default=5.0)
-    parser.add_argument("--object", default="hex_nut",
-                        choices=["slab", "ball_array", "star", "hex_nut"])
+    parser.add_argument("--object", default="hex_nut", choices=sim.OBJECT_KINDS)
     parser.add_argument("--noise", type=float, default=0.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()

@@ -1,31 +1,3 @@
 """Closed-loop tactile sensing stack: simulation, calibration, reconstruction, pose tracking."""
 
-from .core import (
-    CameraModel,
-    Cylinder,
-    DepthMap,
-    DifferenceImage,
-    GrayImage,
-    Planar,
-    PointCloud,
-    RgbImage,
-    SensorError,
-    SensorGeometry,
-    Sphere,
-    gray_from_rgb,
-    image_mean_std,
-    pixel_to_surface,
-    surface_grid,
-)
-from .pose import IcpReport, Pose, icp, track_pose
-from .sim import IlluminationField, OpticalModel
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CameraModel", "Cylinder", "DepthMap", "DifferenceImage", "GrayImage",
-    "IcpReport", "IlluminationField", "OpticalModel", "Planar", "PointCloud",
-    "Pose", "RgbImage", "SensorError", "SensorGeometry", "Sphere",
-    "gray_from_rgb", "icp", "image_mean_std", "pixel_to_surface",
-    "surface_grid", "track_pose", "__version__",
-]

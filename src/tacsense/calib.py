@@ -7,10 +7,8 @@ Either one is stored as a JSON calibration file.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -30,7 +28,7 @@ from .core import (
     pixel_box,
     pixel_to_surface,
 )
-from .fileio import FormatError, check_fields, read_json
+from .fileio import FormatError, check_fields, read_json, write_json
 from .sim import sphere_press_depth
 
 CALIB_FORMAT = "tacsense-calib-v1"
@@ -85,7 +83,8 @@ class MappingList:
             raise ValueError("max_calibrated out of range")
         object.__setattr__(self, "depths", _freeze(d))
 
-    def lookup(self, deltas: np.ndarray) -> np.ndarray:
+    def depth(self, deltas: np.ndarray) -> np.ndarray:
+        """Depth in mm of each integer intensity difference, by table lookup."""
         deltas = np.asarray(deltas)
         # uint8 differences index the table as they are, without an intp copy.
         return self.depths[deltas if deltas.dtype == np.uint8
@@ -117,6 +116,10 @@ class RegressionModel:
             slopes.flags.writeable = False
             self._slope_fields[shape] = slopes
         return slopes
+
+    def depth(self, deltas: np.ndarray) -> np.ndarray:
+        """Depth in mm of each pixel of a difference image."""
+        return self.slope_field(deltas.shape) * deltas
 
 
 def fit_circle_kasa(us: np.ndarray, vs: np.ndarray) -> tuple[float, float, float]:
@@ -383,7 +386,7 @@ def save_calibration(path, model: MappingList | RegressionModel,
                                         "center_u": model.center_u,
                                         "center_v": model.center_v}
     payload = {"format": CALIB_FORMAT, "method": method, "thickness": thickness}
-    Path(path).write_text(json.dumps({**payload, **fields}))
+    write_json(path, {**payload, **fields})
 
 
 # Keys of each method's model in a calibration file; see fileio.check_fields.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import shutil
@@ -18,8 +17,8 @@ import numpy as np
 from . import fileio, recon, sim
 from .calib import (calibrate_regression, calibrate_single, load_calibration,
                     save_calibration)
-from .core import GrayImage, SensorError, SensorGeometry, image_mean_std
-from .pose import Pose, track_pose
+from .core import GrayImage, Pose, SensorError, SensorGeometry, image_mean_std
+from .pose import track_pose
 
 RUN_FORMAT = "tacsense-run-v1"
 
@@ -110,7 +109,6 @@ class RunConfig:
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, object_kind: str | None = None,
                  n_frames: int = 12, step_deg: float = 5.0) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     rig = sim.BallPressRig(cfg.geometry(), cfg.optical(), cfg.illumination(),
                            cfg.noise_sigma, np.random.default_rng(cfg.seed))
     fileio.write_pgm(out_dir / "reference.pgm", rig.reference)
@@ -149,7 +147,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, object_kind: str | None = None,
             write_frame(frame.image, frame.depth, pose=_pose_to_list(frame.pose),
                         in_field=frame.in_field)
     manifest["frames"] = frames
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    fileio.write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
@@ -240,7 +238,6 @@ def cmd_calibrate(cfg: RunConfig, run_dir: Path, out_path: Path) -> None:
         model = calibrate_regression(diffs, ball_radius, run.geom,
                                      run.manifest["scheme"],
                                      np.random.default_rng(cfg.seed))
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     save_calibration(out_path, model, run.manifest["optical"]["thickness"])
 
 
@@ -269,18 +266,17 @@ def cmd_reconstruct(cfg: RunConfig, run_dir: Path, calib_path: Path,
     run = Run.load(run_dir)
     pipeline = run.pipeline(calib_path, cfg.gaussian_sigma)
     timings = []
-    with staged_output(out_dir) as stage:
-        for i, (diff, stage_ms) in enumerate(run.differences()):
-            depth = recon.depth_from_difference(diff, pipeline, stage_ms)
-            cloud = recon.timed(stage_ms, "pointcloud_ms", recon.depth_to_pointcloud,
-                                depth, run.geom)
-            recon.timed(stage_ms, "write_depth_ms", fileio.write_depth,
-                        stage / f"depth_{i:03d}.dtd", depth)
-            recon.timed(stage_ms, "write_ply_ms", fileio.write_ply,
-                        stage / f"cloud_{i:03d}.ply", cloud)
-            timings.append(stage_ms)
-        report = {"frames": len(timings), "timings_ms": timings}
-        (stage / "timings.json").write_text(json.dumps(report, indent=2))
+    for i, (diff, stage_ms) in enumerate(run.differences()):
+        depth = recon.depth_from_difference(diff, pipeline, stage_ms)
+        cloud = recon.timed(stage_ms, "pointcloud_ms", recon.depth_to_pointcloud,
+                            depth, run.geom)
+        recon.timed(stage_ms, "write_depth_ms", fileio.write_depth,
+                    out_dir / f"depth_{i:03d}.dtd", depth)
+        recon.timed(stage_ms, "write_ply_ms", fileio.write_ply,
+                    out_dir / f"cloud_{i:03d}.ply", cloud)
+        timings.append(stage_ms)
+    report = {"frames": len(timings), "timings_ms": timings}
+    fileio.write_json(out_dir / "timings.json", report)
     return report
 
 
@@ -348,9 +344,8 @@ def format_eval_table(report: dict) -> str:
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = run_evaluation(cfg)
-    (out_dir / "eval_report.json").write_text(json.dumps(report, indent=2))
+    fileio.write_json(out_dir / "eval_report.json", report)
     print(format_eval_table(report))
     return report
 
@@ -369,13 +364,14 @@ def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
     else:
         model_cloud = clouds[0]
     reports = track_pose(clouds, model_cloud)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # An empty frame's rmse is infinite, which JSON cannot hold: it is null.
     payload = {"format": "tacsense-track-v1",
-               "frames": [{"pose": _pose_to_list(r.pose), "rmse": r.rmse,
+               "frames": [{"pose": _pose_to_list(r.pose),
+                           "rmse": r.rmse if math.isfinite(r.rmse) else None,
                            "iterations": r.iterations, "converged": r.converged,
                            "inlier_fraction": r.inlier_fraction}
                           for r in reports]}
-    (out_dir / "track_report.json").write_text(json.dumps(payload, indent=2))
+    fileio.write_json(out_dir / "track_report.json", payload)
     return payload
 
 
@@ -435,21 +431,28 @@ def main(argv=None) -> int:
                      else ("frames", "step_deg")):
             if getattr(args, dest) is not None:
                 parser.error(f"argument --{dest.replace('_', '-')}: {rule} --object")
+        if args.frames is not None and args.frames < 0:
+            parser.error(f"argument --frames: {args.frames} must be >= 0")
+        if args.step_deg is not None and not math.isfinite(args.step_deg):
+            parser.error(f"argument --step-deg: {args.step_deg} must be finite")
     overrides = {key: getattr(args, key) for key in COMMANDS[args.command][1]}
     try:
         cfg = RunConfig.load(args.config, **overrides)
-        if args.command == "simulate":
-            sequence = {k: v for k, v in (("n_frames", args.frames),
-                                          ("step_deg", args.step_deg)) if v is not None}
-            cmd_simulate(cfg, args.out, object_kind=args.object, **sequence)
-        elif args.command == "calibrate":
-            cmd_calibrate(cfg, args.run, args.out / "calibration.json")
-        elif args.command == "reconstruct":
-            cmd_reconstruct(cfg, args.run, args.calib, args.out)
-        elif args.command == "evaluate":
-            cmd_evaluate(cfg, args.out)
-        elif args.command == "track":
-            cmd_track(cfg, args.run, args.calib, args.out, args.model_cloud)
+        # Every command writes into a stage: its output appears whole or not at all.
+        with staged_output(args.out) as out:
+            if args.command == "simulate":
+                sequence = {k: v for k, v in (("n_frames", args.frames),
+                                              ("step_deg", args.step_deg))
+                            if v is not None}
+                cmd_simulate(cfg, out, object_kind=args.object, **sequence)
+            elif args.command == "calibrate":
+                cmd_calibrate(cfg, args.run, out / "calibration.json")
+            elif args.command == "reconstruct":
+                cmd_reconstruct(cfg, args.run, args.calib, out)
+            elif args.command == "evaluate":
+                cmd_evaluate(cfg, out)
+            elif args.command == "track":
+                cmd_track(cfg, args.run, args.calib, out, args.model_cloud)
     except (SensorError, ValueError, OSError) as exc:
         print(f"tacsense {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -6,8 +6,9 @@ first element must be `vertex`, with scalar properties (char, uchar, short,
 ushort, int, uint, float, double and their sized aliases) that include x, y
 and z; other vertex properties and later elements are skipped.
 
-JSON files (run manifests, calibrations) are read by `read_json` and their
-keys checked by `check_fields`; errors name the file and the key path.
+JSON files (run manifests, calibrations, reports) are written by `write_json`
+and read by `read_json`, both strict JSON without NaN or infinities, and
+their keys checked by `check_fields`; errors name the file and the key path.
 """
 
 from __future__ import annotations
@@ -288,10 +289,26 @@ def read_ply(path) -> PointCloud:
     return PointCloud(points)
 
 
-def read_json(path) -> dict:
-    """A JSON file holding one object."""
+def write_json(path, payload) -> None:
+    """Strict JSON with 2-space indentation; NaN and infinities raise ValueError."""
     try:
-        payload = json.loads(Path(path).read_text())
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    Path(path).write_text(text)
+
+
+def read_json(path) -> dict:
+    """A strict JSON file holding one object: NaN, Infinity and numbers that
+    overflow a float (1e999) are refused."""
+    def finite(text: str) -> float:
+        if not math.isfinite(value := float(text)):
+            raise FormatError(f"{path}: {text} is not a finite number")
+        return value
+
+    try:
+        payload = json.loads(Path(path).read_text(), parse_float=finite,
+                             parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):

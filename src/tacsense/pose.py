@@ -9,9 +9,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from .core import DegenerateGeometryError, PointCloud, _freeze
+from .core import DegenerateGeometryError, PointCloud, Pose
 
-ORTHONORMAL_TOL = 1e-9
 # Neighbours per k-NN patch when estimating target normals.
 NORMAL_NEIGHBORS = 10
 # Smallest/largest eigenvalue ratio below which the point-to-plane system
@@ -19,57 +18,6 @@ NORMAL_NEIGHBORS = 10
 RANK_TOL = 1e-9
 # ICP drops pairs farther than this multiple of the median pair distance.
 REJECT_RATIO = 5.0
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Proper rigid transform: p -> rotation @ p + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if r.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if np.abs(r.T @ r - np.eye(3)).max() > ORTHONORMAL_TOL:
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
-            raise ValueError("rotation determinant is not +1")
-        object.__setattr__(self, "rotation", _freeze(r))
-        object.__setattr__(self, "translation", _freeze(t))
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def rot_z(cls, angle_deg: float, translation=(0.0, 0.0, 0.0)) -> "Pose":
-        a = math.radians(angle_deg)
-        c, s = math.cos(a), math.sin(a)
-        r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return cls(r, np.asarray(translation, dtype=np.float64))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points) @ self.rotation.T + self.translation
-
-    def compose(self, other: "Pose") -> "Pose":
-        """self after other: (self @ other)(p) = self(other(p))."""
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
-
-    def inverse(self) -> "Pose":
-        return Pose(self.rotation.T, -self.rotation.T @ self.translation)
-
-    def rotation_angle_deg(self) -> float:
-        """Magnitude of the rotation, in degrees."""
-        c = (np.trace(self.rotation) - 1.0) / 2.0
-        return math.degrees(math.acos(min(1.0, max(-1.0, c))))
-
-    def z_angle_deg(self) -> float:
-        """In-plane rotation about z, in degrees."""
-        return math.degrees(math.atan2(self.rotation[1, 0], self.rotation[0, 0]))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .calib import MappingList, RegressionModel
 from .core import (
     CameraModel,
     Cylinder,
@@ -23,6 +23,9 @@ from .core import (
     SurfaceShape,
     surface_grid,
 )
+
+if TYPE_CHECKING:
+    from .calib import MappingList, RegressionModel
 
 CONTACT_MIN_DEPTH = 0.05  # mm; shallower pixels are not in contact
 PLATEAU_FRAC = 0.92       # rim pixels are shallower than this share of the deepest
@@ -105,12 +108,8 @@ def difference(reference: GrayImage, contact: GrayImage) -> DifferenceImage:
 
 
 def map_depth(diff: DifferenceImage, config: PipelineConfig) -> DepthMap:
-    """Intensity-to-depth mapping by table lookup or the radial linear model."""
-    model = config.model
-    if isinstance(model, MappingList):
-        depth = model.lookup(diff.pixels)
-    else:
-        depth = model.slope_field(diff.pixels.shape) * diff.pixels
+    """The calibration model's depth per pixel, clipped to the layer."""
+    depth = config.model.depth(diff.pixels)
     return DepthMap(np.clip(depth, 0.0, config.depth_clamp, out=depth))
 
 

@@ -14,9 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DepthMap, GrayImage, SensorGeometry, _freeze, average_frames,
+from .core import (DepthMap, GrayImage, Pose, SensorGeometry, _freeze, average_frames,
                    mask_box, pixel_box, surface_axis, surface_grid)
-from .pose import Pose
 
 SCHEMES = ("standard", "s1", "s2", "s3", "s4")
 PLACEMENTS = ("center", "random")

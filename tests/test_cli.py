@@ -23,6 +23,7 @@ def pose_from_list(values) -> Pose:
 def press_run(tmp_path_factory):
     """A deterministic noiseless ball-press run shared by the CLI tests."""
     out = tmp_path_factory.mktemp("run") / "presses"
+    out.mkdir()
     cfg = RunConfig(seed=7, presses=8, placement="random")
     manifest = cli.cmd_simulate(cfg, out)
     return out, manifest
@@ -71,7 +72,6 @@ class TestRunConfig:
         ({"method": "spline"}, "'method': unknown method 'spline'"),
         ({"thickness": 0}, "'thickness': value 0 must be finite and > 0"),
         ({"noise_sigma": -1.0}, "'noise_sigma': value -1.0 must be finite and >= 0"),
-        ({"gain": float("nan")}, "'gain': value nan"),
         ({"presses": -1}, "'presses': value -1"),
         ({"frames_per_press": 0}, "'frames_per_press': value 0"),
     ])
@@ -84,6 +84,10 @@ class TestRunConfig:
     def test_bad_flag_override_rejected(self):
         with pytest.raises(ValueError, match="'seed'"):
             RunConfig.load(None, seed=-3)
+
+    def test_non_finite_override_names_the_key(self):
+        with pytest.raises(ValueError, match="'thickness': value nan"):
+            RunConfig.load(None, thickness=float("nan"))
 
     def test_non_object_config_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -122,6 +126,7 @@ class TestSimulate:
     def test_same_seed_is_bit_identical(self, press_run, tmp_path):
         run_dir, manifest = press_run
         again = tmp_path / "again"
+        again.mkdir()
         cli.cmd_simulate(RunConfig(seed=7, presses=8, placement="random"), again)
         for frame in manifest["frames"]:
             a = (run_dir / frame["image"]).read_bytes()
@@ -130,6 +135,7 @@ class TestSimulate:
 
     def test_sequence_run_records_poses(self, tmp_path):
         out = tmp_path / "seq"
+        out.mkdir()
         manifest = cli.cmd_simulate(RunConfig(), out, object_kind="hex_nut",
                                     n_frames=3, step_deg=5.0)
         assert manifest["kind"] == "sequence"
@@ -155,6 +161,7 @@ class TestCalibrate:
 
     def test_sequence_run_rejected(self, tmp_path):
         seq = tmp_path / "seq"
+        seq.mkdir()
         cli.cmd_simulate(RunConfig(), seq, object_kind="slab", n_frames=1)
         with pytest.raises(ValueError, match="ball-press run"):
             cli.cmd_calibrate(RunConfig(method="single"), seq,
@@ -168,9 +175,11 @@ class TestCalibrate:
 
     def test_s4_regression_centre_is_the_study_corner(self, tmp_path):
         run_dir = tmp_path / "s4"
+        run_dir.mkdir()
         cli.cmd_simulate(RunConfig(seed=1, scheme="s4", presses=4,
                                    placement="random"), run_dir)
         out = tmp_path / "reg" / "calibration.json"
+        out.parent.mkdir()
         cli.cmd_calibrate(RunConfig(method="regression"), run_dir, out)
         payload = json.loads(out.read_text())
         assert (payload["center_u"], payload["center_v"]) == (579.0, 0.0)
@@ -186,6 +195,7 @@ class TestReconstruct:
     def test_outputs_per_frame(self, press_run, single_calib, tmp_path):
         run_dir, manifest = press_run
         out = tmp_path / "recon"
+        out.mkdir()
         report = cli.cmd_reconstruct(RunConfig(), run_dir, single_calib, out)
         n = len(manifest["frames"])
         assert report["frames"] == n
@@ -198,6 +208,7 @@ class TestReconstruct:
     def test_timings_include_io_stages(self, press_run, single_calib, tmp_path):
         run_dir, _ = press_run
         out = tmp_path / "recon"
+        out.mkdir()
         cli.cmd_reconstruct(RunConfig(), run_dir, single_calib, out)
         report = json.loads((out / "timings.json").read_text())
         for stages in report["timings_ms"]:
@@ -209,6 +220,7 @@ class TestReconstruct:
     def test_reconstruction_close_to_truth(self, press_run, single_calib, tmp_path):
         run_dir, manifest = press_run
         out = tmp_path / "recon"
+        out.mkdir()
         cli.cmd_reconstruct(RunConfig(), run_dir, single_calib, out)
         frame = manifest["frames"][0]
         truth = fileio.read_depth(run_dir / frame["truth"])
@@ -242,9 +254,11 @@ class TestEvaluate:
 class TestTrack:
     def test_static_sequence_tracks_identity(self, single_calib, tmp_path):
         seq = tmp_path / "seq"
+        seq.mkdir()
         cli.cmd_simulate(RunConfig(), seq, object_kind="hex_nut",
                          n_frames=3, step_deg=0.0)
         out = tmp_path / "track"
+        out.mkdir()
         payload = cli.cmd_track(RunConfig(), seq, single_calib, out)
         assert len(payload["frames"]) == 3
         for frame in payload["frames"]:
@@ -260,6 +274,7 @@ class TestMain:
     def test_track_small_model_cloud_exit_one(self, single_calib, tmp_path, capsys,
                                               points):
         seq = tmp_path / "seq"
+        seq.mkdir()
         cli.cmd_simulate(RunConfig(), seq, object_kind="hex_nut", n_frames=2)
         model_cloud = tmp_path / "model.ply"
         fileio.write_ply(model_cloud, PointCloud(np.zeros((points, 3))))
@@ -438,6 +453,51 @@ class TestMain:
         assert manifest["scheme"] == "s2"
         assert len(manifest["frames"]) == 2
 
+    def test_track_empty_frames_write_null_rmse(self, single_calib, tmp_path):
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--out", str(run_dir), "--presses", "2",
+                         "--ball-radius", "1e-9"]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["track", "--run", str(run_dir), "--calib",
+                         str(single_calib), "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads((out / "track_report.json").read_text(),
+                             parse_constant=refuse)
+        assert [f["rmse"] for f in payload["frames"]] == [None, None]
+        assert not any(f["converged"] for f in payload["frames"])
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_output_as_it_was(self, tmp_path, capsys,
+                                                  monkeypatch, existing):
+        out = tmp_path / "run"
+        if existing:
+            assert cli.main(["simulate", "--out", str(out), "--presses", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else None
+        calls = []
+        write_pgm = fileio.write_pgm
+
+        def failing_write_pgm(path, img):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(f"{path}: disk full")
+            write_pgm(path, img)
+
+        monkeypatch.setattr(fileio, "write_pgm", failing_write_pgm)
+        code = cli.main(["simulate", "--out", str(out), "--presses", "3",
+                         "--seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "disk full" in err
+        assert len(calls) == 3
+        if existing:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        else:
+            assert not out.exists()
+
     def test_truncated_config_exit_one_naming_the_file(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text('{"seed": 1,\n')
@@ -484,6 +544,14 @@ class TestFlags:
          "argument --ball-radius: not allowed with --object"),
         (["--object", "slab", "--placement", "random"],
          "argument --placement: not allowed with --object"),
+        (["--object", "hex_nut", "--step-deg", "nan"],
+         "argument --step-deg: nan must be finite"),
+        (["--object", "hex_nut", "--step-deg", "inf"],
+         "argument --step-deg: inf must be finite"),
+        (["--object", "hex_nut", "--step-deg=-inf"],
+         "argument --step-deg: -inf must be finite"),
+        (["--object", "hex_nut", "--frames", "-2"],
+         "argument --frames: -2 must be >= 0"),
     ])
     def test_simulate_modes_refuse_each_others_flags(self, tmp_path, capsys,
                                                      args, message):

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -118,6 +121,29 @@ def ply_file(tmp_path, content, name="c.ply"):
 
 ASCII_XYZ = "ply\nformat ascii 1.0\n" + XYZ_HEADER.format(n=3)  # 100 bytes
 BINARY_XYZ = "ply\nformat binary_little_endian 1.0\n" + XYZ_HEADER.format(n=2)
+
+
+class TestJson:
+    def test_round_trip_with_two_space_indent(self, tmp_path):
+        path = tmp_path / "a.json"
+        fileio.write_json(path, {"a": [1, 2.5], "b": None})
+        assert path.read_text().startswith('{\n  "a": [\n')
+        assert fileio.read_json(path) == {"a": [1, 2.5], "b": None}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_refused_before_writing(self, tmp_path, value):
+        path = tmp_path / "a.json"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range")):
+            fileio.write_json(path, {"rmse": [0.5, value]})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_constant_refused_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "a.json"
+        path.write_text(f'{{"rmse": [0.5, {text}]}}')
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{path}: {text} is not a finite number")):
+            fileio.read_json(path)
 
 
 class TestPly:

@@ -95,6 +95,15 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("rotation, translation", [
+        (np.full((3, 3), np.nan), np.zeros(3)),
+        (np.eye(3), [0.0, math.inf, 0.0]),
+        (np.eye(3), [math.nan, 0.0, 0.0]),
+    ])
+    def test_non_finite_pose_rejected(self, rotation, translation):
+        with pytest.raises(ValueError, match="non-finite"):
+            Pose(rotation, translation)
+
     @given(st.floats(-179.0, 179.0))
     def test_rot_z_angle_round_trip(self, angle):
         assert Pose.rot_z(angle).z_angle_deg() == pytest.approx(angle, abs=1e-9)

@@ -167,7 +167,7 @@ class TestSlopeFieldCache:
         deltas = np.array([[0, 1, 7], [80, 200, 255]])
         expected = model.depths[deltas]
         for dtype in (np.uint8, np.int64, np.float64):
-            assert np.array_equal(model.lookup(deltas.astype(dtype)), expected)
+            assert np.array_equal(model.depth(deltas.astype(dtype)), expected)
 
 
 class TestGaussianDenoise:
