@@ -80,8 +80,11 @@ class RunConfig:
             if f.type == "str":
                 continue
             positive = f.name in _CONFIG_POSITIVE
-            if (isinstance(value, float) and not math.isfinite(value)) or not (
-                    value > 0 if positive else value >= 0):
+            try:
+                finite = f.type == "int" or math.isfinite(value)
+            except OverflowError:  # a JSON integer too large for a float
+                finite = False
+            if not finite or not (value > 0 if positive else value >= 0):
                 raise ValueError(f"config key {f.name!r}: value {value!r} must be "
                                  f"finite and {'> 0' if positive else '>= 0'}")
 
@@ -245,10 +248,11 @@ def cmd_calibrate(cfg: RunConfig, run_dir: Path, out_path: Path) -> None:
 def staged_output(out_dir: Path):
     """A fresh directory whose files move into `out_dir` if the block succeeds.
 
-    If it fails, `out_dir` is left as it was: none of the block's files
-    appear there, and a directory created for them is removed again.
+    If it fails, the file tree is left as it was: none of the block's files
+    appear in `out_dir`, and the directories created for them, `out_dir` and
+    its missing parents, are removed again.
     """
-    created = not out_dir.exists()
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
     try:
@@ -257,8 +261,10 @@ def staged_output(out_dir: Path):
             os.replace(path, out_dir / path.name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-        if created and not any(out_dir.iterdir()):
-            out_dir.rmdir()
+        for directory in created:  # deepest first
+            if any(directory.iterdir()):
+                break
+            directory.rmdir()
 
 
 def cmd_reconstruct(cfg: RunConfig, run_dir: Path, calib_path: Path,

@@ -253,9 +253,14 @@ SurfaceShape = Planar | Sphere | Cylinder
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Set of 3-D points in mm, shape (n, 3)."""
+    """Set of 3-D points in mm, shape (n, 3), with an optional normal per point.
+
+    `normals`, if given, has the points' shape; a cloud sampled from a depth
+    map carries them so that ICP need not estimate them again.
+    """
 
     points: np.ndarray
+    normals: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=np.float64)
@@ -264,6 +269,14 @@ class PointCloud:
         if not np.all(np.isfinite(p)):
             raise ValueError("point cloud contains non-finite coordinates")
         object.__setattr__(self, "points", _freeze(p))
+        if self.normals is not None:
+            n = np.asarray(self.normals, dtype=np.float64)
+            if n.shape != p.shape:
+                raise ValueError(f"normals must have the points' shape {p.shape}, "
+                                 f"got {n.shape}")
+            if not np.all(np.isfinite(n)):
+                raise ValueError("point cloud contains non-finite normals")
+            object.__setattr__(self, "normals", _freeze(n))
 
     def __len__(self) -> int:
         return self.points.shape[0]

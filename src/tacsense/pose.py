@@ -155,10 +155,12 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
         max_iter: int = 50, tol_mm: float = 1e-5) -> IcpReport:
     """Guarded point-to-plane ICP aligning `source` onto `target`.
 
-    Target normals are estimated once by k-NN PCA. Each iteration pairs
-    every moved source point with its nearest target point, drops pairs
-    farther than REJECT_RATIO times the median pair distance, and takes a
-    linearised point-to-plane step. The guard re-matches after the step:
+    Target normals are the target's own (`PointCloud.normals`, as a rim
+    cloud carries them from its depth map), else estimated once by k-NN
+    PCA. Each iteration pairs every moved source point with its nearest
+    target point, drops pairs farther than REJECT_RATIO times the median
+    pair distance, and takes a linearised point-to-plane step. The guard
+    re-matches after the step:
     if the inlier RMSE rose, or the plane system was rank-deficient (e.g. a
     planar target), the closed-form SVD point-to-point step from the same
     pairs is taken instead. If that too raises the inlier RMSE, the pose is
@@ -179,7 +181,8 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
     if len(source) == 0 or len(target) == 0:
         raise ValueError("ICP requires non-empty clouds")
     tree = cKDTree(target.points)
-    normals = estimate_normals(target.points, tree)
+    normals = (target.normals if target.normals is not None
+               else estimate_normals(target.points, tree))
 
     def match(candidate: Pose):
         """(candidate, nearest target index per source point, inlier mask, inlier RMSE)."""

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from tacsense import recon
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
@@ -50,3 +52,9 @@ def test_every_declared_workload_imports(load):
     workloads = load("workloads")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert sorted(workloads.WORKLOADS) == sorted(w["name"] for w in spec["workloads"])
+
+
+def test_live_track_cap_is_the_rim_cloud_cap(load):
+    # A rim cloud within the cap reaches pose.icp with its depth-map normals;
+    # were live_track to restride it, ICP would fall back to k-NN normals.
+    assert load("workloads").MAX_TRACK_POINTS == recon.MAX_ICP_POINTS

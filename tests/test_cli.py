@@ -74,6 +74,7 @@ class TestRunConfig:
         ({"noise_sigma": -1.0}, "'noise_sigma': value -1.0 must be finite and >= 0"),
         ({"presses": -1}, "'presses': value -1"),
         ({"frames_per_press": 0}, "'frames_per_press': value 0"),
+        ({"gain": 10 ** 400}, "'gain': value 1000"),
     ])
     def test_bad_value_names_the_key(self, tmp_path, values, message):
         path = tmp_path / "cfg.json"
@@ -508,6 +509,35 @@ class TestMain:
         assert len(err.strip().splitlines()) == 1
         assert f"tacsense simulate: {config}: Expecting property name" in err
         assert not out.exists()
+
+
+    def test_config_integer_too_large_for_a_float_exit_one(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"gain": 1' + "0" * 400 + "}")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "config key 'gain'" in err and "must be finite and > 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("existing", ["", "a", "a/b"])
+    def test_failed_command_removes_the_parents_it_created(self, tmp_path, capsys,
+                                                          existing):
+        (tmp_path / "tree" / existing).mkdir(parents=True)
+        (tmp_path / "tree" / existing / "keep.txt").write_text("kept")
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        code = cli.main(["calibrate", "--run", str(tmp_path / "missing"),
+                         "--out", str(tmp_path / "tree" / "a" / "b" / "c")])
+        capsys.readouterr()
+        assert code == 1
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+    def test_successful_command_keeps_the_parents_it_created(self, tmp_path):
+        out = tmp_path / "a" / "b" / "run"
+        assert cli.main(["simulate", "--out", str(out), "--presses", "1"]) == 0
+        assert (out / "manifest.json").exists()
 
 
 class TestFlags:

@@ -9,6 +9,7 @@ from tacsense.core import (
     DifferenceImage,
     GeometryError,
     GrayImage,
+    PointCloud,
     RgbImage,
     SensorGeometry,
     gray_from_rgb,
@@ -141,3 +142,22 @@ class TestTypeInvariants:
         img = GrayImage(np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
+
+    @pytest.mark.parametrize("normals, message", [
+        (np.zeros((4, 3)), "normals must have the points' shape (5, 3), got (4, 3)"),
+        (np.zeros((5, 2)), "normals must have the points' shape (5, 3), got (5, 2)"),
+        (np.full((5, 3), np.nan), "point cloud contains non-finite normals"),
+        (np.full((5, 3), np.inf), "point cloud contains non-finite normals"),
+    ])
+    def test_point_cloud_rejects_bad_normals(self, normals, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PointCloud(np.zeros((5, 3)), normals)
+
+    def test_point_cloud_normals_are_read_only_copies(self):
+        normals = np.tile([0.0, 0.0, 1.0], (5, 1))
+        cloud = PointCloud(np.zeros((5, 3)), normals)
+        normals[0] = 1.0
+        assert np.array_equal(cloud.normals, np.tile([0.0, 0.0, 1.0], (5, 1)))
+        with pytest.raises(ValueError):
+            cloud.normals[0, 0] = 1.0
+        assert PointCloud(np.zeros((5, 3))).normals is None

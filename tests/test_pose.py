@@ -294,6 +294,34 @@ class TestIcp:
         assert report.inlier_fraction == pytest.approx(200 / 220)
         assert report.rmse < 1e-9
 
+    def test_target_normals_replace_the_estimate(self, monkeypatch):
+        src = graph_surface(400, seed=26)
+        true = small_motion(np.random.default_rng(27), 4.0, 0.2)
+        moved = true.apply(src.points)
+        estimated = estimate_normals(moved, cKDTree(moved))
+        plain = icp(src, PointCloud(moved))
+
+        def refuse(*args):
+            raise AssertionError("estimate_normals called for a cloud with normals")
+
+        monkeypatch.setattr(pose_module, "estimate_normals", refuse)
+        given = icp(src, PointCloud(moved, estimated))
+        assert np.array_equal(given.pose.rotation, plain.pose.rotation)
+        assert np.array_equal(given.pose.translation, plain.pose.translation)
+        assert ((given.rmse, given.iterations, given.converged, given.inlier_fraction)
+                == (plain.rmse, plain.iterations, plain.converged,
+                    plain.inlier_fraction))
+
+    def test_rim_clouds_track_without_estimating_normals(self, hex_nut_rims,
+                                                         monkeypatch):
+        def refuse(*args):
+            raise AssertionError("estimate_normals called for a rim cloud")
+
+        monkeypatch.setattr(pose_module, "estimate_normals", refuse)
+        assert all(cloud.normals is not None for cloud in hex_nut_rims)
+        reports = track_pose(hex_nut_rims, hex_nut_rims[0])
+        assert all(report.converged for report in reports)
+
     def test_hex_nut_rim_sequence_converges_within_ten_iterations(self, hex_nut_rims):
         reports = track_pose(hex_nut_rims, hex_nut_rims[0])
         for k, report in enumerate(reports):

@@ -16,6 +16,7 @@ from tacsense.core import (
     Planar,
     SensorGeometry,
     Sphere,
+    surface_axis,
     surface_grid,
 )
 
@@ -246,24 +247,105 @@ class TestFullPipeline:
         assert np.array_equal(a.data, b.data)
 
 
+SMALL_GEOM = SensorGeometry(crop_size=240, field_mm=24.0)
+IDENTITY_MODEL = calib.RegressionModel(k_c=0.0, b_c=1.0, center_u=0.0, center_v=0.0)
+
+
+def smooth_hex_nut(geom):
+    """A denoised hex-nut depth map: 5,472 rim pixels on 580 px, 2,260 on 240 px."""
+    truth = sim.synth_object_depth("hex_nut", geom, depth=0.6)
+    return recon.gaussian_denoise(truth, recon.PipelineConfig(model=IDENTITY_MODEL,
+                                                              geom=geom))
+
+
+def meshgrid_rim_points(depth, geom):
+    """The rim cloud as it was built before: masked meshgrids, then strided."""
+    xx, yy = surface_grid(geom)
+    d = depth.data
+    keep = (d > recon.CONTACT_MIN_DEPTH) & (d < recon.PLATEAU_FRAC * d.max())
+    points = np.column_stack([xx[keep], yy[keep], -d[keep]])
+    if len(points) <= recon.MAX_ICP_POINTS:
+        return points
+    return points[::-(-len(points) // recon.MAX_ICP_POINTS)]
+
+
 class TestPointCloud:
     def test_full_cloud_one_point_per_pixel(self, geom):
         depth = DepthMap(np.zeros((geom.crop_size,) * 2))
         cloud = recon.depth_to_pointcloud(depth, geom)
         assert len(cloud) == geom.crop_size ** 2
 
+    @pytest.mark.parametrize("shape_geom", [SensorGeometry(), SMALL_GEOM])
+    def test_columns_equal_the_meshgrid_construction(self, shape_geom):
+        depth = DepthMap(np.random.default_rng(3).uniform(
+            0.0, 2.0, (shape_geom.crop_size,) * 2))
+        xx, yy = surface_grid(shape_geom)
+        expected = np.column_stack([xx.ravel(), yy.ravel(), -depth.data.ravel()])
+        points = recon.depth_to_pointcloud(depth, shape_geom).points
+        assert points.tobytes() == expected.tobytes()
+
 
 class TestRimPointCloud:
     def test_keeps_slope_drops_plateau_and_background(self, geom):
-        truth = sim.synth_object_depth("hex_nut", geom, depth=0.6)
-        cfg = recon.PipelineConfig(model=calib.RegressionModel(
-            k_c=0.0, b_c=1.0, center_u=0.0, center_v=0.0), geom=geom)
-        smooth = recon.gaussian_denoise(truth, cfg)
+        smooth = smooth_hex_nut(geom)
         cloud = recon.depth_rim_pointcloud(smooth, geom)
         depths = -cloud.points[:, 2]
         assert len(cloud) > 0
         assert depths.min() > 0.05
         assert depths.max() < 0.92 * smooth.data.max()
+
+    @pytest.mark.parametrize("shape_geom, rim_pixels, points", [
+        (SensorGeometry(), 5472, 2736), (SMALL_GEOM, 2260, 2260)])
+    def test_points_equal_the_strided_meshgrid_rim(self, shape_geom, rim_pixels,
+                                                   points):
+        smooth = smooth_hex_nut(shape_geom)
+        d = smooth.data
+        rim = (d > recon.CONTACT_MIN_DEPTH) & (d < recon.PLATEAU_FRAC * d.max())
+        assert rim.sum() == rim_pixels
+        cloud = recon.depth_rim_pointcloud(smooth, shape_geom)
+        expected = meshgrid_rim_points(smooth, shape_geom)
+        assert len(cloud) == points
+        assert cloud.points.tobytes() == expected.tobytes()
+
+    def test_reconstruct_cloud_is_the_rim_of_the_depth(self, geom, optical,
+                                                       uniform_illum, flat_reference):
+        cfg = recon.PipelineConfig(model=make_lookup_model(optical), geom=geom,
+                                   depth_clamp=optical.thickness)
+        truth = sim.synth_object_depth("hex_nut", geom, depth=0.6)
+        diff = recon.difference(flat_reference,
+                                sim.render_tactile(truth, optical, uniform_illum))
+        cloud = recon.reconstruct_cloud(diff, cfg)
+        depth = recon.depth_from_difference(diff, cfg)
+        assert len(cloud) <= recon.MAX_ICP_POINTS
+        assert cloud.points.tobytes() == meshgrid_rim_points(depth, geom).tobytes()
+        assert cloud.normals is not None
+
+    def test_normals_match_the_sphere_away_from_the_contact_edge(self, geom):
+        radius, d_max, center = 4.0, 1.5, (2.0, -1.5)
+        cap = sim.sphere_press_depth(geom, radius, d_max, center=center)
+        cloud = recon.depth_rim_pointcloud(cap, geom)
+        assert np.abs(np.linalg.norm(cloud.normals, axis=1) - 1.0).max() <= 1e-12
+        # The ball's centre is radius - d_max above the undeformed surface;
+        # the normal of z = -depth points from the surface toward it.
+        ball = np.array([*center, radius - d_max])
+        toward = (ball - cloud.points) / radius
+        contact_radius = math.sqrt(2.0 * radius * d_max - d_max ** 2)
+        inner = np.hypot(*(cloud.points[:, :2] - center).T) < 0.95 * contact_radius
+        assert inner.sum() > 1000
+        cos = np.sum(cloud.normals[inner] * toward[inner], axis=1)
+        assert np.degrees(np.arccos(np.minimum(cos, 1.0))).max() <= 0.02
+
+    def test_normals_of_a_ramp_are_exact_up_to_the_border(self):
+        shape_geom = SensorGeometry(crop_size=60, field_mm=6.0)  # 3,600 px: no stride
+        axis = np.arange(shape_geom.crop_size) * shape_geom.pixel_pitch
+        depth = DepthMap(0.1 + 0.03 * axis[None, :] + 0.02 * axis[:, None])
+        cloud = recon.depth_rim_pointcloud(depth, shape_geom)
+        expected = np.array([0.03, 0.02, 1.0]) / math.sqrt(0.03 ** 2 + 0.02 ** 2 + 1)
+        # Border pixels take one-sided differences, which a ramp makes exact too.
+        border = surface_axis(shape_geom)[[0, -1]]
+        assert np.isin(border, cloud.points[:, 0]).all()
+        assert np.isin(border, cloud.points[:, 1]).all()
+        assert np.abs(cloud.normals - expected).max() <= 1e-12
 
 
 class TestRaycastProject:
