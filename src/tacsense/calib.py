@@ -203,7 +203,8 @@ def detect_contact_circle(diff: DifferenceImage) -> ContactCircle:
     # edge, where the erosion's border value counts off-image as inside, as
     # it does for the full frame.
     blob_rows, blob_cols = mask_box(blob_mask, pad=1)
-    vs, us = np.nonzero(_boundary_mask(blob_mask[blob_rows, blob_cols]))
+    boundary = _boundary_mask(blob_mask[blob_rows, blob_cols])
+    vs, us = np.divmod(np.flatnonzero(boundary), boundary.shape[1])
     if len(us) < MIN_BOUNDARY_PIXELS:
         raise InsufficientContactError(
             f"only {len(us)} boundary pixels, need {MIN_BOUNDARY_PIXELS}")
@@ -315,10 +316,11 @@ def collect_samples(diff: DifferenceImage, truth: DepthMap, circle: ContactCircl
         raise ValueError("difference image and truth depth map are not aligned")
     rows, cols = pixel_box(circle.center_u, circle.center_v, circle.radius,
                            diff.pixels.shape)
-    vs, us = np.nonzero((diff.pixels[rows, cols] >= 1) & (truth.data[rows, cols] > 0))
-    if len(us) > MAX_SAMPLES_PER_PRESS:
-        pick = rng.choice(len(us), size=MAX_SAMPLES_PER_PRESS, replace=False)
-        us, vs = us[pick], vs[pick]
+    sampled = (diff.pixels[rows, cols] >= 1) & (truth.data[rows, cols] > 0)
+    flat = np.flatnonzero(sampled)
+    if len(flat) > MAX_SAMPLES_PER_PRESS:
+        flat = flat[rng.choice(len(flat), size=MAX_SAMPLES_PER_PRESS, replace=False)]
+    vs, us = np.divmod(flat, sampled.shape[1])
     us, vs = us + cols.start, vs + rows.start
     deltas = diff.pixels[vs, us].astype(np.float64)
     depths = truth.data[vs, us]

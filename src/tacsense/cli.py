@@ -176,6 +176,7 @@ class Run:
     path: Path
     manifest: dict
     geom: SensorGeometry
+    optical: sim.OpticalModel
     reference: GrayImage
 
     @classmethod
@@ -188,22 +189,29 @@ class Run:
         fileio.check_fields(manifest_path, manifest, _MANIFEST_FIELDS)
         if manifest["kind"] == "presses":
             fileio.check_fields(manifest_path, manifest, _PRESS_MANIFEST_FIELDS)
+            if manifest["scheme"] not in sim.SCHEMES:
+                raise fileio.FormatError(
+                    f"{manifest_path}: scheme: unknown scheme {manifest['scheme']!r}; "
+                    f"expected one of {sim.SCHEMES}")
         if not manifest["frames"]:
             raise SensorError(f"{manifest_path}: run has no frames")
         for i, frame in enumerate(manifest["frames"]):
             fileio.check_fields(manifest_path, frame, {"image": "str"},
                                 at=f"frames[{i}]")
-        try:
-            geom = SensorGeometry(**manifest["geometry"])
-        except (TypeError, ValueError) as exc:
-            raise fileio.FormatError(f"{manifest_path}: geometry: {exc}") from None
+        models = {}
+        for key, build in (("geometry", SensorGeometry), ("optical", sim.OpticalModel)):
+            try:
+                models[key] = build(**manifest[key])
+            except (TypeError, ValueError) as exc:
+                raise fileio.FormatError(f"{manifest_path}: {key}: {exc}") from None
+        geom = models["geometry"]
         reference = fileio.read_pgm(run_dir / manifest["reference"])
         if reference.pixels.shape != (geom.crop_size, geom.crop_size):
             raise fileio.FormatError(
                 f"{manifest_path}: geometry.crop_size {geom.crop_size} does not "
                 f"match reference {manifest['reference']!r}, "
                 f"{reference.width}x{reference.height} px")
-        return cls(run_dir, manifest, geom, reference)
+        return cls(run_dir, manifest, geom, models["optical"], reference)
 
     def differences(self):
         """Yield (difference image, stage ms) per frame; errors name the frame."""
@@ -221,7 +229,7 @@ class Run:
     def pipeline(self, calib_path: Path, sigma: float) -> recon.PipelineConfig:
         """The depth pipeline of a calibration file made at this run's thickness."""
         model, thickness = load_calibration(calib_path)
-        run_thickness = self.manifest["optical"]["thickness"]
+        run_thickness = self.optical.thickness
         if thickness != run_thickness:
             raise SensorError(f"{calib_path}: calibration thickness {thickness} mm "
                               f"differs from the run's {run_thickness} mm")
@@ -241,7 +249,7 @@ def cmd_calibrate(cfg: RunConfig, run_dir: Path, out_path: Path) -> None:
         model = calibrate_regression(diffs, ball_radius, run.geom,
                                      run.manifest["scheme"],
                                      np.random.default_rng(cfg.seed))
-    save_calibration(out_path, model, run.manifest["optical"]["thickness"])
+    save_calibration(out_path, model, run.optical.thickness)
 
 
 @contextlib.contextmanager
@@ -364,11 +372,15 @@ def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
               for diff, _ in run.differences()]
     if model_cloud_path is not None:
         model_cloud = recon.subsample(fileio.read_ply(model_cloud_path))
-        if len(model_cloud) < 3:
-            raise SensorError(f"{model_cloud_path}: model cloud has "
-                              f"{len(model_cloud)} points, need at least 3")
+        source = model_cloud_path
     else:
-        model_cloud = clouds[0]
+        model_cloud, source = clouds[0], "frame 0"
+    # A run whose every frame is empty tracks nothing against frame 0, and
+    # reports each frame as not converged.
+    tracked = model_cloud_path is not None or any(len(c) >= 3 for c in clouds)
+    if tracked and len(model_cloud) < 3:
+        raise SensorError(f"{source}: model cloud has {len(model_cloud)} points, "
+                          f"need at least 3")
     reports = track_pose(clouds, model_cloud)
     # An empty frame's rmse is infinite, which JSON cannot hold: it is null.
     payload = {"format": "tacsense-track-v1",

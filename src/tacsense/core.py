@@ -1,4 +1,4 @@
-"""Shared domain types: images, depth maps, sensor geometry, camera, point clouds, poses."""
+"""Shared domain types: images, depth maps, sensor geometry, point clouds, poses."""
 
 from __future__ import annotations
 
@@ -190,29 +190,6 @@ def pixel_box(center_u: float, center_v: float, half: float,
         lo = min(max(math.floor(c - half) - 2, 0), n)
         return slice(lo, min(max(math.ceil(c + half) + 3, lo), n))
     return span(center_v, shape[0]), span(center_u, shape[1])
-
-
-@dataclass(frozen=True)
-class CameraModel:
-    """Pinhole intrinsics with Brown-Conrady radial/tangential distortion."""
-
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    k1: float = 0.0
-    k2: float = 0.0
-    k3: float = 0.0
-    p1: float = 0.0
-    p2: float = 0.0
-
-    def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0
 
 
 @dataclass(frozen=True)

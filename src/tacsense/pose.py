@@ -1,4 +1,4 @@
-"""Rigid pose estimation and tracking on point clouds via point-to-plane ICP."""
+"""Rigid pose estimation and tracking on point clouds via guarded ICP."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from scipy.spatial.transform import Rotation
 
 from .core import DegenerateGeometryError, PointCloud, Pose
 
-# Neighbours per k-NN patch when estimating target normals.
-NORMAL_NEIGHBORS = 10
 # Smallest/largest eigenvalue ratio below which the point-to-plane system
 # counts as rank-deficient.
 RANK_TOL = 1e-9
@@ -78,49 +76,6 @@ def best_rigid_transform(src: PointCloud, dst: PointCloud,
     return Pose(r, t)
 
 
-def estimate_normals(points: np.ndarray, tree: cKDTree) -> np.ndarray:
-    """Unit surface normal per point: least-variance axis of its k-NN patch.
-
-    The sign is arbitrary; a point-to-plane residual only uses the normal's
-    line. A patch with no least-variance axis (all points equal) gets a zero
-    normal, which gives its pairs no weight in the point-to-plane step.
-    """
-    k = min(NORMAL_NEIGHBORS, len(points))
-    _, idx = tree.query(points, k=k)
-    patch = points[idx.reshape(len(points), k)]
-    patch -= patch.mean(axis=1, keepdims=True)
-    return least_variance_axis(patch.transpose(0, 2, 1) @ patch)
-
-
-def least_variance_axis(cov: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the smallest eigenvalue of each symmetric 3x3 matrix.
-
-    Closed form for a stack of (n, 3, 3) matrices, several times faster than
-    a batched `eigh`: the smallest eigenvalue from the trigonometric solution
-    of the characteristic cubic (Smith 1961), then the eigenvector as the
-    longest cross product of two rows of cov - lambda I. Returns zero
-    vectors where that matrix is zero.
-    """
-    b, c, e = cov[:, 0, 1], cov[:, 0, 2], cov[:, 1, 2]
-    q = np.trace(cov, axis1=1, axis2=2) / 3.0
-    a, d, f = cov[:, 0, 0] - q, cov[:, 1, 1] - q, cov[:, 2, 2] - q
-    p = np.sqrt((a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)) / 6.0)
-    det = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
-    half_det = det / (2.0 * np.where(p > 0.0, p, 1.0) ** 3)
-    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
-    shift = 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
-    a, d, f = a - shift, d - shift, f - shift
-    crosses = np.array([[b * e - c * d, c * b - a * e, a * d - b * b],
-                        [b * f - c * e, c * c - a * f, a * e - b * c],
-                        [d * f - e * e, e * c - b * f, b * e - d * c]])
-    lengths = np.sqrt(np.sum(crosses ** 2, axis=1))
-    best = lengths.argmax(axis=0)
-    pick = np.arange(len(cov))
-    length = lengths[best, pick]
-    return (crosses[best, :, pick]
-            / np.where(length > 0.0, length, 1.0)[:, None])
-
-
 def point_to_plane_step(src: np.ndarray, dst: np.ndarray,
                         normals: np.ndarray) -> Pose | None:
     """Linearised point-to-plane update (Chen & Medioni 1992) for paired points.
@@ -153,20 +108,19 @@ def _rms(values: np.ndarray) -> float:
 
 def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
         max_iter: int = 50, tol_mm: float = 1e-5) -> IcpReport:
-    """Guarded point-to-plane ICP aligning `source` onto `target`.
+    """Guarded ICP aligning `source` onto `target`.
 
-    Target normals are the target's own (`PointCloud.normals`, as a rim
-    cloud carries them from its depth map), else estimated once by k-NN
-    PCA. Each iteration pairs every moved source point with its nearest
-    target point, drops pairs farther than REJECT_RATIO times the median
-    pair distance, and takes a linearised point-to-plane step. The guard
-    re-matches after the step:
-    if the inlier RMSE rose, or the plane system was rank-deficient (e.g. a
-    planar target), the closed-form SVD point-to-point step from the same
-    pairs is taken instead. If that too raises the inlier RMSE, the pose is
-    kept and ICP stops as converged. So the reported RMSE never rises from
-    one iteration to the next, and `icp(..., max_iter=k, tol_mm=0).rmse` is
-    non-increasing in k.
+    Each iteration pairs every moved source point with its nearest target
+    point, drops pairs farther than REJECT_RATIO times the median pair
+    distance, and takes one step from those pairs. A target without normals
+    takes the closed-form SVD point-to-point step. A target with normals
+    (`PointCloud.normals`, as a rim cloud carries them from its depth map)
+    takes a linearised point-to-plane step, guarded: if it raised the inlier
+    RMSE, or the plane system was rank-deficient (e.g. a planar target), the
+    SVD step from the same pairs is taken instead. If the SVD step too raises
+    the inlier RMSE, the pose is kept and ICP stops as converged. So the
+    reported RMSE never rises from one iteration to the next, and
+    `icp(..., max_iter=k, tol_mm=0).rmse` is non-increasing in k.
 
     ICP stops, converged, when a step lowers the RMSE by less than tol_mm,
     or after the SVD step that replaces a plane step which moved the points
@@ -181,8 +135,7 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
     if len(source) == 0 or len(target) == 0:
         raise ValueError("ICP requires non-empty clouds")
     tree = cKDTree(target.points)
-    normals = (target.normals if target.normals is not None
-               else estimate_normals(target.points, tree))
+    normals = target.normals
 
     def match(candidate: Pose):
         """(candidate, nearest target index per source point, inlier mask, inlier RMSE)."""
@@ -200,7 +153,8 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
         src_idx = np.nonzero(keep)[0]
         dst_idx = indices[keep]
         moved = pose.apply(source.points[src_idx])
-        step = point_to_plane_step(moved, target.points[dst_idx], normals[dst_idx])
+        step = (None if normals is None else
+                point_to_plane_step(moved, target.points[dst_idx], normals[dst_idx]))
         trial = match(step.compose(pose)) if step is not None else None
         settled = False
         if trial is None or trial[3] > rmse:

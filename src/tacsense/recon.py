@@ -1,4 +1,4 @@
-"""Depth reconstruction pipeline: rectify, crop, difference, map, denoise, project."""
+"""Depth reconstruction pipeline: crop, difference, map, denoise, project."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 from scipy.ndimage import correlate1d
 
 from .core import (
-    CameraModel,
     Cylinder,
     DepthMap,
     DifferenceImage,
@@ -39,7 +38,6 @@ class PipelineConfig:
 
     model: MappingList | RegressionModel
     geom: SensorGeometry = field(default_factory=SensorGeometry)
-    camera: CameraModel | None = None
     sigma: float = 1.5
     depth_clamp: float = 2.0
 
@@ -48,46 +46,6 @@ class PipelineConfig:
             raise ValueError("sigma must be positive")
         if self.depth_clamp <= 0:
             raise ValueError("depth clamp must be positive")
-
-
-def distort_normalized(cam: CameraModel, x: np.ndarray, y: np.ndarray):
-    """Brown-Conrady forward distortion on normalized camera coordinates."""
-    r2 = x * x + y * y
-    radial = 1.0 + cam.k1 * r2 + cam.k2 * r2 ** 2 + cam.k3 * r2 ** 3
-    xd = x * radial + 2.0 * cam.p1 * x * y + cam.p2 * (r2 + 2.0 * x * x)
-    yd = y * radial + cam.p1 * (r2 + 2.0 * y * y) + 2.0 * cam.p2 * x * y
-    return xd, yd
-
-
-def _bilinear_sample(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    h, w = img.shape
-    u = np.clip(u, 0.0, w - 1.0)
-    v = np.clip(v, 0.0, h - 1.0)
-    u0 = np.floor(u).astype(np.intp)
-    v0 = np.floor(v).astype(np.intp)
-    u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
-    fu = u - u0
-    fv = v - v0
-    img = img.astype(np.float64)
-    top = img[v0, u0] * (1 - fu) + img[v0, u1] * fu
-    bot = img[v1, u0] * (1 - fu) + img[v1, u1] * fu
-    return top * (1 - fv) + bot * fv
-
-
-def undistort(img: GrayImage, cam: CameraModel | None) -> GrayImage:
-    """Rectify a raw frame; identity coefficients return the input unchanged."""
-    if cam is None or cam.is_identity:
-        return img
-    h, w = img.pixels.shape
-    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    x = (uu - cam.cx) / cam.fx
-    y = (vv - cam.cy) / cam.fy
-    xd, yd = distort_normalized(cam, x, y)
-    src_u = xd * cam.fx + cam.cx
-    src_v = yd * cam.fy + cam.cy
-    return GrayImage.from_float(_bilinear_sample(img.pixels, src_u, src_v))
 
 
 def crop_center(img: GrayImage, geom: SensorGeometry) -> GrayImage:
@@ -158,8 +116,8 @@ def reconstruct(reference: GrayImage, contact: GrayImage,
 
 
 def preprocess_raw(img: GrayImage, config: PipelineConfig) -> GrayImage:
-    """Rectify and crop a raw full-frame image down to the sensing field."""
-    return crop_center(undistort(img, config.camera), config.geom)
+    """Crop a raw full-frame image down to the sensing field."""
+    return crop_center(img, config.geom)
 
 
 def depth_to_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:

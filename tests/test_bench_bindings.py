@@ -56,5 +56,5 @@ def test_every_declared_workload_imports(load):
 
 def test_live_track_cap_is_the_rim_cloud_cap(load):
     # A rim cloud within the cap reaches pose.icp with its depth-map normals;
-    # were live_track to restride it, ICP would fall back to k-NN normals.
+    # were live_track to restride it, ICP would fall back to SVD steps.
     assert load("workloads").MAX_TRACK_POINTS == recon.MAX_ICP_POINTS

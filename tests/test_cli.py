@@ -288,6 +288,20 @@ class TestMain:
         assert f"{model_cloud}: model cloud has {points} points, need at least 3" in err
         assert not out.exists()
 
+    def test_track_empty_first_frame_exit_one(self, single_calib, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        cli.cmd_simulate(RunConfig(), seq, object_kind="hex_nut", n_frames=2)
+        (seq / "frame_000.pgm").write_bytes((seq / "reference.pgm").read_bytes())
+        out = tmp_path / "out"
+        code = cli.main(["track", "--run", str(seq), "--calib", str(single_calib),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "frame 0: model cloud has 0 points, need at least 3" in err
+        assert not out.exists()
+
     def test_simulate_exit_zero(self, tmp_path):
         out = tmp_path / "run"
         code = cli.main(["simulate", "--out", str(out), "--presses", "1"])
@@ -386,6 +400,9 @@ class TestMain:
         (lambda m: {**m, "geometry": {**m["geometry"], "crop_size": 500}},
          "manifest.json: geometry.crop_size 500 does not match reference "
          "'reference.pgm', 580x580 px"),
+        (lambda m: {**m, "optical": {**m["optical"], "thickness": -2}},
+         "manifest.json: optical: thickness, attenuation, and gain must be positive"),
+        (lambda m: {**m, "scheme": "zz"}, "manifest.json: scheme: unknown scheme 'zz'"),
     ])
     def test_broken_manifest_exit_one(self, single_calib, tmp_path, capsys,
                                       command, edit, message):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from tacsense import calib, cli, pose as pose_module, recon, sim
@@ -12,9 +11,7 @@ from tacsense.pose import (
     IcpReport,
     Pose,
     best_rigid_transform,
-    estimate_normals,
     icp,
-    least_variance_axis,
     nearest_neighbors,
     point_to_plane_step,
     track_pose,
@@ -32,6 +29,23 @@ def graph_surface(n, seed, amplitude=1.0):
     x, y = rng.uniform(-5.0, 5.0, (2, n))
     z = amplitude * (np.sin(0.6 * x) + np.cos(0.4 * y) + 0.05 * x * y)
     return PointCloud(np.column_stack([x, y, z]))
+
+
+def graph_normals(points, amplitude=1.0):
+    """Unit normals of graph_surface's z = f(x, y), from its analytic gradient."""
+    x, y = points[:, 0], points[:, 1]
+    fx = amplitude * (0.6 * np.cos(0.6 * x) + 0.05 * y)
+    fy = amplitude * (-0.4 * np.sin(0.4 * y) + 0.05 * x)
+    normals = np.column_stack([-fx, -fy, np.ones_like(x)])
+    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+
+
+def spy(fn, calls):
+    """fn, recording each result in `calls`."""
+    def wrapped(*args, **kwargs):
+        calls.append(fn(*args, **kwargs))
+        return calls[-1]
+    return wrapped
 
 
 def small_motion(rng, max_deg, max_mm):
@@ -267,19 +281,12 @@ class TestIcp:
         true = Pose.rot_z(2.0, translation=(0.1, -0.05, 0.0))
         source = PointCloud(true.inverse().apply(target.points))
         plane_steps, svd_steps = [], []
-
-        def spy(fn, calls):
-            def wrapped(*args, **kwargs):
-                calls.append(fn(*args, **kwargs))
-                return calls[-1]
-            return wrapped
-
         monkeypatch.setattr(pose_module, "point_to_plane_step",
                             spy(point_to_plane_step, plane_steps))
         monkeypatch.setattr(pose_module, "best_rigid_transform",
                             spy(best_rigid_transform, svd_steps))
         report = icp(source, target)
-        assert plane_steps and all(step is None for step in plane_steps)
+        assert not plane_steps
         assert len(svd_steps) == report.iterations
         assert report.converged
         err = report.pose.compose(true.inverse())
@@ -294,33 +301,25 @@ class TestIcp:
         assert report.inlier_fraction == pytest.approx(200 / 220)
         assert report.rmse < 1e-9
 
-    def test_target_normals_replace_the_estimate(self, monkeypatch):
+    def test_cloud_without_normals_takes_no_plane_step(self, monkeypatch):
         src = graph_surface(400, seed=26)
         true = small_motion(np.random.default_rng(27), 4.0, 0.2)
-        moved = true.apply(src.points)
-        estimated = estimate_normals(moved, cKDTree(moved))
-        plain = icp(src, PointCloud(moved))
 
         def refuse(*args):
-            raise AssertionError("estimate_normals called for a cloud with normals")
+            raise AssertionError("point_to_plane_step called for a cloud without normals")
 
-        monkeypatch.setattr(pose_module, "estimate_normals", refuse)
-        given = icp(src, PointCloud(moved, estimated))
-        assert np.array_equal(given.pose.rotation, plain.pose.rotation)
-        assert np.array_equal(given.pose.translation, plain.pose.translation)
-        assert ((given.rmse, given.iterations, given.converged, given.inlier_fraction)
-                == (plain.rmse, plain.iterations, plain.converged,
-                    plain.inlier_fraction))
+        monkeypatch.setattr(pose_module, "point_to_plane_step", refuse)
+        report = icp(src, PointCloud(true.apply(src.points)))
+        assert report.converged
 
-    def test_rim_clouds_track_without_estimating_normals(self, hex_nut_rims,
-                                                         monkeypatch):
-        def refuse(*args):
-            raise AssertionError("estimate_normals called for a rim cloud")
-
-        monkeypatch.setattr(pose_module, "estimate_normals", refuse)
+    def test_rim_clouds_track_with_plane_steps(self, hex_nut_rims, monkeypatch):
+        plane_steps = []
+        monkeypatch.setattr(pose_module, "point_to_plane_step",
+                            spy(point_to_plane_step, plane_steps))
         assert all(cloud.normals is not None for cloud in hex_nut_rims)
         reports = track_pose(hex_nut_rims, hex_nut_rims[0])
         assert all(report.converged for report in reports)
+        assert any(step is not None for step in plane_steps)
 
     def test_hex_nut_rim_sequence_converges_within_ten_iterations(self, hex_nut_rims):
         reports = track_pose(hex_nut_rims, hex_nut_rims[0])
@@ -333,25 +332,9 @@ class TestIcp:
 
 
 class TestPointToPlane:
-    def test_least_variance_axis_matches_eigh(self):
-        rng = np.random.default_rng(26)
-        q, _ = np.linalg.qr(rng.normal(size=(500, 3, 3)))
-        eig = rng.uniform(0.0, 1.0, (500, 3))
-        eig[:, 0] *= 0.5  # keep the least axis well separated
-        eig.sort(axis=1)
-        cov = q @ (eig[:, :, None] * q.transpose(0, 2, 1))
-        reference = np.linalg.eigh(cov)[1][:, :, 0]
-        axis = least_variance_axis(cov)
-        assert np.allclose(np.linalg.norm(axis, axis=1), 1.0, atol=1e-12)
-        assert np.abs(np.abs(np.sum(axis * reference, axis=1)) - 1.0).max() < 1e-9
-
-    def test_least_variance_axis_of_zero_matrix_is_zero(self):
-        assert np.array_equal(least_variance_axis(np.zeros((2, 3, 3))),
-                              np.zeros((2, 3)))
-
     def test_plane_step_is_exact_for_pure_translation(self):
         src = graph_surface(300, seed=27).points
-        normals = estimate_normals(src, cKDTree(src))
+        normals = graph_normals(src)
         shift = np.array([0.02, -0.01, 0.03])
         step = point_to_plane_step(src, src + shift, normals)
         assert np.abs(step.rotation - np.eye(3)).max() < 1e-12

@@ -8,7 +8,6 @@ from scipy.ndimage import correlate1d
 
 from tacsense import calib, recon, sim
 from tacsense.core import (
-    CameraModel,
     Cylinder,
     DepthMap,
     DifferenceImage,
@@ -29,47 +28,6 @@ def make_lookup_model(optical):
                       optical.thickness)
     depths[0] = 0.0
     return calib.MappingList(depths=depths, max_calibrated=max_delta)
-
-
-class TestUndistort:
-    def test_none_camera_is_identity(self):
-        img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
-        assert recon.undistort(img, None) is img
-
-    def test_identity_coefficients_short_circuit(self):
-        img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
-        cam = CameraModel(fx=100.0, fy=100.0, cx=2.0, cy=2.0)
-        assert recon.undistort(img, cam) is img
-
-    def test_constant_image_unchanged_by_distortion(self):
-        img = GrayImage(np.full((32, 32), 77, dtype=np.uint8))
-        cam = CameraModel(fx=40.0, fy=40.0, cx=16.0, cy=16.0, k1=0.1, p1=0.01)
-        out = recon.undistort(img, cam)
-        assert np.all(out.pixels == 77)
-
-    def test_radial_term_oracle(self):
-        # k1 = 0.1 at (x, y) = (0.5, 0.5): r^2 = 0.5, radial = 1.05
-        cam = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, k1=0.1)
-        xd, yd = recon.distort_normalized(cam, np.array([0.5]), np.array([0.5]))
-        assert xd[0] == pytest.approx(0.525, abs=1e-12)
-        assert yd[0] == pytest.approx(0.525, abs=1e-12)
-
-    def test_tangential_term_oracle(self):
-        cam = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, p1=0.02)
-        xd, yd = recon.distort_normalized(cam, np.array([0.3]), np.array([0.4]))
-        # xd = x + 2 p1 x y ; yd = y + p1 (r^2 + 2 y^2)
-        assert xd[0] == pytest.approx(0.3 + 2 * 0.02 * 0.3 * 0.4, abs=1e-12)
-        assert yd[0] == pytest.approx(0.4 + 0.02 * (0.25 + 2 * 0.16), abs=1e-12)
-
-    def test_barrel_distortion_moves_edge_pixels(self):
-        rng = np.random.default_rng(0)
-        img = GrayImage(rng.integers(0, 256, (64, 64), dtype=np.uint8))
-        cam = CameraModel(fx=30.0, fy=30.0, cx=31.5, cy=31.5, k1=-0.2)
-        out = recon.undistort(img, cam)
-        center = np.abs(out.pixels[30:34, 30:34].astype(int)
-                        - img.pixels[30:34, 30:34].astype(int))
-        assert center.max() <= 2
-        assert not np.array_equal(out.pixels, img.pixels)
 
 
 class TestCropCenter:
