@@ -312,6 +312,21 @@ class TestIcp:
         report = icp(src, PointCloud(true.apply(src.points)))
         assert report.converged
 
+    def test_target_normals_drive_plane_steps_to_the_motion(self, monkeypatch):
+        src = graph_surface(400, seed=26)
+        true = small_motion(np.random.default_rng(27), 4.0, 0.2)
+        target = PointCloud(true.apply(src.points),
+                            graph_normals(src.points) @ true.rotation.T)
+        plane_steps = []
+        monkeypatch.setattr(pose_module, "point_to_plane_step",
+                            spy(point_to_plane_step, plane_steps))
+        report = icp(src, target)
+        assert any(step is not None for step in plane_steps)
+        assert report.converged
+        err = report.pose.compose(true.inverse())
+        assert err.rotation_angle_deg() <= 1e-3
+        assert np.linalg.norm(err.translation) <= 1e-4
+
     def test_rim_clouds_track_with_plane_steps(self, hex_nut_rims, monkeypatch):
         plane_steps = []
         monkeypatch.setattr(pose_module, "point_to_plane_step",

@@ -48,6 +48,14 @@ class TestCropCenter:
         with pytest.raises(ValueError):
             recon.crop_center(GrayImage(np.zeros((100, 100), dtype=np.uint8)), geom)
 
+    def test_preprocess_raw_is_the_centered_crop(self, geom, optical):
+        raw = GrayImage(np.random.default_rng(3).integers(0, 256, (600, 800),
+                                                          dtype=np.uint8))
+        config = recon.PipelineConfig(model=make_lookup_model(optical), geom=geom)
+        out = recon.preprocess_raw(raw, config)
+        assert np.array_equal(out.pixels, recon.crop_center(raw, geom).pixels)
+        assert np.array_equal(out.pixels, raw.pixels[10:590, 110:690])
+
 
 class TestDifference:
     def test_reference_minus_contact(self):
