@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,32 @@ class DegenerateGeometryError(SensorError):
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """`arr` itself if nothing can write to it, else a read-only copy.
+
+    An array is taken as it is when it is read-only and no writable alias of
+    its memory can exist: it owns its memory, or its `.base` chain ends in an
+    immutable `bytes` object (an array read from a file's bytes). Any other
+    array is copied, so a writable array, or a read-only view of one, can be
+    changed later without changing the copy.
+    """
+    if not arr.flags.writeable:
+        base = arr.base
+        while isinstance(base, np.ndarray) and base.base is not None:
+            base = base.base
+        if base is None or isinstance(base, bytes):
+            return arr
     out = np.array(arr, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _seal(arr: np.ndarray) -> np.ndarray:
+    """Mark a fresh array, which nothing else refers to, read-only and return it.
+
+    A type built from it then keeps it without a copy (see `_freeze`).
+    """
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -79,7 +103,7 @@ class GrayImage(_Raster):
         """Round and clamp a float array into [0, 255]."""
         out = np.round(arr)
         np.clip(out, 0, 255, out=out)
-        return cls(out.astype(np.uint8))
+        return cls(_seal(out.astype(np.uint8)))
 
 
 @dataclass(frozen=True)
@@ -102,12 +126,19 @@ class DifferenceImage(_Raster):
 
 @dataclass(frozen=True)
 class DepthMap:
-    """Per-pixel pressed depth in mm; non-negative and finite."""
+    """Per-pixel pressed depth in mm; non-negative and finite.
+
+    float32 data stays float32 (depth from the mapping stage on, and depth
+    read from a file); any other dtype becomes float64. The data is kept
+    without a copy when nothing else can write to it (see `_freeze`).
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
+        d = np.asarray(self.data)
+        if d.dtype != np.float32:
+            d = np.asarray(d, dtype=np.float64)
         if d.ndim != 2:
             raise ValueError(f"depth map must be 2-D, got shape {d.shape}")
         if d.size:
@@ -138,10 +169,22 @@ class SensorGeometry:
     field_mm: float = 24.0
 
     def __post_init__(self):
+        for key in ("raw_width", "raw_height", "crop_size"):
+            value = getattr(self, key)
+            # bool is an int subclass, but True is no pixel count.
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value <= 0:
+                raise ValueError(f"{key} must be positive, got {value}")
         if self.crop_size > self.raw_width or self.crop_size > self.raw_height:
             raise ValueError("crop window does not fit inside the raw frame")
-        if self.field_mm <= 0:
-            raise ValueError("field size must be positive")
+        if not (math.isfinite(self.field_mm) and self.field_mm > 0):
+            raise ValueError(f"field_mm must be finite and positive, "
+                             f"got {self.field_mm!r}")
+        # A subnormal or zero pitch would put every pixel at x = y = 0.
+        if not self.pixel_pitch >= sys.float_info.min:
+            raise ValueError(f"pixel_pitch (field_mm / crop_size) must be a positive "
+                             f"normal float, got {self.pixel_pitch!r}")
 
     @property
     def pixel_pitch(self) -> float:
@@ -233,7 +276,9 @@ class PointCloud:
     """Set of 3-D points in mm, shape (n, 3), with an optional normal per point.
 
     `normals`, if given, has the points' shape; a cloud sampled from a depth
-    map carries them so that ICP need not estimate them again.
+    map carries them so that ICP need not estimate them again. Both are
+    float64, kept without a copy when nothing else can write to them (see
+    `_freeze`).
     """
 
     points: np.ndarray

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DepthMap, GrayImage, PointCloud, SensorError
+from .core import DepthMap, GrayImage, PointCloud, SensorError, _seal
 
 DEPTH_MAGIC = b"DTDEPTH1"
 
@@ -61,12 +61,15 @@ def read_pgm(path) -> GrayImage:
         raise FormatError(f"{path}: unsupported maxval {maxval} at byte {pos}")
     pos += 1  # single whitespace byte after maxval
     expected = width * height
-    raster = data[pos:pos + expected]
-    if len(raster) != expected:
+    available = max(len(data) - pos, 0)
+    if available < expected:
         raise FormatError(
-            f"{path}: truncated raster at byte {pos + len(raster)}, "
+            f"{path}: truncated raster at byte {pos + available}, "
             f"expected {expected} bytes")
-    return GrayImage(np.frombuffer(raster, dtype=np.uint8).reshape(height, width))
+    # A read-only view of the file's bytes, which the image keeps uncopied.
+    pixels = np.frombuffer(data, dtype=np.uint8, count=expected,
+                           offset=min(pos, len(data)))
+    return GrayImage(pixels.reshape(height, width))
 
 
 def write_depth(path, depth: DepthMap) -> None:
@@ -74,10 +77,12 @@ def write_depth(path, depth: DepthMap) -> None:
     with open(path, "wb") as f:
         f.write(DEPTH_MAGIC)
         f.write(f"\n{depth.width} {depth.height}\n".encode("ascii"))
-        f.write(depth.data.astype("<f4").tobytes())
+        # float32 depth is written as it is, without a copy.
+        f.write(np.ascontiguousarray(depth.data, dtype="<f4"))
 
 
 def read_depth(path) -> DepthMap:
+    """The float32 depth map of a file, a read-only view of the file's bytes."""
     data = Path(path).read_bytes()
     if not data.startswith(DEPTH_MAGIC):
         raise FormatError(f"{path}: bad depth magic at byte 0")
@@ -87,18 +92,18 @@ def read_depth(path) -> DepthMap:
     width, height = int(m.group(1)), int(m.group(2))
     pos = len(DEPTH_MAGIC) + m.end()
     expected = width * height * 4
-    raw = data[pos:pos + expected]
-    if len(raw) != expected:
+    if len(data) - pos < expected:
         raise FormatError(
-            f"{path}: truncated depth data at byte {pos + len(raw)}, "
+            f"{path}: truncated depth data at byte {len(data)}, "
             f"expected {expected} bytes")
-    values = np.frombuffer(raw, dtype="<f4")
-    bad = ~(np.isfinite(values) & (values >= 0.0))
-    if bad.any():
-        i = int(bad.argmax())
+    values = np.frombuffer(data, dtype="<f4", count=width * height, offset=pos)
+    try:
+        return DepthMap(values.reshape(height, width))
+    except ValueError:
+        # DepthMap refused a value; find the first one for the message.
+        i = int(np.argmin(np.isfinite(values) & (values >= 0.0)))
         raise FormatError(f"{path}: depth value {values[i]} (must be finite "
-                          f"and >= 0) at byte {pos + 4 * i}")
-    return DepthMap(values.astype(np.float64).reshape(height, width))
+                          f"and >= 0) at byte {pos + 4 * i}") from None
 
 
 PLY_SCALARS = {
@@ -121,7 +126,7 @@ def write_ply(path, cloud: PointCloud) -> None:
         f.write(f"element vertex {len(cloud)}\n".encode("ascii"))
         f.write(b"property float x\nproperty float y\nproperty float z\n")
         f.write(b"end_header\n")
-        f.write(points.tobytes())
+        f.write(points)
 
 
 def _read_ply_header(path, data: bytes) -> tuple[str, int, list[str], list[str], int]:
@@ -210,11 +215,16 @@ def _read_binary_vertices(path, data: bytes, body: int, count: int,
     found = (len(data) - body) // row.itemsize
     if found < count:
         raise _truncated(path, data, count, found)
-    rec = np.frombuffer(data, dtype=row, count=count, offset=body)
-    points = np.empty((count, 3))
     with np.errstate(invalid="ignore"):  # signalling NaNs are refused later
-        for j, axis in enumerate("xyz"):
-            points[:, j] = rec[f"p{names.index(axis)}"]
+        if names == ["x", "y", "z"] and types == ["f4"] * 3:
+            # write_ply's layout: the rows are the points.
+            points = np.frombuffer(data, dtype="<f4", count=3 * count,
+                                   offset=body).reshape(count, 3).astype(np.float64)
+        else:
+            rec = np.frombuffer(data, dtype=row, count=count, offset=body)
+            points = np.empty((count, 3))
+            for j, axis in enumerate("xyz"):
+                points[:, j] = rec[f"p{names.index(axis)}"]
     return points, lambda i: body + i * row.itemsize
 
 
@@ -286,7 +296,8 @@ def read_ply(path) -> PointCloud:
     if not np.isfinite(points).all():
         i = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
         raise FormatError(f"{path}: non-finite PLY vertex {i} at byte {row_at(i)}")
-    return PointCloud(points)
+    # Both readers return a fresh array, which the cloud keeps uncopied.
+    return PointCloud(_seal(points))
 
 
 def write_json(path, payload) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ from .core import (
     SensorGeometry,
     Sphere,
     SurfaceShape,
+    _seal,
     surface_axis,
     surface_grid,
 )
@@ -63,13 +65,21 @@ def difference(reference: GrayImage, contact: GrayImage) -> DifferenceImage:
     if reference.pixels.shape != contact.pixels.shape:
         raise ValueError("reference and contact image dimensions differ")
     d = reference.pixels.astype(np.int16) - contact.pixels.astype(np.int16)
-    return DifferenceImage(np.maximum(d, 0).astype(np.uint8))
+    return DifferenceImage(_seal(np.maximum(d, 0).astype(np.uint8)))
 
 
 def map_depth(diff: DifferenceImage, config: PipelineConfig) -> DepthMap:
-    """The calibration model's depth per pixel, clipped to the layer."""
+    """The calibration model's float32 depth per pixel, clipped to the layer.
+
+    The upper bound is the largest float32 not above `depth_clamp`, so no
+    depth exceeds the layer.
+    """
     depth = config.model.depth(diff.pixels)
-    return DepthMap(np.clip(depth, 0.0, config.depth_clamp, out=depth))
+    clamp = np.float32(config.depth_clamp)
+    if float(clamp) > config.depth_clamp:
+        clamp = np.nextafter(clamp, np.float32(0))
+    # The model's array is fresh, so it is clipped in place and kept.
+    return DepthMap(_seal(np.clip(depth, 0, clamp, out=depth)))
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -85,12 +95,13 @@ def gaussian_denoise(depth: DepthMap, config: PipelineConfig) -> DepthMap:
 
     Reflection commutes with a symmetric kernel, so the two sequential passes
     equal one pass of the kernel convolved with itself, borders included.
-    Positive taps keep non-negative depth non-negative.
+    Positive taps keep non-negative depth non-negative. The taps are float64;
+    the result has the depth's dtype (float32 from `map_depth`).
     """
     k = gaussian_kernel(7, config.sigma)
     taps = np.convolve(k, k)
     out = correlate1d(depth.data, taps, axis=0, mode="reflect")
-    return DepthMap(correlate1d(out, taps, axis=1, mode="reflect"))
+    return DepthMap(_seal(correlate1d(out, taps, axis=1, mode="reflect")))
 
 
 def timed(stages: dict | None, key: str, fn, *args):
@@ -120,12 +131,25 @@ def preprocess_raw(img: GrayImage, config: PipelineConfig) -> GrayImage:
     return crop_center(img, config.geom)
 
 
-def depth_to_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
-    """One point per pixel at (x, y, -depth); z = 0 is the undeformed surface."""
+@functools.lru_cache(maxsize=4)
+def _flat_surface(geom: SensorGeometry) -> np.ndarray:
+    """Read-only (x, y, 0) of every crop pixel in row-major order, built once
+    per geometry."""
     axis = surface_axis(geom)
     n = len(axis)
-    pts = np.column_stack([np.tile(axis, n), np.repeat(axis, n), -depth.data.ravel()])
-    return PointCloud(pts)
+    return _seal(np.column_stack([np.tile(axis, n), np.repeat(axis, n), np.zeros(n * n)]))
+
+
+def depth_to_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
+    """One point per pixel at (x, y, -depth); z = 0 is the undeformed surface."""
+    flat = _flat_surface(geom)
+    if depth.data.size != len(flat):
+        raise ValueError(f"depth map of shape {depth.data.shape} does not cover "
+                         f"the {geom.crop_size} px crop")
+    # One contiguous copy of the cached x/y block is faster than filling x and y.
+    pts = flat.copy()
+    np.negative(depth.data.ravel(), out=pts[:, 2])
+    return PointCloud(_seal(pts))
 
 
 def _icp_step(n: int) -> int:
@@ -159,7 +183,7 @@ def depth_rim_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
     dy = (d[hi, cols] - d[lo, cols]) / ((hi - lo) * geom.pixel_pitch)
     normals = np.column_stack([dx, dy, np.ones_like(dx)])
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(points, normals)
+    return PointCloud(_seal(points), _seal(normals))
 
 
 def subsample(cloud: PointCloud) -> PointCloud:

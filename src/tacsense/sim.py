@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DepthMap, GrayImage, Pose, SensorGeometry, _freeze, average_frames,
-                   mask_box, pixel_box, surface_axis, surface_grid)
+from .core import (DepthMap, GrayImage, Pose, SensorGeometry, _freeze, _seal,
+                   average_frames, mask_box, pixel_box, surface_axis, surface_grid)
 
 SCHEMES = ("standard", "s1", "s2", "s3", "s4")
 PLACEMENTS = ("center", "random")
@@ -34,10 +34,12 @@ class OpticalModel:
     ambient: float = 10.0       # gray levels
 
     def __post_init__(self):
-        if self.thickness <= 0 or self.attenuation <= 0 or self.gain <= 0:
-            raise ValueError("thickness, attenuation, and gain must be positive")
-        if self.ambient < 0:
-            raise ValueError("ambient offset must be non-negative")
+        # `not x > 0` refuses NaN too.
+        for key in ("thickness", "attenuation", "gain"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        if not self.ambient >= 0:
+            raise ValueError(f"ambient must be non-negative, got {self.ambient!r}")
         if self.ambient + self.gain > 255:
             raise ValueError("ambient + gain must not exceed 255 (reference would clip)")
 
@@ -79,8 +81,7 @@ class IlluminationField:
         """Read-only noise-free intensity with no contact, built once per model."""
         frame = self._flat_frames.get(model)
         if frame is None:
-            frame = self.gains * model.intensity(0.0)
-            frame.flags.writeable = False
+            frame = _seal(self.gains * model.intensity(0.0))
             self._flat_frames[model] = frame
         return frame
 
@@ -119,11 +120,12 @@ def make_illumination(scheme: str, crop_size: int,
         lv = center + ring_radius * math.sin(a)
         gains += np.exp(-((uu - lu) ** 2 + (vv - lv) ** 2) / (2.0 * led_sigma ** 2))
     gains /= gains.max()
-    return IlluminationField(gains=gains, scheme=scheme)
+    return IlluminationField(gains=_seal(gains), scheme=scheme)
 
 
 def uniform_illumination(crop_size: int) -> IlluminationField:
-    return IlluminationField(gains=np.ones((crop_size, crop_size)), scheme="uniform")
+    return IlluminationField(gains=_seal(np.ones((crop_size, crop_size))),
+                             scheme="uniform")
 
 
 def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
@@ -153,7 +155,7 @@ def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
     cap = d_max - radius + np.sqrt(np.maximum(radius ** 2 - r2, 0.0))
     depth = np.zeros((size, size))
     depth[rows, cols] = np.maximum(cap, 0.0)
-    return DepthMap(depth)
+    return DepthMap(_seal(depth))
 
 
 def render_tactile(depth: DepthMap, model: OpticalModel, illum: IlluminationField,
@@ -192,7 +194,7 @@ def render_tactile(depth: DepthMap, model: OpticalModel, illum: IlluminationFiel
     # GrayImage.from_float, rounding in place.
     np.round(img, out=img)
     np.clip(img, 0, 255, out=img)
-    return GrayImage(img.astype(np.uint8))
+    return GrayImage(_seal(img.astype(np.uint8)))
 
 
 @dataclass
@@ -209,7 +211,7 @@ class BallPressRig:
     rng: np.random.Generator
 
     def __post_init__(self):
-        zeros = DepthMap(np.zeros_like(self.illum.gains))
+        zeros = DepthMap(_seal(np.zeros_like(self.illum.gains)))
         self.reference = self._render(zeros, 8 if self.noise_sigma > 0 else 1)
 
     def _render(self, depth: DepthMap, count: int) -> GrayImage:
@@ -249,7 +251,7 @@ def reference_image(model: OpticalModel, illum: IlluminationField,
                     noise_sigma: float = 0.0,
                     rng: np.random.Generator | None = None) -> GrayImage:
     """Frame with no contact anywhere."""
-    zeros = DepthMap(np.zeros_like(illum.gains))
+    zeros = DepthMap(_seal(np.zeros_like(illum.gains)))
     return render_tactile(zeros, model, illum, noise_sigma=noise_sigma, rng=rng)
 
 
@@ -373,7 +375,7 @@ def _posed_depth(field: DepthField, pose: Pose, geom: SensorGeometry,
     in_field = bool(contact.any()) and not (
         contact[0, :].any() or contact[-1, :].any()
         or contact[:, 0].any() or contact[:, -1].any())
-    return DepthMap(depth), in_field
+    return DepthMap(_seal(depth)), in_field
 
 
 def render_sequence(field: DepthField, poses: list[Pose], geom: SensorGeometry,

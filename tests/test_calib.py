@@ -447,3 +447,29 @@ class TestLoadCalibration:
         path.write_text("[1, 2]")
         with pytest.raises(SensorError, match="c.json: expected a JSON object, got list"):
             calib.load_calibration(path)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_mapping_list_refuses_non_finite_entries(self, value):
+        # Both pass the monotonicity check: inf at the end, NaN anywhere.
+        depths = np.linspace(0.0, 2.0, 256)
+        depths[-1] = value
+        with pytest.raises(ValueError, match="mapping list entries must be finite"):
+            calib.MappingList(depths, 200)
+
+    @pytest.mark.parametrize("key", ["k_c", "b_c", "center_u", "center_v"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_regression_model_refuses_non_finite_values(self, key, value):
+        values = {"k_c": 1e-4, "b_c": 0.01, "center_u": 290.0, "center_v": 290.0}
+        with pytest.raises(ValueError, match=f"{key} must be finite, got {value}"):
+            calib.RegressionModel(**{**values, key: value})
+
+    def test_lookup_table_is_float32_copy_of_depths(self):
+        model = calib.MappingList(np.linspace(0.0, 2.0, 256), 200)
+        assert model.depths.dtype == np.float64
+        deltas = np.arange(256, dtype=np.uint8)
+        out = model.depth(deltas)
+        assert out.dtype == np.float32 and out.flags.writeable
+        assert np.array_equal(out, model.depths.astype(np.float32))
+        assert not np.shares_memory(out, model.depth(deltas))

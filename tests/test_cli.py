@@ -401,7 +401,10 @@ class TestMain:
          "manifest.json: geometry.crop_size 500 does not match reference "
          "'reference.pgm', 580x580 px"),
         (lambda m: {**m, "optical": {**m["optical"], "thickness": -2}},
-         "manifest.json: optical: thickness, attenuation, and gain must be positive"),
+         "manifest.json: optical: thickness must be positive, got -2"),
+        (lambda m: {**m, "geometry": {**m["geometry"], "field_mm": 1e-320}},
+         "manifest.json: geometry: pixel_pitch (field_mm / crop_size) must be a "
+         "positive normal float, got "),
         (lambda m: {**m, "scheme": "zz"}, "manifest.json: scheme: unknown scheme 'zz'"),
     ])
     def test_broken_manifest_exit_one(self, single_calib, tmp_path, capsys,

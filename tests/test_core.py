@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +64,28 @@ class TestGeometry:
     def test_crop_must_fit(self):
         with pytest.raises(ValueError):
             SensorGeometry(raw_width=500, raw_height=600, crop_size=580)
+
+    @pytest.mark.parametrize("values, message", [
+        ({"raw_width": 800.0}, "raw_width must be an integer, got 800.0"),
+        ({"raw_height": True}, "raw_height must be an integer, got True"),
+        ({"crop_size": "580"}, "crop_size must be an integer, got '580'"),
+        ({"crop_size": -5}, "crop_size must be positive, got -5"),
+        ({"crop_size": 0}, "crop_size must be positive, got 0"),
+        ({"raw_width": 0, "crop_size": 0}, "raw_width must be positive, got 0"),
+        ({"field_mm": float("nan")}, "field_mm must be finite and positive, got nan"),
+        ({"field_mm": float("inf")}, "field_mm must be finite and positive, got inf"),
+        ({"field_mm": 0.0}, "field_mm must be finite and positive, got 0.0"),
+        ({"field_mm": 1e-320}, "pixel_pitch (field_mm / crop_size) must be a "
+                               "positive normal float"),
+    ])
+    def test_unusable_values_refused_naming_the_key(self, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SensorGeometry(**values)
+
+    def test_smallest_usable_pitch(self):
+        geom = SensorGeometry(crop_size=1, field_mm=sys.float_info.min)
+        assert geom.pixel_pitch == sys.float_info.min
+        assert SensorGeometry(crop_size=np.int64(290)).pixel_pitch == 24.0 / 290
 
 
 class TestGrayFromRgb:
@@ -161,3 +184,65 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             cloud.normals[0, 0] = 1.0
         assert PointCloud(np.zeros((5, 3))).normals is None
+
+
+class TestCopyContract:
+    """DepthMap and PointCloud copy what others can write and keep what they cannot."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_depth_map_unaffected_by_later_writes(self, dtype):
+        data = np.full((3, 4), 0.5, dtype=dtype)
+        depth = DepthMap(data)
+        data[0, 0] = 7.0
+        assert depth.data[0, 0] == 0.5
+        assert not depth.data.flags.writeable
+
+    def test_point_cloud_unaffected_by_later_writes(self):
+        points = np.zeros((5, 3))
+        cloud = PointCloud(points)
+        points[0] = 1.0
+        assert not cloud.points.any()
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        data = np.zeros((3, 4), dtype=np.float32)
+        view = data[:, :]
+        view.flags.writeable = False
+        depth = DepthMap(view)
+        data[0, 0] = 1.0
+        assert depth.data[0, 0] == 0.0
+        assert not np.shares_memory(depth.data, data)
+
+    def test_read_only_view_of_read_only_owner_is_copied(self):
+        # The owner could be made writable again, so the view is no sealed array.
+        owner = np.zeros(12)
+        owner.flags.writeable = False
+        assert not np.shares_memory(DepthMap(owner.reshape(3, 4)).data, owner)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_only_owned_depth_is_shared(self, dtype):
+        data = np.full((3, 4), 0.5, dtype=dtype)
+        data.flags.writeable = False
+        assert DepthMap(data).data is data
+
+    def test_read_only_owned_points_and_normals_are_shared(self):
+        points, normals = np.zeros((5, 3)), np.zeros((5, 3))
+        points.flags.writeable = normals.flags.writeable = False
+        cloud = PointCloud(points, normals)
+        assert cloud.points is points and cloud.normals is normals
+
+    def test_view_of_immutable_bytes_is_shared(self):
+        data = np.frombuffer(np.arange(12, dtype=np.float32).tobytes(),
+                             dtype=np.float32).reshape(3, 4)
+        assert DepthMap(data).data is data
+
+    @pytest.mark.parametrize("dtype, kept", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float16, np.float64), (np.int64, np.float64), (np.uint8, np.float64),
+    ])
+    def test_depth_dtype(self, dtype, kept):
+        assert DepthMap(np.ones((2, 2), dtype=dtype)).data.dtype == kept
+
+    def test_float32_depth_is_validated(self):
+        for value in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                DepthMap(np.array([[0.0, value]], dtype=np.float32))

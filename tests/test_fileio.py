@@ -59,6 +59,15 @@ class TestDepth:
         back = fileio.read_depth(path)
         assert np.array_equal(back.data, values)
 
+    def test_read_is_a_read_only_float32_view(self, tmp_path):
+        path = tmp_path / "d.dtd"
+        fileio.write_depth(path, DepthMap(np.array([[0.0, 0.5], [1.25, 2.0]])))
+        back = fileio.read_depth(path).data
+        assert back.dtype == np.float32
+        assert not back.flags.writeable and not back.flags.owndata
+        with pytest.raises(ValueError):
+            back[0, 0] = 1.0
+
     def test_round_trip_within_float32_precision(self, tmp_path):
         rng = np.random.default_rng(1)
         values = rng.uniform(0, 2.0, (40, 30))
@@ -153,6 +162,21 @@ class TestPly:
         fileio.write_ply(path, PointCloud(pts))
         back = fileio.read_ply(path)
         assert np.abs(back.points - pts).max() < 1e-6
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_read_is_read_only(self, tmp_path, binary):
+        pts = np.array([[0.0, 1.0, -0.5], [2.25, -3.5, 4.0]])
+        path = tmp_path / "c.ply"
+        if binary:
+            fileio.write_ply(path, PointCloud(pts))
+        else:
+            path.write_bytes(ascii_ply(pts))
+        points = fileio.read_ply(path).points
+        assert points.dtype == np.float64
+        assert not points.flags.writeable
+        with pytest.raises(ValueError):
+            points[0, 0] = 1.0
+        assert np.array_equal(points, pts)
 
     def test_vertex_count_in_header(self, tmp_path):
         path = tmp_path / "c.ply"

@@ -94,7 +94,10 @@ class TestMapDepth:
         deltas = np.arange(model.max_calibrated + 1, dtype=np.uint8).reshape(1, -1)
         out = recon.map_depth(DifferenceImage(deltas), cfg)
         expected = optical.depth_from_delta(deltas.astype(float))
-        assert np.abs(out.data - expected).max() <= 1e-9
+        assert np.abs(model.depths[deltas] - expected).max() <= 1e-9
+        # map_depth looks the float32 table up, exactly.
+        assert out.data.dtype == np.float32
+        assert np.array_equal(out.data, model.depths.astype(np.float32)[deltas])
 
     def test_clamped_to_depth_limit(self, geom):
         depths = np.linspace(0, 5.0, 256)
@@ -103,6 +106,48 @@ class TestMapDepth:
         cfg = recon.PipelineConfig(model=model, geom=geom, depth_clamp=2.0)
         diff = DifferenceImage(np.full((4, 4), 255, dtype=np.uint8))
         assert np.all(recon.map_depth(diff, cfg).data == 2.0)
+
+    def test_clamp_rounds_down_to_float32(self, geom):
+        # float32(0.1) is above 0.1, so the bound is the float32 just below it.
+        model = calib.MappingList(depths=np.linspace(0, 5.0, 256), max_calibrated=255)
+        cfg = recon.PipelineConfig(model=model, geom=geom, depth_clamp=0.1)
+        out = recon.map_depth(DifferenceImage(np.full((2, 2), 255, np.uint8)), cfg)
+        assert np.all(out.data == np.nextafter(np.float32(0.1), np.float32(0)))
+        assert out.data.max() <= 0.1
+
+
+monotone_tables = arrays(np.float64, 255, elements=st.floats(0.0, 0.05)).map(
+    lambda steps: calib.MappingList(np.concatenate([[0.0], np.cumsum(steps)]), 255))
+regression_models = st.builds(calib.RegressionModel, st.floats(-1e-3, 1e-3),
+                              st.floats(0.0, 0.05), st.floats(-50.0, 100.0),
+                              st.floats(-50.0, 100.0))
+
+
+class TestFloat32Chain:
+    """map_depth -> gaussian_denoise in float32 against the float64 chain."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(deltas=arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                                max_side=40)),
+           model=st.one_of(monotone_tables, regression_models),
+           clamp=st.floats(0.05, 5.0))
+    def test_within_float32_spacing_of_float64_chain(self, deltas, model, clamp):
+        cfg = recon.PipelineConfig(model=model, depth_clamp=clamp)
+        out = recon.gaussian_denoise(recon.map_depth(DifferenceImage(deltas), cfg),
+                                     cfg).data
+        assert out.dtype == np.float32
+        assert out.min() >= 0 and out.max() <= clamp
+        if isinstance(model, calib.MappingList):
+            reference = model.depths[deltas]
+        else:
+            vv, uu = np.mgrid[0:deltas.shape[0], 0:deltas.shape[1]]
+            reference = model.slope(uu, vv) * deltas
+        reference = np.clip(reference, 0.0, clamp)
+        k = recon.gaussian_kernel(7, cfg.sigma)
+        taps = np.convolve(k, k)
+        for axis in (0, 1):
+            reference = correlate1d(reference, taps, axis=axis, mode="reflect")
+        assert np.abs(out - reference).max() <= 2 * np.spacing(np.float32(clamp))
 
 
 class TestSlopeFieldCache:
@@ -119,7 +164,8 @@ class TestSlopeFieldCache:
             cfg = recon.PipelineConfig(model=model, geom=geom, depth_clamp=1.0)
             for diff in diffs:
                 vv, uu = np.mgrid[0:diff.height, 0:diff.width]
-                expected = np.clip(model.slope(uu, vv) * diff.pixels, 0.0, 1.0)
+                slope = model.slope(uu, vv).astype(np.float32)
+                expected = np.clip(slope * diff.pixels, 0.0, 1.0)
                 assert np.array_equal(recon.map_depth(diff, cfg).data, expected)
 
     def test_field_is_cached_read_only(self):
@@ -132,7 +178,7 @@ class TestSlopeFieldCache:
     def test_lookup_index_types_agree(self, optical):
         model = make_lookup_model(optical)
         deltas = np.array([[0, 1, 7], [80, 200, 255]])
-        expected = model.depths[deltas]
+        expected = model.depths.astype(np.float32)[deltas]
         for dtype in (np.uint8, np.int64, np.float64):
             assert np.array_equal(model.depth(deltas.astype(dtype)), expected)
 
@@ -249,6 +295,19 @@ class TestPointCloud:
         expected = np.column_stack([xx.ravel(), yy.ravel(), -depth.data.ravel()])
         points = recon.depth_to_pointcloud(depth, shape_geom).points
         assert points.tobytes() == expected.tobytes()
+
+    def test_float32_depth_fills_z_under_cached_xy(self):
+        depth = DepthMap(np.random.default_rng(4).uniform(
+            0.0, 2.0, (SMALL_GEOM.crop_size,) * 2).astype(np.float32))
+        first = recon.depth_to_pointcloud(depth, SMALL_GEOM).points
+        second = recon.depth_to_pointcloud(depth, SMALL_GEOM).points
+        assert first.dtype == np.float64 and not first.flags.writeable
+        assert np.array_equal(first[:, 2], -depth.data.ravel().astype(np.float64))
+        assert np.array_equal(first, second) and not np.shares_memory(first, second)
+
+    def test_depth_of_another_size_refused(self):
+        with pytest.raises(ValueError, match="does not cover the 240 px crop"):
+            recon.depth_to_pointcloud(DepthMap(np.zeros((10, 10))), SMALL_GEOM)
 
 
 class TestRimPointCloud:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ class TestWindowedPress:
         assert not frame.flags.writeable
         assert np.array_equal(frame, standard_illum.gains * optical.intensity(
             np.zeros_like(standard_illum.gains)))
+
+
+class TestOpticalModel:
+    @pytest.mark.parametrize("key, value, message", [
+        ("thickness", -2, "thickness must be positive, got -2"),
+        ("attenuation", 0.0, "attenuation must be positive, got 0.0"),
+        ("gain", math.nan, "gain must be positive, got nan"),
+        ("ambient", -1.0, "ambient must be non-negative, got -1.0"),
+    ])
+    def test_each_message_names_its_key(self, key, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sim.OpticalModel(**{key: value})
 
 
 class TestRenderTactile:
