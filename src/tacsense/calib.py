@@ -419,13 +419,10 @@ _MODEL_FIELDS = {
 def load_calibration(path) -> tuple[MappingList | RegressionModel, float]:
     """Read a calibration file: the model and the layer thickness."""
     payload = read_json(path)
-    if payload.get("format") != CALIB_FORMAT:
-        raise ValueError(f"{path}: unsupported calibration format "
-                         f"{payload.get('format')!r}")
-    check_fields(path, payload, {"method": "str", "thickness": "number"})
+    check_fields(path, payload, {"format": (CALIB_FORMAT,),
+                                 "method": tuple(_MODEL_FIELDS),
+                                 "thickness": "number"})
     method = payload["method"]
-    if method not in _MODEL_FIELDS:
-        raise ValueError(f"{path}: unknown method {method!r}")
     check_fields(path, payload, _MODEL_FIELDS[method])
     try:
         if method == "single":

@@ -9,7 +9,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,21 +31,14 @@ CALIB_BALL_RADIUS = 4.0
 TEST_BALL_RADIUS = 5.0
 
 METHODS = ("single", "regression")
-_CONFIG_TYPES = {"int": int, "float": (int, float), "str": str}
-_CONFIG_CHOICES = {"scheme": sim.SCHEMES, "method": METHODS,
-                   "placement": sim.PLACEMENTS}
-# Numeric keys must be finite, and > 0 if listed here, else >= 0.
-_CONFIG_POSITIVE = {"thickness", "attenuation", "gain", "led_sigma", "raw_width",
-                    "raw_height", "crop_size", "field_mm", "gaussian_sigma",
-                    "ball_radius", "frames_per_press"}
 
 
 @dataclass
 class RunConfig:
     """Reproducible experiment manifest; flags override file values.
 
-    Construction checks every field's type and range and raises ValueError
-    naming the key.
+    Construction checks every field against `_CONFIG_FIELDS`, then builds the
+    geometry and optical model, and raises FormatError naming the key.
     """
 
     seed: int = 0
@@ -68,32 +61,19 @@ class RunConfig:
     frames_per_press: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an int subclass, but a JSON true is no count or length.
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[f.type]):
-                raise ValueError(f"config key {f.name!r}: expected {f.type}, "
-                                 f"got {type(value).__name__} {value!r}")
-            if f.name in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[f.name]:
-                raise ValueError(f"config key {f.name!r}: unknown {f.name} {value!r}; "
-                                 f"expected one of {_CONFIG_CHOICES[f.name]}")
-            if f.type == "str":
-                continue
-            positive = f.name in _CONFIG_POSITIVE
+        fileio.check_fields("config", asdict(self), _CONFIG_FIELDS)
+        for key, build in (("geometry", self.geometry), ("optical", self.optical)):
             try:
-                finite = f.type == "int" or math.isfinite(value)
-            except OverflowError:  # a JSON integer too large for a float
-                finite = False
-            if not finite or not (value > 0 if positive else value >= 0):
-                raise ValueError(f"config key {f.name!r}: value {value!r} must be "
-                                 f"finite and {'> 0' if positive else '>= 0'}")
+                build()
+            except (ValueError, OverflowError) as exc:
+                raise fileio.FormatError(f"config: {key}: {exc}") from None
 
     @classmethod
     def load(cls, path=None, **overrides) -> "RunConfig":
         values = {} if path is None else fileio.read_json(path)
         unknown = set(values) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+            raise fileio.FormatError(f"{path}: unknown config keys: {sorted(unknown)}")
         return replace(cls(**values),
                        **{k: v for k, v in overrides.items() if v is not None})
 
@@ -108,6 +88,17 @@ class RunConfig:
     def illumination(self) -> sim.IlluminationField:
         return sim.make_illumination(self.scheme, self.crop_size,
                                      led_sigma=self.led_sigma)
+
+
+# The kind of each RunConfig field; see fileio.check_fields.
+_CONFIG_FIELDS = {
+    "seed": "int >= 0", "scheme": sim.SCHEMES, "method": METHODS,
+    "thickness": "number > 0", "noise_sigma": "number >= 0", "attenuation": "number > 0",
+    "gain": "number > 0", "ambient": "number >= 0", "led_sigma": "number > 0",
+    "raw_width": "int > 0", "raw_height": "int > 0", "crop_size": "int > 0",
+    "field_mm": "number > 0", "gaussian_sigma": "number > 0", "ball_radius": "number > 0",
+    "presses": "int >= 0", "placement": sim.PLACEMENTS, "frames_per_press": "int > 0",
+}
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, object_kind: str | None = None,
@@ -161,12 +152,12 @@ def _pose_to_list(pose: Pose) -> list[float]:
 # Keys every run manifest needs, and those a ball-press run adds; see
 # fileio.check_fields.
 _MANIFEST_FIELDS = {
-    "frames": "list", "reference": "str", "kind": "str",
+    "format": (RUN_FORMAT,), "frames": "list", "reference": "str", "kind": "str",
     "geometry": "object", "geometry.raw_width": "int", "geometry.raw_height": "int",
     "geometry.crop_size": "int", "geometry.field_mm": "number",
     "optical": "object", "optical.thickness": "number",
 }
-_PRESS_MANIFEST_FIELDS = {"ball_radius_mm": "number", "scheme": "str"}
+_PRESS_MANIFEST_FIELDS = {"ball_radius_mm": "number", "scheme": sim.SCHEMES}
 
 
 @dataclass(frozen=True)
@@ -183,16 +174,9 @@ class Run:
     def load(cls, run_dir: Path) -> "Run":
         manifest_path = run_dir / "manifest.json"
         manifest = fileio.read_json(manifest_path)
-        if manifest.get("format") != RUN_FORMAT:
-            raise ValueError(f"{manifest_path}: unsupported format "
-                             f"{manifest.get('format')!r}")
         fileio.check_fields(manifest_path, manifest, _MANIFEST_FIELDS)
         if manifest["kind"] == "presses":
             fileio.check_fields(manifest_path, manifest, _PRESS_MANIFEST_FIELDS)
-            if manifest["scheme"] not in sim.SCHEMES:
-                raise fileio.FormatError(
-                    f"{manifest_path}: scheme: unknown scheme {manifest['scheme']!r}; "
-                    f"expected one of {sim.SCHEMES}")
         if not manifest["frames"]:
             raise SensorError(f"{manifest_path}: run has no frames")
         for i, frame in enumerate(manifest["frames"]):
@@ -202,7 +186,7 @@ class Run:
         for key, build in (("geometry", SensorGeometry), ("optical", sim.OpticalModel)):
             try:
                 models[key] = build(**manifest[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise fileio.FormatError(f"{manifest_path}: {key}: {exc}") from None
         geom = models["geometry"]
         reference = fileio.read_pgm(run_dir / manifest["reference"])

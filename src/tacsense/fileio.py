@@ -328,29 +328,41 @@ def read_json(path) -> dict:
     return payload
 
 
-def _is_json_number(value) -> bool:
+def _is_json_int(value) -> bool:
     # bool is an int subclass, but a JSON true is no number.
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_json_number(value) -> bool:
+    try:  # an int too large for a float is no finite number
+        return (_is_json_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 _JSON_KINDS = {
     "object": lambda v: isinstance(v, dict),
     "list": lambda v: isinstance(v, list),
     "str": lambda v: isinstance(v, str),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "int": _is_json_int,
+    "int >= 0": lambda v: _is_json_int(v) and v >= 0,
+    "int > 0": lambda v: _is_json_int(v) and v > 0,
     "number": _is_json_number,
+    "number >= 0": lambda v: _is_json_number(v) and v >= 0,
+    "number > 0": lambda v: _is_json_number(v) and v > 0,
     "numbers": lambda v: isinstance(v, list) and all(map(_is_json_number, v)),
 }
 
 
-def check_fields(path, payload, schema: dict[str, str], at: str = "") -> None:
+def check_fields(path, payload, schema: dict[str, str | tuple], at: str = "") -> None:
     """Raise FormatError unless `payload` holds every key of `schema`.
 
     `schema` maps a dotted key path to its kind: "object", "list", "str",
-    "int", "number" (finite) or "numbers" (a list of them). A parent object
-    must come before its keys. `at` is the key path of `payload` in the file,
-    used in messages such as "manifest.json: optical.thickness: missing".
+    "int", "number" (finite), "numbers" (a list of them), a range ("int >= 0",
+    "int > 0", "number >= 0", "number > 0") or a tuple of the values the key
+    may take. A parent object must come before its keys. `at` is the key path
+    of `payload` in the file, used in messages such as
+    "manifest.json: optical.thickness: expected number, got str '2'".
     """
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: {at}: expected object, "
@@ -364,6 +376,8 @@ def check_fields(path, payload, schema: dict[str, str], at: str = "") -> None:
         if name not in owner:
             raise FormatError(f"{path}: {where}: missing")
         value = owner[name]
-        if not _JSON_KINDS[kind](value):
-            raise FormatError(f"{path}: {where}: expected {kind}, got "
+        choices = isinstance(kind, tuple)
+        if not (value in kind if choices else _JSON_KINDS[kind](value)):
+            expected = f"one of {kind}" if choices else kind
+            raise FormatError(f"{path}: {where}: expected {expected}, got "
                               f"{type(value).__name__} {reprlib.repr(value)}")

@@ -50,16 +50,6 @@ class PipelineConfig:
             raise ValueError("depth clamp must be positive")
 
 
-def crop_center(img: GrayImage, geom: SensorGeometry) -> GrayImage:
-    """Centered crop to the sensing field window."""
-    if img.height < geom.crop_size or img.width < geom.crop_size:
-        raise ValueError(
-            f"cannot crop {geom.crop_size} px window from {img.width}x{img.height}")
-    u0 = (img.width - geom.crop_size) // 2
-    v0 = (img.height - geom.crop_size) // 2
-    return GrayImage(img.pixels[v0:v0 + geom.crop_size, u0:u0 + geom.crop_size])
-
-
 def difference(reference: GrayImage, contact: GrayImage) -> DifferenceImage:
     """Per-pixel intensity drop, negative values clamped to zero."""
     if reference.pixels.shape != contact.pixels.shape:
@@ -127,8 +117,14 @@ def reconstruct(reference: GrayImage, contact: GrayImage,
 
 
 def preprocess_raw(img: GrayImage, config: PipelineConfig) -> GrayImage:
-    """Crop a raw full-frame image down to the sensing field."""
-    return crop_center(img, config.geom)
+    """Centered crop of a raw full-frame image to the sensing field window."""
+    geom = config.geom
+    if img.height < geom.crop_size or img.width < geom.crop_size:
+        raise ValueError(
+            f"cannot crop {geom.crop_size} px window from {img.width}x{img.height}")
+    u0 = (img.width - geom.crop_size) // 2
+    v0 = (img.height - geom.crop_size) // 2
+    return GrayImage(img.pixels[v0:v0 + geom.crop_size, u0:u0 + geom.crop_size])
 
 
 @functools.lru_cache(maxsize=4)

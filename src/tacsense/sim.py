@@ -71,7 +71,8 @@ class IlluminationField:
         g = np.asarray(self.gains, dtype=np.float64)
         if g.ndim != 2:
             raise ValueError("illumination field must be 2-D")
-        if g.min() <= 0 or g.max() > 1:
+        # `not x > 0` refuses NaN too.
+        if not (g.min() > 0 and g.max() <= 1):
             raise ValueError("illumination gains must lie in (0, 1]")
         if abs(g.max() - 1.0) > 1e-12:
             raise ValueError("illumination field must be normalized to max 1")
@@ -115,10 +116,14 @@ def make_illumination(scheme: str, crop_size: int,
     uu, vv = np.meshgrid(np.arange(crop_size, dtype=np.float64),
                          np.arange(crop_size, dtype=np.float64))
     gains = np.zeros((crop_size, crop_size))
-    for a in angles:
-        lu = center + ring_radius * math.cos(a)
-        lv = center + ring_radius * math.sin(a)
-        gains += np.exp(-((uu - lu) ** 2 + (vv - lv) ** 2) / (2.0 * led_sigma ** 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # led_sigma ** 2 may be 0
+        for a in angles:
+            lu = center + ring_radius * math.cos(a)
+            lv = center + ring_radius * math.sin(a)
+            gains += np.exp(-((uu - lu) ** 2 + (vv - lv) ** 2) / (2.0 * led_sigma ** 2))
+    if not gains.min() > 0:
+        raise ValueError(f"led_sigma {led_sigma!r} is too small: the LED light "
+                         f"underflows to 0 on the {crop_size} px field")
     gains /= gains.max()
     return IlluminationField(gains=_seal(gains), scheme=scheme)
 

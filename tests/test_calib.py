@@ -429,7 +429,7 @@ class TestLoadCalibration:
         ("single", "entries", [0.0, "x"], "numbers"),
         ("regression", "b_c", None, "number"),
         ("regression", "k_c", True, "number"),
-        ("regression", "method", 1, "str"),
+        ("regression", "method", 1, "one of ('single', 'regression')"),
     ])
     def test_retyped_key_named(self, files, method, key, value, kind):
         self.rewrite(files[method], lambda p: p.update({key: value}))

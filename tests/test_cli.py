@@ -2,6 +2,7 @@ import importlib.util
 import json
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,9 @@ def single_calib(press_run, tmp_path_factory):
 
 
 class TestRunConfig:
+    def test_every_field_is_checked(self):
+        assert set(cli._CONFIG_FIELDS) == {f.name for f in fields(RunConfig)}
+
     def test_defaults(self):
         cfg = RunConfig.load(None)
         assert cfg.seed == 0
@@ -55,39 +59,53 @@ class TestRunConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"sigma_noise": 1.0}))
-        with pytest.raises(ValueError, match="unknown config keys"):
+        with pytest.raises(fileio.FormatError, match="unknown config keys"):
             RunConfig.load(path)
 
     def test_unknown_placement_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"placement": "corner"}))
-        with pytest.raises(ValueError, match="'placement'.*'corner'"):
+        with pytest.raises(fileio.FormatError,
+                           match=re.escape("config: placement: expected one of "
+                                           "('center', 'random'), got str 'corner'")):
             RunConfig.load(path)
 
     @pytest.mark.parametrize("values, message", [
-        ({"seed": "abc"}, "'seed': expected int, got str 'abc'"),
-        ({"presses": 2.5}, "'presses': expected int, got float 2.5"),
-        ({"seed": True}, "'seed': expected int, got bool"),
-        ({"scheme": 3}, "'scheme': expected str"),
-        ({"method": "spline"}, "'method': unknown method 'spline'"),
-        ({"thickness": 0}, "'thickness': value 0 must be finite and > 0"),
-        ({"noise_sigma": -1.0}, "'noise_sigma': value -1.0 must be finite and >= 0"),
-        ({"presses": -1}, "'presses': value -1"),
-        ({"frames_per_press": 0}, "'frames_per_press': value 0"),
-        ({"gain": 10 ** 400}, "'gain': value 1000"),
+        ({"seed": "abc"}, "config: seed: expected int >= 0, got str 'abc'"),
+        ({"presses": 2.5}, "config: presses: expected int >= 0, got float 2.5"),
+        ({"seed": True}, "config: seed: expected int >= 0, got bool True"),
+        ({"scheme": 3}, "config: scheme: expected one of "
+                        "('standard', 's1', 's2', 's3', 's4'), got int 3"),
+        ({"method": "spline"}, "config: method: expected one of "
+                               "('single', 'regression'), got str 'spline'"),
+        ({"thickness": 0}, "config: thickness: expected number > 0, got int 0"),
+        ({"noise_sigma": -1.0},
+         "config: noise_sigma: expected number >= 0, got float -1.0"),
+        ({"presses": -1}, "config: presses: expected int >= 0, got int -1"),
+        ({"frames_per_press": 0},
+         "config: frames_per_press: expected int > 0, got int 0"),
+        ({"gain": 10 ** 400}, "config: gain: expected number > 0, got int 1000"),
+        ({"gain": 250, "ambient": 10},
+         "config: optical: ambient + gain must not exceed 255"),
+        ({"crop_size": 900},
+         "config: geometry: crop window does not fit inside the raw frame"),
+        ({"raw_width": 10 ** 400, "raw_height": 10 ** 400, "crop_size": 10 ** 400},
+         "config: geometry: int too large to convert to float"),
     ])
     def test_bad_value_names_the_key(self, tmp_path, values, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(values))
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(fileio.FormatError, match=re.escape(message)):
             RunConfig.load(path)
 
     def test_bad_flag_override_rejected(self):
-        with pytest.raises(ValueError, match="'seed'"):
+        with pytest.raises(fileio.FormatError,
+                           match="config: seed: expected int >= 0, got int -3"):
             RunConfig.load(None, seed=-3)
 
     def test_non_finite_override_names_the_key(self):
-        with pytest.raises(ValueError, match="'thickness': value nan"):
+        with pytest.raises(fileio.FormatError,
+                           match="config: thickness: expected number > 0, got float nan"):
             RunConfig.load(None, thickness=float("nan"))
 
     def test_non_object_config_rejected(self, tmp_path):
@@ -170,7 +188,10 @@ class TestCalibrate:
 
     def test_unknown_method_rejected(self, press_run, tmp_path):
         run_dir, _ = press_run
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(fileio.FormatError,
+                           match=re.escape("config: method: expected one of "
+                                           "('single', 'regression'), "
+                                           "got str 'spline'")):
             cli.cmd_calibrate(RunConfig(method="spline"), run_dir,
                               tmp_path / "c.json")
 
@@ -188,7 +209,10 @@ class TestCalibrate:
     def test_wrong_format_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ValueError, match="unsupported calibration format"):
+        with pytest.raises(fileio.FormatError,
+                           match=re.escape("bad.json: format: expected one of "
+                                           "('tacsense-calib-v1',), "
+                                           "got str 'something-else'")):
             cli.load_calibration(bad)
 
 
@@ -405,7 +429,14 @@ class TestMain:
         (lambda m: {**m, "geometry": {**m["geometry"], "field_mm": 1e-320}},
          "manifest.json: geometry: pixel_pitch (field_mm / crop_size) must be a "
          "positive normal float, got "),
-        (lambda m: {**m, "scheme": "zz"}, "manifest.json: scheme: unknown scheme 'zz'"),
+        (lambda m: {**m, "scheme": "zz"},
+         "manifest.json: scheme: expected one of ('standard', 's1', 's2', 's3', "
+         "'s4'), got str 'zz'"),
+        (lambda m: {**m, "optical": {**m["optical"], "thickness": 10 ** 400}},
+         "manifest.json: optical.thickness: expected number, got int 1000"),
+        (lambda m: {**m, "geometry": dict.fromkeys(
+            ("raw_width", "raw_height", "crop_size"), 10 ** 400) | {"field_mm": 24.0}},
+         "manifest.json: geometry: int too large to convert to float"),
     ])
     def test_broken_manifest_exit_one(self, single_calib, tmp_path, capsys,
                                       command, edit, message):
@@ -424,10 +455,17 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["reconstruct", "track"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("max_calibrated"), "max_calibrated: missing"),
+        (lambda p: p.update(thickness=10 ** 400),
+         "thickness: expected number, got int 1000"),
+        (lambda p: p["entries"].__setitem__(1, 10 ** 400),
+         "entries: expected numbers, got list [0.0, 1000"),
+    ])
     def test_broken_calibration_exit_one(self, press_run, single_calib, tmp_path,
-                                         capsys, command):
+                                         capsys, command, edit, message):
         payload = json.loads(single_calib.read_text())
-        del payload["max_calibrated"]
+        edit(payload)
         broken = tmp_path / "calibration.json"
         broken.write_text(json.dumps(payload))
         out = tmp_path / "out"
@@ -436,7 +474,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.strip().splitlines()) == 1
-        assert f"{broken}: max_calibrated: missing" in err
+        assert f"{broken}: {message}" in err
         assert not out.exists()
 
     def test_unknown_placement_exit_one_without_frames(self, tmp_path, capsys):
@@ -450,10 +488,15 @@ class TestMain:
         assert "placement" in err and "corner" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("values, key", [({"seed": "abc"}, "seed"),
-                                             ({"presses": 2.5}, "presses")])
+    @pytest.mark.parametrize("values, message", [
+        ({"seed": "abc"}, "config: seed: expected int >= 0, got str 'abc'"),
+        ({"presses": 2.5}, "config: presses: expected int >= 0, got float 2.5"),
+        ({"led_sigma": 1.0}, "led_sigma 1.0 is too small: the LED light underflows "
+                             "to 0 on the 580 px field"),
+        ({"led_sigma": 1e-200}, "led_sigma 1e-200 is too small"),
+    ])
     def test_bad_config_type_exit_one_without_output(self, tmp_path, capsys,
-                                                     values, key):
+                                                     values, message):
         config = tmp_path / "c.json"
         config.write_text(json.dumps(values))
         out = tmp_path / "run"
@@ -461,7 +504,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.strip().splitlines()) == 1
-        assert f"config key '{key}'" in err
+        assert f"tacsense simulate: {message}" in err
         assert not out.exists()
 
     def test_flag_overrides_reach_pipeline(self, tmp_path):
@@ -539,7 +582,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.strip().splitlines()) == 1
-        assert "config key 'gain'" in err and "must be finite and > 0" in err
+        assert "config: gain: expected number > 0, got int 1000" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("existing", ["", "a", "a/b"])

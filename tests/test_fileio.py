@@ -155,6 +155,63 @@ class TestJson:
             fileio.read_json(path)
 
 
+def _json_number(value) -> bool:
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+# What each check_fields kind means, spelled out independently of fileio.
+KIND_MEANINGS = {
+    "object": lambda v: type(v) is dict,
+    "list": lambda v: type(v) is list,
+    "str": lambda v: type(v) is str,
+    "int": lambda v: type(v) is int,
+    "int >= 0": lambda v: type(v) is int and v >= 0,
+    "int > 0": lambda v: type(v) is int and v > 0,
+    "number": _json_number,
+    "number >= 0": lambda v: _json_number(v) and v >= 0,
+    "number > 0": lambda v: _json_number(v) and v > 0,
+    "numbers": lambda v: type(v) is list and all(map(_json_number, v)),
+}
+CHOICES = ("single", "regression")
+EDGE_VALUES = [None, True, False, 0, 0.0, -0.0, 1, -1, 5e-324, 10 ** 400, -10 ** 400,
+               math.nan, math.inf, "", "single"]
+JSON_VALUES = st.recursive(
+    st.sampled_from(EDGE_VALUES) | st.integers() | st.integers(-10 ** 400, 10 ** 400)
+    | st.floats() | st.text(max_size=12) | st.sampled_from(CHOICES),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=8)
+
+
+class TestCheckFields:
+    def test_every_kind_has_a_meaning(self):
+        assert set(KIND_MEANINGS) == set(fileio._JSON_KINDS)
+
+    @pytest.mark.parametrize("kind", [*KIND_MEANINGS, CHOICES])
+    @settings(max_examples=150, deadline=None)
+    @given(value=st.sampled_from(EDGE_VALUES) | JSON_VALUES)
+    def test_accepts_exactly_the_values_of_the_kind(self, kind, value):
+        if isinstance(kind, tuple):
+            valid = type(value) is str and value in kind
+        else:
+            valid = KIND_MEANINGS[kind](value)
+        payload = {"outer": {"key": value}}
+        schema = {"outer": "object", "outer.key": kind}
+        if valid:
+            fileio.check_fields("f.json", payload, schema)
+        else:
+            with pytest.raises(FormatError) as exc:
+                fileio.check_fields("f.json", payload, schema)
+            expected = f"one of {kind}" if isinstance(kind, tuple) else kind
+            assert str(exc.value).startswith(
+                f"f.json: outer.key: expected {expected}, got {type(value).__name__} ")
+
+
 class TestPly:
     def test_round_trip(self, tmp_path):
         pts = np.array([[0.0, 1.0, -0.5], [2.25, -3.5, 4.0]])

@@ -30,31 +30,28 @@ def make_lookup_model(optical):
     return calib.MappingList(depths=depths, max_calibrated=max_delta)
 
 
-class TestCropCenter:
-    def test_raw_frame_crop_offsets(self, geom):
+class TestPreprocessRaw:
+    @pytest.fixture
+    def config(self, geom, optical):
+        return recon.PipelineConfig(model=make_lookup_model(optical), geom=geom)
+
+    def test_raw_frame_crop_offsets(self, config):
         raw = np.zeros((600, 800), dtype=np.uint8)
         raw[10, 110] = 200
         raw[589, 689] = 201
-        out = recon.crop_center(GrayImage(raw), geom)
+        out = recon.preprocess_raw(GrayImage(raw), config)
         assert out.pixels.shape == (580, 580)
         assert out.pixels[0, 0] == 200
         assert out.pixels[579, 579] == 201
 
-    def test_idempotent_on_cropped_frame(self, geom, flat_reference):
-        again = recon.crop_center(flat_reference, geom)
+    def test_idempotent_on_cropped_frame(self, config, flat_reference):
+        again = recon.preprocess_raw(flat_reference, config)
         assert np.array_equal(again.pixels, flat_reference.pixels)
 
-    def test_too_small_frame_rejected(self, geom):
+    def test_too_small_frame_rejected(self, config):
         with pytest.raises(ValueError):
-            recon.crop_center(GrayImage(np.zeros((100, 100), dtype=np.uint8)), geom)
-
-    def test_preprocess_raw_is_the_centered_crop(self, geom, optical):
-        raw = GrayImage(np.random.default_rng(3).integers(0, 256, (600, 800),
-                                                          dtype=np.uint8))
-        config = recon.PipelineConfig(model=make_lookup_model(optical), geom=geom)
-        out = recon.preprocess_raw(raw, config)
-        assert np.array_equal(out.pixels, recon.crop_center(raw, geom).pixels)
-        assert np.array_equal(out.pixels, raw.pixels[10:590, 110:690])
+            recon.preprocess_raw(GrayImage(np.zeros((100, 100), dtype=np.uint8)),
+                                 config)
 
 
 class TestDifference:

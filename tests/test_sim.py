@@ -203,6 +203,13 @@ class TestIllumination:
         with pytest.raises(ValueError):
             sim.make_illumination("s9", 64)
 
+    @pytest.mark.parametrize("value", [np.nan, 0.0, 1.5])
+    def test_gains_outside_unit_interval_refused(self, value):
+        gains = np.ones((4, 4))
+        gains[1, 2] = value
+        with pytest.raises(ValueError, match=re.escape("gains must lie in (0, 1]")):
+            sim.IlluminationField(gains)
+
     def test_corner_cluster_far_less_uniform(self, geom, optical):
         stds = {}
         for scheme in ("standard", "s4"):
