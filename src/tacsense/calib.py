@@ -251,31 +251,15 @@ def isotonic_non_decreasing(values: np.ndarray,
                             weights: np.ndarray | None = None) -> np.ndarray:
     """Pool-adjacent-violators projection onto non-decreasing sequences."""
     values = np.asarray(values, dtype=np.float64)
-    if weights is None:
-        weights = np.ones_like(values)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
+    weights = np.ones_like(values) if weights is None else np.asarray(weights, np.float64)
     # Blocks of (mean, weight, count), merged while the tail decreases.
-    means: list[float] = []
-    wts: list[float] = []
-    counts: list[int] = []
+    blocks: list[tuple[float, float, int]] = []
     for v, w in zip(values, weights):
-        means.append(float(v))
-        wts.append(float(w))
-        counts.append(1)
-        while len(means) > 1 and means[-2] > means[-1]:
-            m2, w2, c2 = means.pop(), wts.pop(), counts.pop()
-            m1, w1, c1 = means.pop(), wts.pop(), counts.pop()
-            w = w1 + w2
-            means.append((m1 * w1 + m2 * w2) / w)
-            wts.append(w)
-            counts.append(c1 + c2)
-    out = np.empty_like(values)
-    pos = 0
-    for m, c in zip(means, counts):
-        out[pos:pos + c] = m
-        pos += c
-    return out
+        blocks.append((float(v), float(w), 1))
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            (m2, w2, c2), (m1, w1, c1) = blocks.pop(), blocks.pop()
+            blocks.append(((m1 * w1 + m2 * w2) / (w1 + w2), w1 + w2, c1 + c2))
+    return np.repeat([m for m, _, _ in blocks], [c for _, _, c in blocks])
 
 
 def build_mapping_list(diff: DifferenceImage, truth: DepthMap,

@@ -90,13 +90,14 @@ class RunConfig:
                                      led_sigma=self.led_sigma)
 
 
-# The kind of each RunConfig field; see fileio.check_fields.
+# The kind of each RunConfig field; see fileio.check_fields. SensorGeometry and
+# OpticalModel check the ranges of their keys, as they do for a manifest.
 _CONFIG_FIELDS = {
     "seed": "int >= 0", "scheme": sim.SCHEMES, "method": METHODS,
-    "thickness": "number > 0", "noise_sigma": "number >= 0", "attenuation": "number > 0",
-    "gain": "number > 0", "ambient": "number >= 0", "led_sigma": "number > 0",
-    "raw_width": "int > 0", "raw_height": "int > 0", "crop_size": "int > 0",
-    "field_mm": "number > 0", "gaussian_sigma": "number > 0", "ball_radius": "number > 0",
+    "thickness": "number", "noise_sigma": "number >= 0", "attenuation": "number",
+    "gain": "number", "ambient": "number", "led_sigma": "number > 0",
+    "raw_width": "int", "raw_height": "int", "crop_size": "int",
+    "field_mm": "number", "gaussian_sigma": "number > 0", "ball_radius": "number > 0",
     "presses": "int >= 0", "placement": sim.PLACEMENTS, "frames_per_press": "int > 0",
 }
 

@@ -66,6 +66,18 @@ def _seal(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _finite_floats(data, message: str) -> tuple[np.ndarray, float]:
+    """float32 data as it is and any other dtype as float64, with its least
+    value (0 if empty); ValueError(message) if a value is not finite."""
+    arr = np.asarray(data)
+    arr = arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
+    # min and max propagate NaN, so together they see every non-finite value.
+    lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(message)
+    return arr, lo
+
+
 @dataclass(frozen=True)
 class _Raster:
     """Validated uint8 raster; subclasses set `_kind`, their name in errors."""
@@ -136,18 +148,11 @@ class DepthMap:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data)
-        if d.dtype != np.float32:
-            d = np.asarray(d, dtype=np.float64)
+        d, lo = _finite_floats(self.data, "depth map contains non-finite values")
         if d.ndim != 2:
             raise ValueError(f"depth map must be 2-D, got shape {d.shape}")
-        if d.size:
-            # min and max propagate NaN, so together they see every non-finite value.
-            lo, hi = d.min(), d.max()
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError("depth map contains non-finite values")
-            if lo < 0:
-                raise ValueError("depth map contains negative values")
+        if lo < 0:
+            raise ValueError("depth map contains negative values")
         object.__setattr__(self, "data", _freeze(d))
 
     @property
@@ -276,28 +281,25 @@ class PointCloud:
     """Set of 3-D points in mm, shape (n, 3), with an optional normal per point.
 
     `normals`, if given, has the points' shape; a cloud sampled from a depth
-    map carries them so that ICP need not estimate them again. Both are
-    float64, kept without a copy when nothing else can write to them (see
-    `_freeze`).
+    map carries them so that ICP need not estimate them again. As in
+    `DepthMap`, float32 data stays float32 (a float32 depth map's full cloud,
+    a binary PLY) and any other dtype becomes float64, kept without a copy
+    when nothing else can write to it.
     """
 
     points: np.ndarray
     normals: np.ndarray | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=np.float64)
+        p, _ = _finite_floats(self.points, "point cloud contains non-finite coordinates")
         if p.ndim != 2 or p.shape[1] != 3:
             raise ValueError(f"point cloud must have shape (n, 3), got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("point cloud contains non-finite coordinates")
         object.__setattr__(self, "points", _freeze(p))
         if self.normals is not None:
-            n = np.asarray(self.normals, dtype=np.float64)
+            n, _ = _finite_floats(self.normals, "point cloud contains non-finite normals")
             if n.shape != p.shape:
                 raise ValueError(f"normals must have the points' shape {p.shape}, "
                                  f"got {n.shape}")
-            if not np.all(np.isfinite(n)):
-                raise ValueError("point cloud contains non-finite normals")
             object.__setattr__(self, "normals", _freeze(n))
 
     def __len__(self) -> int:

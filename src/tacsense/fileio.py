@@ -116,17 +116,21 @@ PLY_FORMATS = ("ascii", "binary_little_endian")
 
 
 def write_ply(path, cloud: PointCloud) -> None:
-    """Binary little-endian PLY with float x, y, z vertex properties."""
-    with np.errstate(over="ignore"):
-        points = cloud.points.astype("<f4")
-    if not np.isfinite(points).all():
-        raise ValueError(f"{path}: point coordinates overflow float32")
+    """Binary little-endian PLY with float x, y, z vertex properties; float64
+    points are narrowed, and refused if one overflows float32."""
+    points = cloud.points
+    if points.dtype != np.float32:
+        with np.errstate(over="ignore"):
+            points = points.astype("<f4")
+        if not np.isfinite(points).all():
+            raise ValueError(f"{path}: point coordinates overflow float32")
     with open(path, "wb") as f:
         f.write(b"ply\nformat binary_little_endian 1.0\n")
         f.write(f"element vertex {len(cloud)}\n".encode("ascii"))
         f.write(b"property float x\nproperty float y\nproperty float z\n")
         f.write(b"end_header\n")
-        f.write(points)
+        # float32 points are written as they are, a strided view through one copy.
+        f.write(np.ascontiguousarray(points, dtype="<f4"))
 
 
 def _read_ply_header(path, data: bytes) -> tuple[str, int, list[str], list[str], int]:
@@ -215,16 +219,15 @@ def _read_binary_vertices(path, data: bytes, body: int, count: int,
     found = (len(data) - body) // row.itemsize
     if found < count:
         raise _truncated(path, data, count, found)
-    with np.errstate(invalid="ignore"):  # signalling NaNs are refused later
-        if names == ["x", "y", "z"] and types == ["f4"] * 3:
-            # write_ply's layout: the rows are the points.
-            points = np.frombuffer(data, dtype="<f4", count=3 * count,
-                                   offset=body).reshape(count, 3).astype(np.float64)
-        else:
-            rec = np.frombuffer(data, dtype=row, count=count, offset=body)
-            points = np.empty((count, 3))
-            for j, axis in enumerate("xyz"):
-                points[:, j] = rec[f"p{names.index(axis)}"]
+    rec = np.frombuffer(data, dtype=row, count=count, offset=body)
+    if names == ["x", "y", "z"] and types == ["f4"] * 3:
+        # write_ply's layout: the rows are the points, a read-only float32
+        # view of the file's bytes.
+        points = rec.view("<f4").reshape(count, 3)
+    else:
+        with np.errstate(invalid="ignore"):  # signalling NaNs are refused later
+            columns = [rec[f"p{names.index(axis)}"] for axis in "xyz"]
+            points = np.column_stack(columns).astype(np.float64, copy=False)
     return points, lambda i: body + i * row.itemsize
 
 
@@ -280,9 +283,10 @@ def _is_number(token: bytes) -> bool:
 def read_ply(path) -> PointCloud:
     """x, y, z of every vertex of an ASCII or binary little-endian PLY file.
 
-    Other scalar vertex properties are read and dropped. List properties in
-    the vertex element, other formats and non-finite coordinates raise
-    `FormatError` with the byte offset.
+    `write_ply`'s layout reads as a read-only float32 view of the file's
+    bytes, other layouts as float64. Other scalar vertex properties are read
+    and dropped. List properties in the vertex element, other formats and
+    non-finite coordinates raise `FormatError` with the byte offset.
     """
     data = Path(path).read_bytes()
     fmt, count, names, types, body = _read_ply_header(path, data)
@@ -293,11 +297,13 @@ def read_ply(path) -> PointCloud:
     else:
         points, row_at = _read_binary_vertices(path, data, body, count, names,
                                                types)
-    if not np.isfinite(points).all():
-        i = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
-        raise FormatError(f"{path}: non-finite PLY vertex {i} at byte {row_at(i)}")
-    # Both readers return a fresh array, which the cloud keeps uncopied.
-    return PointCloud(_seal(points))
+    try:
+        return PointCloud(_seal(points))  # kept uncopied
+    except ValueError:
+        # PointCloud refused a coordinate; find the first vertex for the message.
+        i = int(np.argmin(np.isfinite(points).all(axis=1)))
+        raise FormatError(f"{path}: non-finite PLY vertex {i} "
+                          f"at byte {row_at(i)}") from None
 
 
 def write_json(path, payload) -> None:

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from .core import DegenerateGeometryError, PointCloud, Pose
+from .core import DegenerateGeometryError, PointCloud, Pose, _seal
 
 # Smallest/largest eigenvalue ratio below which the point-to-plane system
 # counts as rank-deficient.
@@ -51,7 +51,8 @@ def best_rigid_transform(src: PointCloud, dst: PointCloud,
     """Least-squares rigid alignment src -> dst over correspondence pairs.
 
     `pairs` is an (n, 2) array of (src index, dst index); None pairs the
-    clouds index-to-index. SVD solution with reflection correction.
+    clouds index-to-index. SVD solution with reflection correction, in
+    float64 also for float32 clouds.
     """
     if pairs is None:
         a = src.points
@@ -62,8 +63,8 @@ def best_rigid_transform(src: PointCloud, dst: PointCloud,
         b = dst.points[pairs[:, 1]]
     if a.shape[0] < 3:
         raise DegenerateGeometryError(f"need >= 3 correspondences, got {a.shape[0]}")
-    ca = a.mean(axis=0)
-    cb = b.mean(axis=0)
+    ca = a.mean(axis=0, dtype=np.float64)
+    cb = b.mean(axis=0, dtype=np.float64)
     h = (a - ca).T @ (b - cb)
     u, s, vt = np.linalg.svd(h)
     # Collinear correspondences leave the rotation about the line unconstrained.
@@ -134,6 +135,11 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
     """
     if len(source) == 0 or len(target) == 0:
         raise ValueError("ICP requires non-empty clouds")
+    # ICP works in float64: float32 points (a PLY model cloud) are widened once.
+    # Normals only meet float64 operands, so float32 normals need no copy.
+    source, target = (c if c.points.dtype == np.float64 else
+                      PointCloud(_seal(c.points.astype(np.float64)), c.normals)
+                      for c in (source, target))
     tree = cKDTree(target.points)
     normals = target.normals
 

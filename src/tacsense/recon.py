@@ -127,18 +127,19 @@ def preprocess_raw(img: GrayImage, config: PipelineConfig) -> GrayImage:
     return GrayImage(img.pixels[v0:v0 + geom.crop_size, u0:u0 + geom.crop_size])
 
 
-@functools.lru_cache(maxsize=4)
-def _flat_surface(geom: SensorGeometry) -> np.ndarray:
-    """Read-only (x, y, 0) of every crop pixel in row-major order, built once
-    per geometry."""
+@functools.lru_cache(maxsize=8)
+def _flat_surface(geom: SensorGeometry, dtype: np.dtype) -> np.ndarray:
+    """Read-only (x, y, 0) of every crop pixel in row-major order, in `dtype`,
+    built once per geometry and dtype."""
     axis = surface_axis(geom)
     n = len(axis)
-    return _seal(np.column_stack([np.tile(axis, n), np.repeat(axis, n), np.zeros(n * n)]))
+    flat = np.column_stack([np.tile(axis, n), np.repeat(axis, n), np.zeros(n * n)])
+    return _seal(flat.astype(dtype, copy=False))
 
 
 def depth_to_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
-    """One point per pixel at (x, y, -depth); z = 0 is the undeformed surface."""
-    flat = _flat_surface(geom)
+    """One point per pixel at (x, y, -depth) in the depth's dtype; z = 0 is undeformed."""
+    flat = _flat_surface(geom, depth.data.dtype)
     if depth.data.size != len(flat):
         raise ValueError(f"depth map of shape {depth.data.shape} does not cover "
                          f"the {geom.crop_size} px crop")

@@ -2,15 +2,15 @@ import importlib.util
 import json
 import re
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tacsense import calib, cli, fileio
+from tacsense import calib, cli, fileio, sim
 from tacsense.cli import RunConfig
-from tacsense.core import GrayImage, PointCloud
+from tacsense.core import GrayImage, PointCloud, SensorGeometry
 from tacsense.pose import Pose
 
 
@@ -78,13 +78,13 @@ class TestRunConfig:
                         "('standard', 's1', 's2', 's3', 's4'), got int 3"),
         ({"method": "spline"}, "config: method: expected one of "
                                "('single', 'regression'), got str 'spline'"),
-        ({"thickness": 0}, "config: thickness: expected number > 0, got int 0"),
+        ({"thickness": 0}, "config: optical: thickness must be positive, got 0"),
         ({"noise_sigma": -1.0},
          "config: noise_sigma: expected number >= 0, got float -1.0"),
         ({"presses": -1}, "config: presses: expected int >= 0, got int -1"),
         ({"frames_per_press": 0},
          "config: frames_per_press: expected int > 0, got int 0"),
-        ({"gain": 10 ** 400}, "config: gain: expected number > 0, got int 1000"),
+        ({"gain": 10 ** 400}, "config: gain: expected number, got int 1000"),
         ({"gain": 250, "ambient": 10},
          "config: optical: ambient + gain must not exceed 255"),
         ({"crop_size": 900},
@@ -105,7 +105,7 @@ class TestRunConfig:
 
     def test_non_finite_override_names_the_key(self):
         with pytest.raises(fileio.FormatError,
-                           match="config: thickness: expected number > 0, got float nan"):
+                           match="config: thickness: expected number, got float nan"):
             RunConfig.load(None, thickness=float("nan"))
 
     def test_non_object_config_rejected(self, tmp_path):
@@ -113,6 +113,37 @@ class TestRunConfig:
         path.write_text("[1, 2]")
         with pytest.raises(fileio.FormatError, match="expected a JSON object"):
             RunConfig.load(path)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("optical", "thickness", -2, "thickness must be positive, got -2"),
+        ("optical", "thickness", 0, "thickness must be positive, got 0"),
+        ("optical", "attenuation", 0.0, "attenuation must be positive, got 0.0"),
+        ("optical", "gain", -1, "gain must be positive, got -1"),
+        ("optical", "ambient", -0.5, "ambient must be non-negative, got -0.5"),
+        ("optical", "gain", 250, "ambient + gain must not exceed 255"),
+        ("geometry", "raw_width", 0, "raw_width must be positive, got 0"),
+        ("geometry", "crop_size", -3, "crop_size must be positive, got -3"),
+        ("geometry", "crop_size", 900, "crop window does not fit inside the raw frame"),
+        ("geometry", "field_mm", 0.0, "field_mm must be finite and positive, got 0.0"),
+        ("geometry", "field_mm", 1e-320, "pixel_pitch (field_mm / crop_size) must be a "
+                                         "positive normal float, got "),
+    ])
+    def test_config_and_manifest_give_one_message(self, tmp_path, section, key,
+                                                  value, message):
+        """The models own the ranges, so only the file prefix differs."""
+        with pytest.raises(fileio.FormatError) as from_config:
+            RunConfig(**{key: value})
+        manifest = {"format": cli.RUN_FORMAT, "frames": [{"image": "f.pgm"}],
+                    "reference": "r.pgm", "kind": "sequence",
+                    "geometry": asdict(SensorGeometry()),
+                    "optical": asdict(sim.OpticalModel())}
+        manifest[section][key] = value
+        fileio.write_json(tmp_path / "manifest.json", manifest)
+        with pytest.raises(fileio.FormatError) as from_manifest:
+            cli.Run.load(tmp_path)
+        assert str(from_config.value).startswith(f"config: {section}: {message}")
+        tail = str(from_config.value).removeprefix("config: ")
+        assert str(from_manifest.value) == f"{tmp_path / 'manifest.json'}: {tail}"
 
     def test_integer_accepted_for_float_key(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -292,6 +323,32 @@ class TestTrack:
             pose = pose_from_list(frame["pose"])
             # acos near +1 amplifies 1e-16 matrix error to ~1e-6 degrees
             assert pose.rotation_angle_deg() <= 1e-4
+
+
+    def test_model_cloud_tracks_as_its_float64_copy(self, single_calib, tmp_path):
+        # A reconstructed cloud reads as float32; the same points stored as
+        # double read as float64. ICP widens the first, so both track alike.
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        cli.cmd_simulate(RunConfig(), seq, object_kind="hex_nut", n_frames=3)
+        rec = tmp_path / "rec"
+        rec.mkdir()
+        cli.cmd_reconstruct(RunConfig(), seq, single_calib, rec)
+        cloud = fileio.read_ply(rec / "cloud_000.ply")
+        assert cloud.points.dtype == np.float32
+        double = tmp_path / "double.ply"
+        double.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex "
+                           + str(len(cloud)).encode("ascii") + b"\nproperty double x\n"
+                           b"property double y\nproperty double z\nend_header\n"
+                           + cloud.points.astype("<f8").tobytes())
+        assert fileio.read_ply(double).points.dtype == np.float64
+        reports = []
+        for model in (rec / "cloud_000.ply", double):
+            out = tmp_path / model.stem
+            out.mkdir()
+            reports.append(cli.cmd_track(RunConfig(), seq, single_calib, out, model))
+        assert reports[0] == reports[1]
+        assert all(frame["converged"] for frame in reports[0]["frames"])
 
 
 class TestMain:
@@ -582,7 +639,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.strip().splitlines()) == 1
-        assert "config: gain: expected number > 0, got int 1000" in err
+        assert "config: gain: expected number, got int 1000" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("existing", ["", "a", "a/b"])

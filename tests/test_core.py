@@ -242,6 +242,25 @@ class TestCopyContract:
     def test_depth_dtype(self, dtype, kept):
         assert DepthMap(np.ones((2, 2), dtype=dtype)).data.dtype == kept
 
+    @pytest.mark.parametrize("dtype, kept", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float16, np.float64), (np.int64, np.float64),
+    ])
+    def test_point_cloud_dtype(self, dtype, kept):
+        normals = np.tile(np.array([0, 0, 1], dtype=dtype), (4, 1))
+        cloud = PointCloud(np.ones((4, 3), dtype=dtype), normals)
+        assert cloud.points.dtype == kept and cloud.normals.dtype == kept
+        assert len(PointCloud(np.zeros((0, 3), dtype=dtype))) == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_float32_point_cloud_is_validated(self, value):
+        bad = np.zeros((3, 3), dtype=np.float32)
+        bad[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            PointCloud(bad)
+        with pytest.raises(ValueError, match="non-finite normals"):
+            PointCloud(np.zeros((3, 3), dtype=np.float32), bad)
+
     def test_float32_depth_is_validated(self):
         for value in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tacsense import fileio
-from tacsense.core import DepthMap, GrayImage, PointCloud
+from tacsense import fileio, recon
+from tacsense.core import DepthMap, GrayImage, PointCloud, SensorGeometry, surface_axis
 from tacsense.fileio import FormatError
 
 
@@ -229,7 +229,8 @@ class TestPly:
         else:
             path.write_bytes(ascii_ply(pts))
         points = fileio.read_ply(path).points
-        assert points.dtype == np.float64
+        # write_ply's layout reads as float32, ASCII as float64.
+        assert points.dtype == (np.float32 if binary else np.float64)
         assert not points.flags.writeable
         with pytest.raises(ValueError):
             points[0, 0] = 1.0
@@ -247,6 +248,24 @@ class TestPly:
         header = ("ply\nformat binary_little_endian 1.0\n"
                   + XYZ_HEADER.format(n=1)).encode("ascii")
         assert path.read_bytes() == header + pts.astype("<f4").tobytes()
+
+    def test_binary_read_keeps_the_file_bytes_uncopied(self, tmp_path):
+        path = tmp_path / "c.ply"
+        fileio.write_ply(path, PointCloud(np.ones((4, 3), dtype=np.float32)))
+        assert not fileio.read_ply(path).points.flags.owndata
+
+    def test_strided_float32_cloud_writes_its_points(self, tmp_path):
+        # A stride of a cloud read from a file, as recon.subsample makes it,
+        # stays a strided view of the file's bytes.
+        rows = np.arange(30, dtype="<f4").reshape(10, 3)
+        strided = np.frombuffer(rows.tobytes(), dtype="<f4").reshape(10, 3)[::3]
+        cloud = PointCloud(strided)
+        assert cloud.points is strided and not strided.flags.c_contiguous
+        path = tmp_path / "c.ply"
+        fileio.write_ply(path, cloud)
+        header = ("ply\nformat binary_little_endian 1.0\n"
+                  + XYZ_HEADER.format(n=4)).encode("ascii")
+        assert path.read_bytes() == header + rows[::3].tobytes()
 
     def test_float32_overflow_refused(self, tmp_path):
         with pytest.raises(ValueError, match="overflow float32"):
@@ -365,10 +384,17 @@ clouds = arrays(np.float32, st.tuples(st.integers(0, 12), st.just(3)),
 
 
 def write_both(tmp_path, points):
-    """The cloud as written by write_ply (binary) and in the ASCII layout."""
+    """The cloud as written by write_ply (binary) and in the ASCII layout.
+
+    write_ply writes the float32 cloud as it is and its float64 widening
+    narrowed; both give the same bytes.
+    """
     binary = tmp_path / "b.ply"
     fileio.write_ply(binary, PointCloud(points.astype(np.float64)))
-    return {"binary": binary.read_bytes(), "ascii": ascii_ply(points)}
+    narrowed = binary.read_bytes()
+    fileio.write_ply(binary, PointCloud(points))
+    assert binary.read_bytes() == narrowed
+    return {"binary": narrowed, "ascii": ascii_ply(points)}
 
 
 FUZZ = settings(max_examples=60, deadline=None,
@@ -405,6 +431,34 @@ class TestPlyFuzz:
                 fileio.read_ply(ply_file(tmp_path, bytes(data), f"{fmt}.ply"))
             except FormatError:
                 pass
+
+
+class TestFloat32DepthCloud:
+    """A float32 depth map's full cloud goes to the PLY file and back as float32."""
+
+    @FUZZ
+    @given(crop=st.integers(1, 12), field_mm=st.floats(0.5, 40.0), data=st.data())
+    def test_written_as_the_float64_cloud_narrowed(self, tmp_path, crop, field_mm,
+                                                   data):
+        geom = SensorGeometry(raw_width=crop, raw_height=crop, crop_size=crop,
+                              field_mm=field_mm)
+        depth = DepthMap(data.draw(arrays(np.float32, (crop, crop), elements=st.floats(
+            0.0, 1e6, width=32))))
+        cloud = recon.depth_to_pointcloud(depth, geom)
+        assert cloud.points.dtype == np.float32
+        # The float64 cloud that float32 depth used to give, narrowed for the file.
+        xx, yy = np.meshgrid(surface_axis(geom), surface_axis(geom))
+        wide = np.column_stack([xx.ravel(), yy.ravel(),
+                                -depth.data.ravel().astype(np.float64)])
+        body = wide.astype("<f4").tobytes()
+        path = tmp_path / "c.ply"
+        fileio.write_ply(path, cloud)
+        header = ("ply\nformat binary_little_endian 1.0\n"
+                  + XYZ_HEADER.format(n=crop * crop)).encode("ascii")
+        assert path.read_bytes() == header + body
+        back = fileio.read_ply(path).points
+        assert back.dtype == np.float32 and not back.flags.writeable
+        assert back.tobytes() == body
 
 
 shapes = st.tuples(st.integers(0, 6), st.integers(0, 6))

@@ -190,6 +190,19 @@ class TestBestRigidTransform:
         pose = best_rigid_transform(src, dst, pairs=pairs)
         assert np.abs(pose.rotation - true.rotation).max() < 1e-9
 
+    def test_float32_clouds_are_aligned_in_float64(self):
+        # Clouds read from a binary PLY are float32; a float32 fit would give
+        # a rotation too far from orthonormal for Pose.
+        src = random_cloud(4000, seed=12)
+        true = Pose.rot_z(3.0, translation=(0.2, -0.1, 0.0))
+        narrow = [PointCloud(p.astype(np.float32))
+                  for p in (src.points, true.apply(src.points))]
+        pose = best_rigid_transform(*narrow)
+        wide = best_rigid_transform(*(PointCloud(c.points.astype(np.float64))
+                                      for c in narrow))
+        assert np.abs(pose.rotation - wide.rotation).max() < 1e-12
+        assert np.abs(pose.translation - wide.translation).max() < 1e-12
+
     def test_too_few_points_rejected(self):
         two = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0]]))
         with pytest.raises(DegenerateGeometryError):
@@ -326,6 +339,25 @@ class TestIcp:
         err = report.pose.compose(true.inverse())
         assert err.rotation_angle_deg() <= 1e-3
         assert np.linalg.norm(err.translation) <= 1e-4
+
+    @pytest.mark.parametrize("with_normals", [False, True])
+    def test_float32_clouds_give_the_report_of_their_widenings(self, with_normals):
+        src = graph_surface(500, seed=28)
+        true = small_motion(np.random.default_rng(29), 4.0, 0.2)
+        normals = graph_normals(src.points) @ true.rotation.T if with_normals else None
+        source = PointCloud(src.points.astype(np.float32))
+        target = PointCloud(true.apply(src.points).astype(np.float32),
+                            None if normals is None else normals.astype(np.float32))
+        wide = [PointCloud(c.points.astype(np.float64),
+                           None if c.normals is None else c.normals.astype(np.float64))
+                for c in (source, target)]
+        init = Pose.rot_z(1.0)
+        narrow, widened = icp(source, target, init=init), icp(*wide, init=init)
+        assert narrow.pose.rotation.tobytes() == widened.pose.rotation.tobytes()
+        assert narrow.pose.translation.tobytes() == widened.pose.translation.tobytes()
+        assert (narrow.rmse, narrow.iterations, narrow.converged,
+                narrow.inlier_fraction) == (widened.rmse, widened.iterations,
+                                            widened.converged, widened.inlier_fraction)
 
     def test_rim_clouds_track_with_plane_steps(self, hex_nut_rims, monkeypatch):
         plane_steps = []

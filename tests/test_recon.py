@@ -298,8 +298,8 @@ class TestPointCloud:
             0.0, 2.0, (SMALL_GEOM.crop_size,) * 2).astype(np.float32))
         first = recon.depth_to_pointcloud(depth, SMALL_GEOM).points
         second = recon.depth_to_pointcloud(depth, SMALL_GEOM).points
-        assert first.dtype == np.float64 and not first.flags.writeable
-        assert np.array_equal(first[:, 2], -depth.data.ravel().astype(np.float64))
+        assert first.dtype == np.float32 and not first.flags.writeable
+        assert first[:, 2].tobytes() == (-depth.data.ravel()).tobytes()
         assert np.array_equal(first, second) and not np.shares_memory(first, second)
 
     def test_depth_of_another_size_refused(self):

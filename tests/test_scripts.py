@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,23 @@ def test_tracking_demo_takes_every_object_kind():
     done = run_demo("--object", "set_screw", "--frames", "2")
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.strip().splitlines()) == 3
+
+
+def test_bench_record_writes_one_record_per_tree(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--pr", "0",
+         "--workload", "calib_eval", "--seeds", "1", "--seconds", "0.5",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    record = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert record["pr"] == 0 and record["settings"]["seeds"] == [1]
+    (tree,) = record["records"]
+    assert tree["label"] == "checkout" and tree["nproc"] >= 1
+    assert {"python", "numpy", "scipy", "commit", "uncommitted"} <= set(tree)
+    entry = tree["workloads"]["calib_eval"]
+    assert set(entry["median"]) == {"frames_per_s_norm", "depth_mae_mm",
+                                    "peak_rss_mb", "setup_s"}
+    assert [run["seed"] for run in entry["runs"]] == [1]
+    assert entry["runs"][0]["correct"] and entry["layers"]["correct"]
+    assert "calib.detect_contact_circle.ms" in entry["layers"]["metrics"]
