@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the benchmark of one or more source trees in BENCH_<pr>.json.
 
-    python3 scripts/bench_record.py --pr 14 --tree parent=HEAD~1 --tree change=. \\
+    python3 scripts/bench_record.py --pr <n> --tree parent=HEAD~1 --tree change=. \\
         --seeds 11 12 13 --seconds 30
 
 Each tree is a directory holding a checkout, or a git revision of this
