@@ -14,8 +14,9 @@ seed to the next. Then each workload runs once traced, on the first seed.
 The file holds one record per tree: its commit (and whether the checkout
 had uncommitted changes), ``nproc``, the Python, numpy and scipy versions,
 and per workload the median of each gated end-to-end metric over the
-seeds, every run's values and failure counts, and the traced per-layer
-metrics.
+seeds, every run's metrics, figures and failure counts, and the traced
+run's per-layer metrics and figures. ``units`` gives the unit of each
+metric and figure.
 """
 
 from __future__ import annotations
@@ -83,7 +84,11 @@ def prepare(source: str, scratch: Path) -> tuple[Path, str | None, bool]:
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
               trace: int) -> tuple[dict, dict]:
-    """(result line, environment) of one perfbench run in `tree`."""
+    """(result line, environment) of one perfbench run in `tree`.
+
+    Beside the result line's metrics, the result holds the run's figures in
+    the same form, {name: {"value": ..., "unit": ...}}.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -92,13 +97,22 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
                          f"{done.returncode}:\n{done.stderr[-2000:]}")
     lines = done.stdout.strip().splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
-    return json.loads(lines[-1]), env
+    result = json.loads(lines[-1])
+    # "figure <name> = <value> <unit> (<better> is better)"
+    result["figures"] = {name: {"value": float(value), "unit": unit}
+                         for name, _, value, unit, *_ in
+                         (line[7:].split() for line in lines if line.startswith("figure "))}
+    return result, env
 
 
-def flat(result: dict) -> dict:
-    return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+def flat(result: dict, units: dict) -> dict:
+    """One run's record; `units` gathers the unit of each metric and figure."""
+    record = {"correct": result["correct"], "attempted": result["attempted"],
+              "failed": result["failed"]}
+    for kind in ("metrics", "figures"):
+        units.update((k, v["unit"]) for k, v in result[kind].items())
+        record[kind] = {k: v["value"] for k, v in result[kind].items()}
+    return record
 
 
 def main(argv=None) -> int:
@@ -106,6 +120,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     gated = [m["name"] for m in spec["end_to_end"]]
+    units = {}
     with tempfile.TemporaryDirectory(prefix="bench-trees-") as scratch:
         trees = [(label, *prepare(source, Path(scratch)))
                  for label, source in args.trees]
@@ -120,7 +135,7 @@ def main(argv=None) -> int:
                     records[label].update(nproc=env["nproc"], python=env["python"],
                                           numpy=env["numpy"], scipy=env["scipy"])
                     records[label]["workloads"][workload]["runs"].append(
-                        {"seed": seed, **flat(result)})
+                        {"seed": seed, **flat(result, units)})
                     print(f"{label} {workload} seed {seed}: "
                           + ", ".join(f"{k} {v['value']:.6g}"
                                       for k, v in result["metrics"].items()),
@@ -128,7 +143,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             for label, tree, _, _ in trees:
                 result, _ = run_bench(tree, workload, args.seeds[0], args.seconds, 1)
-                records[label]["workloads"][workload]["layers"] = flat(result)
+                records[label]["workloads"][workload]["layers"] = flat(result, units)
     for record in records.values():
         for workload, entry in record["workloads"].items():
             entry["median"] = {
@@ -136,7 +151,6 @@ def main(argv=None) -> int:
                 for name in gated}
             print(f"{record['label']} {workload} median: "
                   + ", ".join(f"{k} {v:.6g}" for k, v in entry["median"].items()))
-    units = {m["name"]: m["unit"] for m in spec["end_to_end"] + spec["per_layer"]}
     payload = {"format": "tacsense-bench-record-v1", "pr": args.pr,
                "settings": {"seeds": args.seeds, "seconds": args.seconds,
                             "trace_seed": args.seeds[0], "workloads": workloads},

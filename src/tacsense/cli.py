@@ -44,16 +44,16 @@ class RunConfig:
     seed: int = 0
     scheme: str = "standard"
     method: str = "single"
-    thickness: float = 2.0
+    thickness: float = sim.OpticalModel.thickness
     noise_sigma: float = 0.0
-    attenuation: float = 1.2
-    gain: float = 180.0
-    ambient: float = 10.0
+    attenuation: float = sim.OpticalModel.attenuation
+    gain: float = sim.OpticalModel.gain
+    ambient: float = sim.OpticalModel.ambient
     led_sigma: float = sim.DEFAULT_LED_SIGMA
-    raw_width: int = 800
-    raw_height: int = 600
-    crop_size: int = 580
-    field_mm: float = 24.0
+    raw_width: int = SensorGeometry.raw_width
+    raw_height: int = SensorGeometry.raw_height
+    crop_size: int = SensorGeometry.crop_size
+    field_mm: float = SensorGeometry.field_mm
     gaussian_sigma: float = 1.5
     ball_radius: float = CALIB_BALL_RADIUS
     presses: int = 1
@@ -157,6 +157,7 @@ _MANIFEST_FIELDS = {
     "geometry": "object", "geometry.raw_width": "int", "geometry.raw_height": "int",
     "geometry.crop_size": "int", "geometry.field_mm": "number",
     "optical": "object", "optical.thickness": "number",
+    "optical.attenuation": "number", "optical.gain": "number", "optical.ambient": "number",
 }
 _PRESS_MANIFEST_FIELDS = {"ball_radius_mm": "number", "scheme": sim.SCHEMES}
 

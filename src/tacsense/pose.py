@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from .core import DegenerateGeometryError, PointCloud, Pose, _seal
+from .core import DegenerateGeometryError, PointCloud, Pose, SensorError, _seal
 
 # Smallest/largest eigenvalue ratio below which the point-to-plane system
 # counts as rank-deficient.
@@ -113,25 +113,22 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
 
     Each iteration pairs every moved source point with its nearest target
     point, drops pairs farther than REJECT_RATIO times the median pair
-    distance, and takes one step from those pairs. A target without normals
-    takes the closed-form SVD point-to-point step. A target with normals
-    (`PointCloud.normals`, as a rim cloud carries them from its depth map)
-    takes a linearised point-to-plane step, guarded: if it raised the inlier
-    RMSE, or the plane system was rank-deficient (e.g. a planar target), the
-    SVD step from the same pairs is taken instead. If the SVD step too raises
-    the inlier RMSE, the pose is kept and ICP stops as converged. So the
-    reported RMSE never rises from one iteration to the next, and
-    `icp(..., max_iter=k, tol_mm=0).rmse` is non-increasing in k.
+    distance, and takes one step from those pairs, scored by the residual
+    that step minimises. A target with normals (`PointCloud.normals`, as rim
+    clouds carry them) takes linearised point-to-plane steps, scored by the
+    inlier pairs' point-to-plane RMS. A target without normals, or one whose
+    plane system turns rank-deficient (e.g. a planar target), takes SVD
+    point-to-point steps from then on, scored by the inlier RMSE. A step that
+    would raise the score is not taken: ICP keeps the pose and stops,
+    converged, as it does after a step that lowers the score by less than
+    tol_mm; otherwise it stops, not converged, after max_iter steps. So for
+    `icp(..., max_iter=k, tol_mm=0)` the point-to-plane RMS (target with a
+    full-rank plane system) or the inlier RMSE (any other target) is
+    non-increasing in k.
 
-    ICP stops, converged, when a step lowers the RMSE by less than tol_mm,
-    or after the SVD step that replaces a plane step which moved the points
-    (RMS) by less than the current RMSE: the plane fit has then settled, and
-    nearest-neighbour distance only scores poses within the matching noise
-    differently. Otherwise it stops, not converged, after max_iter steps.
-
-    The report's `rmse` is the inlier RMSE of the returned pose against its
-    own nearest neighbours; `inlier_fraction` is the share of source points
-    that rule keeps.
+    The report's `rmse` is the point-to-point inlier RMSE of the returned
+    pose, whichever score guided the steps; `inlier_fraction` is the share
+    of source points kept as inliers.
     """
     if len(source) == 0 or len(target) == 0:
         raise ValueError("ICP requires non-empty clouds")
@@ -144,41 +141,39 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
     normals = target.normals
 
     def match(candidate: Pose):
-        """(candidate, nearest target index per source point, inlier mask, inlier RMSE)."""
-        distances, indices = tree.query(candidate.apply(source.points), k=1)
+        """(candidate, inlier source indices, their nearest target indices,
+        moved inliers, inlier RMSE, point-to-plane RMS or None)."""
+        moved = candidate.apply(source.points)
+        distances, indices = tree.query(moved, k=1)
         keep = distances <= REJECT_RATIO * max(float(np.median(distances)), 1e-12)
         if keep.sum() < 3:
             raise DegenerateGeometryError("fewer than 3 usable correspondences")
-        rmse = _rms(distances[keep])
-        return candidate, indices, keep, rmse
+        src_idx = np.nonzero(keep)[0]
+        dst_idx = indices[keep]
+        moved = moved[keep]
+        plane_rms = (None if normals is None else _rms(np.sum(
+            (moved - target.points[dst_idx]) * normals[dst_idx], axis=1)))
+        return candidate, src_idx, dst_idx, moved, _rms(distances[keep]), plane_rms
 
-    pose, indices, keep, rmse = match(init if init is not None else Pose.identity())
+    pose, src_idx, dst_idx, moved, rmse, plane_rms = match(
+        init if init is not None else Pose.identity())
+    plane = normals is not None
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        src_idx = np.nonzero(keep)[0]
-        dst_idx = indices[keep]
-        moved = pose.apply(source.points[src_idx])
-        step = (None if normals is None else
-                point_to_plane_step(moved, target.points[dst_idx], normals[dst_idx]))
-        trial = match(step.compose(pose)) if step is not None else None
-        settled = False
-        if trial is None or trial[3] > rmse:
-            # A rejected plane step smaller than the matching residual means
-            # the plane fit has settled; the SVD step is then the last one.
-            settled = step is not None and _rms(step.apply(moved) - moved) < rmse
-            pairs = np.column_stack([src_idx, dst_idx])
-            trial = match(best_rigid_transform(source, target, pairs))
-            if trial[3] > rmse:
-                converged = True
-                break
-        improvement = rmse - trial[3]
-        pose, indices, keep, rmse = trial
-        if improvement < tol_mm or settled:
+        step = (point_to_plane_step(moved, target.points[dst_idx], normals[dst_idx])
+                if plane else None)
+        plane = step is not None
+        trial = match(step.compose(pose) if plane else best_rigid_transform(
+            source, target, np.column_stack([src_idx, dst_idx])))
+        improvement = plane_rms - trial[5] if plane else rmse - trial[4]
+        if improvement >= 0:
+            pose, src_idx, dst_idx, moved, rmse, plane_rms = trial
+        if improvement < 0 or improvement < tol_mm:
             converged = True
             break
-    return IcpReport(pose=pose, rmse=rmse, iterations=iterations,
-                     converged=converged, inlier_fraction=float(keep.mean()))
+    return IcpReport(pose=pose, rmse=rmse, iterations=iterations, converged=converged,
+                     inlier_fraction=len(src_idx) / len(source))
 
 
 def track_pose(frames: list[PointCloud], model: PointCloud) -> list[IcpReport]:
@@ -191,12 +186,15 @@ def track_pose(frames: list[PointCloud], model: PointCloud) -> list[IcpReport]:
         raise ValueError("need at least one frame")
     pose = Pose.identity()
     reports = []
-    for cloud in frames:
+    for i, cloud in enumerate(frames):
         if len(cloud) < 3:
             reports.append(IcpReport(pose=pose, rmse=math.inf, iterations=0,
                                      converged=False, inlier_fraction=0.0))
             continue
-        report = icp(model, cloud, init=pose)
+        try:
+            report = icp(model, cloud, init=pose)
+        except SensorError as exc:
+            raise type(exc)(f"frame {i}: {exc}") from exc
         pose = report.pose
         reports.append(report)
     return reports

@@ -48,6 +48,10 @@ class TestRunConfig:
         assert cfg.scheme == "standard"
         assert cfg.noise_sigma == 0.0
 
+    def test_sensor_defaults_are_the_models_defaults(self):
+        assert RunConfig().geometry() == SensorGeometry()
+        assert RunConfig().optical() == sim.OpticalModel()
+
     def test_file_values_and_flag_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 5, "scheme": "s2"}))
@@ -369,6 +373,20 @@ class TestMain:
         assert f"{model_cloud}: model cloud has {points} points, need at least 3" in err
         assert not out.exists()
 
+    def test_track_icp_failure_names_the_frame(self, single_calib, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        cli.cmd_simulate(RunConfig(), seq, object_kind="hex_nut", n_frames=2)
+        model_cloud = tmp_path / "model.ply"
+        fileio.write_ply(model_cloud, PointCloud(np.outer(np.arange(3.0), [1.0, 0.0, 0.0])))
+        out = tmp_path / "out"
+        code = cli.main(["track", "--run", str(seq), "--calib", str(single_calib),
+                         "--out", str(out), "--model-cloud", str(model_cloud)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.strip() == "tacsense track: frame 0: correspondences are collinear"
+        assert not out.exists()
+
     def test_track_empty_first_frame_exit_one(self, single_calib, tmp_path, capsys):
         seq = tmp_path / "seq"
         seq.mkdir()
@@ -473,6 +491,14 @@ class TestMain:
         (lambda m: {k: v for k, v in m.items() if k != "optical"},
          "manifest.json: optical: missing"),
         (lambda m: [1, 2], "manifest.json: expected a JSON object, got list"),
+        (lambda m: {**m, "optical": {k: v for k, v in m["optical"].items()
+                                     if k not in ("gain", "attenuation")}},
+         "manifest.json: optical.attenuation: missing"),
+        (lambda m: {**m, "optical": {k: v for k, v in m["optical"].items()
+                                     if k != "gain"}},
+         "manifest.json: optical.gain: missing"),
+        (lambda m: {**m, "optical": {**m["optical"], "ambient": None}},
+         "manifest.json: optical.ambient: expected number, got NoneType None"),
         (lambda m: {**m, "optical": {**m["optical"], "thickness": "2"}},
          "manifest.json: optical.thickness: expected number, got str '2'"),
         (lambda m: {**m, "frames": [{}]}, "manifest.json: frames[0].image: missing"),

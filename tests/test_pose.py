@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from tacsense import calib, cli, pose as pose_module, recon, sim
-from tacsense.core import DegenerateGeometryError, PointCloud
+from tacsense.core import DegenerateGeometryError, DepthMap, PointCloud, average_frames
 from tacsense.pose import (
     IcpReport,
     Pose,
@@ -40,6 +41,16 @@ def graph_normals(points, amplitude=1.0):
     return normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
 
+def plane_rms(pose, source, target):
+    """The point-to-plane RMS that icp scores `pose` by, over its inlier pairs."""
+    moved = pose.apply(source.points)
+    distances, indices = cKDTree(target.points).query(moved, k=1)
+    keep = distances <= pose_module.REJECT_RATIO * max(float(np.median(distances)), 1e-12)
+    dst = indices[keep]
+    return pose_module._rms(np.sum((moved[keep] - target.points[dst])
+                                   * target.normals[dst], axis=1))
+
+
 def spy(fn, calls):
     """fn, recording each result in `calls`."""
     def wrapped(*args, **kwargs):
@@ -70,6 +81,34 @@ def hex_nut_rims(geom):
     poses = [Pose.rot_z(5.0 * k) for k in range(12)]
     frames = sim.render_sequence(sim.object_depth_field("hex_nut"), poses,
                                  geom, optical, illum)
+    return [recon.reconstruct_cloud(recon.difference(reference, f.image), pipeline)
+            for f in frames]
+
+
+@pytest.fixture(scope="module")
+def live_track_708_rims():
+    """Rim clouds of the benchmark's live_track input for seed 708: a noisy
+    (sigma 1) 24-frame hex-nut rotation in 5-degree steps, calibrated from one
+    deep press against an 8-frame averaged reference, drawn from the seed as
+    perfbench/workloads.py draws them."""
+    sigma = 1.0
+    rng = np.random.default_rng(np.random.SeedSequence([708, 0]).generate_state(1)[0])
+    cfg = cli.RunConfig(noise_sigma=sigma)
+    geom, optical, illum = cfg.geometry(), cfg.optical(), cfg.illumination()
+    reference = average_frames([
+        sim.render_tactile(DepthMap(np.zeros_like(illum.gains)), optical, illum,
+                           noise_sigma=sigma, rng=rng) for _ in range(8)])
+    press = sim.sphere_press_depth(geom, cli.CALIB_BALL_RADIUS, 0.95 * optical.thickness,
+                                   center=tuple(rng.uniform(-1.0, 1.0, size=2)),
+                                   thickness=optical.thickness)
+    diff = recon.difference(reference, sim.render_tactile(press, optical, illum,
+                                                          noise_sigma=sigma, rng=rng))
+    pipeline = recon.PipelineConfig(
+        model=cli.calibrate_single(diff, cli.CALIB_BALL_RADIUS, geom), geom=geom,
+        sigma=cfg.gaussian_sigma, depth_clamp=optical.thickness)
+    poses = [Pose.rot_z(5.0 * k) for k in range(24)]
+    frames = sim.render_sequence(sim.object_depth_field("hex_nut"), poses, geom,
+                                 optical, illum, noise_sigma=sigma, rng=rng)
     return [recon.reconstruct_cloud(recon.difference(reference, f.image), pipeline)
             for f in frames]
 
@@ -306,6 +345,38 @@ class TestIcp:
         assert np.abs(err.rotation - np.eye(3)).max() < 1e-9
         assert np.abs(err.translation).max() < 1e-9
 
+    def test_planar_target_with_normals_switches_to_svd_steps(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        target = PointCloud(np.column_stack([rng.uniform(-10, 10, (400, 2)),
+                                             np.zeros(400)]),
+                            np.tile([0.0, 0.0, 1.0], (400, 1)))
+        true = Pose.rot_z(2.0, translation=(0.1, -0.05, 0.0))
+        source = PointCloud(true.inverse().apply(target.points))
+        plane_steps, svd_steps = [], []
+        monkeypatch.setattr(pose_module, "point_to_plane_step",
+                            spy(point_to_plane_step, plane_steps))
+        monkeypatch.setattr(pose_module, "best_rigid_transform",
+                            spy(best_rigid_transform, svd_steps))
+        report = icp(source, target)
+        assert plane_steps == [None]
+        assert len(svd_steps) == report.iterations
+        assert report.converged
+        err = report.pose.compose(true.inverse())
+        assert np.abs(err.rotation - np.eye(3)).max() < 1e-9
+        assert np.abs(err.translation).max() < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.2, 2.0))
+    def test_plane_rms_non_increasing_on_graph_surfaces_with_normals(self, seed,
+                                                                     amplitude):
+        src = graph_surface(150, seed, amplitude)
+        motion = small_motion(np.random.default_rng(seed), 6.0, 0.3)
+        dst = PointCloud(motion.apply(src.points),
+                         graph_normals(src.points, amplitude) @ motion.rotation.T)
+        scores = [plane_rms(icp(src, dst, max_iter=k, tol_mm=0.0).pose, src, dst)
+                  for k in range(1, 7)]
+        assert all(b <= a for a, b in zip(scores, scores[1:]))
+
     def test_inlier_fraction_counts_rejected_outliers(self):
         surface = graph_surface(200, seed=25).points
         far = np.full((20, 3), 100.0) + np.arange(20)[:, None]
@@ -376,6 +447,17 @@ class TestIcp:
             # Scored modulo the nut's 60-degree rotational symmetry.
             err = (report.pose.z_angle_deg() - 5.0 * k + 30.0) % 60.0 - 30.0
             assert abs(err) <= 0.555, k
+
+
+    def test_live_track_seed_708_tracks_within_a_tenth_of_a_degree(
+            self, live_track_708_rims):
+        # live_track cycles through the 24 frames; on the second pass frame 12
+        # (true 180 degrees) once ended 0.94 degrees off.
+        reports = track_pose(live_track_708_rims * 2, live_track_708_rims[0])
+        for k, report in enumerate(reports):
+            assert report.converged, k
+            err = (report.pose.z_angle_deg() - 5.0 * k + 30.0) % 60.0 - 30.0
+            assert abs(err) <= 0.1, k
 
 
 class TestPointToPlane:

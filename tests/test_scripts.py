@@ -47,3 +47,5 @@ def test_bench_record_writes_one_record_per_tree(tmp_path):
     assert [run["seed"] for run in entry["runs"]] == [1]
     assert entry["runs"][0]["correct"] and entry["layers"]["correct"]
     assert "calib.detect_contact_circle.ms" in entry["layers"]["metrics"]
+    assert entry["runs"][0]["figures"]["regression_mae_mm"] > 0
+    assert record["units"]["regression_mae_mm"] == "mm"
