@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Fingerprint the outputs of a fixed scenario set in FINGERPRINT.json.
+
+    PYTHONPATH=src python3 scripts/fingerprint.py [--out FINGERPRINT.json]
+
+Every command runs through ``tacsense.cli.main`` in a temporary directory:
+``simulate`` (noisy random presses, noiseless s4 presses and a noisy
+hex-nut sequence), ``calibrate`` (single on the s4 presses, regression on
+the random ones), ``reconstruct`` of both press runs, ``track`` of the
+sequence, and ``evaluate`` at noise 0 and 1 on a 240 px crop.
+
+The file holds the SHA-256 of every output file but ``timings.json``, the
+headline numbers (the study's MAEs, each reconstruction's depth MAE against
+the run's truth, the tracking error against the manifest poses) and the
+Python, numpy and scipy versions. Unchanged code on the same versions
+writes the same file byte for byte, so a change that keeps every output
+shows no diff.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from tacsense import cli, fileio
+from tacsense.core import Pose
+
+ROOT = Path(__file__).resolve().parent.parent
+HEX_NUT_SYMMETRY_DEG = 60.0
+
+# (argv of tacsense, with {tmp} for the scenario directory), in order.
+SCENARIOS = [
+    ["simulate", "--out", "{tmp}/runs/random", "--presses", "3",
+     "--placement", "random", "--noise", "1", "--seed", "1"],
+    ["simulate", "--out", "{tmp}/runs/s4", "--presses", "2", "--scheme", "s4",
+     "--seed", "2"],
+    ["simulate", "--out", "{tmp}/runs/nut", "--object", "hex_nut", "--frames", "6",
+     "--noise", "1", "--seed", "3"],
+    ["calibrate", "--run", "{tmp}/runs/s4", "--method", "single",
+     "--out", "{tmp}/calib/single"],
+    ["calibrate", "--run", "{tmp}/runs/random", "--method", "regression",
+     "--seed", "4", "--out", "{tmp}/calib/regression"],
+    ["reconstruct", "--run", "{tmp}/runs/s4",
+     "--calib", "{tmp}/calib/single/calibration.json", "--out", "{tmp}/recon/s4"],
+    ["reconstruct", "--run", "{tmp}/runs/random",
+     "--calib", "{tmp}/calib/regression/calibration.json",
+     "--out", "{tmp}/recon/random"],
+    ["track", "--run", "{tmp}/runs/nut",
+     "--calib", "{tmp}/calib/regression/calibration.json", "--out", "{tmp}/track/nut"],
+    ["evaluate", "--out", "{tmp}/eval/noise0", "--seed", "5",
+     "--config", "{tmp}/small.json"],
+    ["evaluate", "--out", "{tmp}/eval/noise1", "--seed", "5", "--noise", "1",
+     "--config", "{tmp}/small.json"],
+]
+CONFIGS = {"small.json": {"crop_size": 240}}
+
+
+def run_scenarios(tmp: Path) -> None:
+    for name, values in CONFIGS.items():
+        (tmp / name).write_text(json.dumps(values))
+    for argv in SCENARIOS:
+        argv = [arg.format(tmp=tmp) for arg in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"fingerprint: tacsense {' '.join(argv)} exited {code}: "
+                             f"{err.getvalue().strip()}")
+
+
+def depth_mae(run: Path, recon: Path) -> float:
+    frames = fileio.read_json(run / "manifest.json")["frames"]
+    errors = [np.abs(fileio.read_depth(recon / f"depth_{i:03d}.dtd").data
+                     - fileio.read_depth(run / frame["truth"]).data).mean()
+              for i, frame in enumerate(frames)]
+    return float(np.mean(errors))
+
+
+def track_error_deg(run: Path, report: Path) -> float:
+    """Largest error of the tracked rotation relative to frame 0, modulo the
+    hex nut's symmetry."""
+    def angle(values):
+        v = np.asarray(values, dtype=np.float64)
+        return Pose(v[:9].reshape(3, 3), v[9:12]).z_angle_deg()
+
+    truth = [angle(f["pose"]) for f in fileio.read_json(run / "manifest.json")["frames"]]
+    tracked = [angle(f["pose"]) for f in fileio.read_json(report)["frames"]]
+    half = HEX_NUT_SYMMETRY_DEG / 2.0
+    return max(abs((est - (true - truth[0]) + half) % HEX_NUT_SYMMETRY_DEG - half)
+               for est, true in zip(tracked, truth))
+
+
+def headline(tmp: Path) -> dict:
+    numbers = {
+        "reconstruct_depth_mae_mm": {
+            run: depth_mae(tmp / "runs" / run, tmp / "recon" / run)
+            for run in ("s4", "random")},
+        "track_err_deg_max": track_error_deg(tmp / "runs/nut",
+                                             tmp / "track/nut/track_report.json"),
+    }
+    for study in ("noise0", "noise1"):
+        report = fileio.read_json(tmp / "eval" / study / "eval_report.json")
+        numbers[f"evaluate_{study}"] = report["schemes"]
+    return numbers
+
+
+def fingerprint() -> dict:
+    with tempfile.TemporaryDirectory(prefix="fingerprint-") as scratch:
+        tmp = Path(scratch)
+        run_scenarios(tmp)
+        files = {path.relative_to(tmp).as_posix():
+                 hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in sorted(tmp.rglob("*"))
+                 if path.is_file() and path.name != "timings.json"
+                 and path.name not in CONFIGS}
+        numbers = headline(tmp)
+    return {"format": "tacsense-fingerprint-v1",
+            "versions": {"python": platform.python_version(),
+                         "numpy": np.__version__, "scipy": scipy.__version__},
+            "headline": numbers, "files": files}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, default=ROOT / "FINGERPRINT.json")
+    args = parser.parse_args(argv)
+    args.out.write_text(json.dumps(fingerprint(), indent=2) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -294,17 +294,15 @@ def build_mapping_list(diff: DifferenceImage, truth: DepthMap,
     max_calibrated = int(idx.max())
     entries = np.zeros(256)
     means = sums[idx] / counts[idx]
-    means[0] = 0.0
     # Interpolate interior gaps, clamp above the calibrated range.
     entries[: max_calibrated + 1] = np.interp(
         np.arange(max_calibrated + 1), idx, means)
     entries[max_calibrated + 1:] = entries[max_calibrated]
     weights = np.ones(256)
     weights[idx] = counts[idx]
-    entries = isotonic_non_decreasing(entries, weights)
-    entries = np.maximum(entries, 0.0)
-    entries[0] = 0.0
-    return MappingList(depths=entries, max_calibrated=max_calibrated)
+    # Entries are >= 0 and entry 0 is 0: the projection keeps both so.
+    return MappingList(depths=isotonic_non_decreasing(entries, weights),
+                       max_calibrated=max_calibrated)
 
 
 def collect_samples(diff: DifferenceImage, truth: DepthMap, circle: ContactCircle,

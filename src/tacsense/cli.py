@@ -153,7 +153,8 @@ def _pose_to_list(pose: Pose) -> list[float]:
 # Keys every run manifest needs, and those a ball-press run adds; see
 # fileio.check_fields.
 _MANIFEST_FIELDS = {
-    "format": (RUN_FORMAT,), "frames": "list", "reference": "str", "kind": "str",
+    "format": (RUN_FORMAT,), "frames": "list", "reference": "path inside the run",
+    "kind": "str",
     "geometry": "object", "geometry.raw_width": "int", "geometry.raw_height": "int",
     "geometry.crop_size": "int", "geometry.field_mm": "number",
     "optical": "object", "optical.thickness": "number",
@@ -182,8 +183,8 @@ class Run:
         if not manifest["frames"]:
             raise SensorError(f"{manifest_path}: run has no frames")
         for i, frame in enumerate(manifest["frames"]):
-            fileio.check_fields(manifest_path, frame, {"image": "str"},
-                                at=f"frames[{i}]")
+            fileio.check_fields(manifest_path, frame,
+                                {"image": "path inside the run"}, at=f"frames[{i}]")
         models = {}
         for key, build in (("geometry", SensorGeometry), ("optical", sim.OpticalModel)):
             try:
@@ -225,8 +226,9 @@ class Run:
 
 def cmd_calibrate(cfg: RunConfig, run_dir: Path, out_path: Path) -> None:
     run = Run.load(run_dir)
-    if run.manifest.get("kind") != "presses":
-        raise ValueError("calibration needs a ball-press run")
+    if run.manifest["kind"] != "presses":
+        raise fileio.FormatError(f"{run_dir / 'manifest.json'}: kind: calibration "
+                                 f"needs a ball-press run, got {run.manifest['kind']!r}")
     diffs = [diff for diff, _ in run.differences()]
     ball_radius = run.manifest["ball_radius_mm"]
     if cfg.method == "single":

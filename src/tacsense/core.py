@@ -210,16 +210,10 @@ def pixel_to_surface(geom: SensorGeometry, u: float, v: float) -> tuple[float, f
 
 
 def surface_axis(geom: SensorGeometry) -> np.ndarray:
-    """mm coordinate of each crop column (x) or row (y); the axes of surface_grid."""
+    """mm coordinate of each crop column (x) or row (y), origin at crop center."""
     c = np.arange(geom.crop_size, dtype=np.float64) - geom.crop_size / 2.0
     c *= geom.pixel_pitch
     return c
-
-
-def surface_grid(geom: SensorGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y) mm coordinate arrays of shape (crop_size, crop_size)."""
-    c = surface_axis(geom)
-    return np.meshgrid(c, c)
 
 
 def mask_box(mask: np.ndarray, pad: int = 0) -> tuple[slice, slice]:

@@ -17,7 +17,7 @@ import json
 import math
 import re
 import reprlib
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -357,6 +357,8 @@ _JSON_KINDS = {
     "number >= 0": lambda v: _is_json_number(v) and v >= 0,
     "number > 0": lambda v: _is_json_number(v) and v > 0,
     "numbers": lambda v: isinstance(v, list) and all(map(_is_json_number, v)),
+    "path inside the run": lambda v: isinstance(v, str) and not (
+        PurePath(v).is_absolute() or ".." in PurePath(v).parts),
 }
 
 
@@ -365,9 +367,10 @@ def check_fields(path, payload, schema: dict[str, str | tuple], at: str = "") ->
 
     `schema` maps a dotted key path to its kind: "object", "list", "str",
     "int", "number" (finite), "numbers" (a list of them), a range ("int >= 0",
-    "int > 0", "number >= 0", "number > 0") or a tuple of the values the key
-    may take. A parent object must come before its keys. `at` is the key path
-    of `payload` in the file, used in messages such as
+    "int > 0", "number >= 0", "number > 0"), "path inside the run" (relative,
+    without a ".." part) or a tuple of the values the key may take. A parent
+    object must come before its keys. `at` is the key path of `payload` in
+    the file, used in messages such as
     "manifest.json: optical.thickness: expected number, got str '2'".
     """
     if not isinstance(payload, dict):

@@ -23,7 +23,6 @@ from .core import (
     SurfaceShape,
     _seal,
     surface_axis,
-    surface_grid,
 )
 
 if TYPE_CHECKING:
@@ -208,9 +207,8 @@ def raycast_project(depth: DepthMap, shape: SurfaceShape, geom: SensorGeometry
     """
     if isinstance(shape, Planar):
         return depth_to_pointcloud(depth, geom), 0
-    xx, yy = surface_grid(geom)
-    x = xx.ravel()
-    y = yy.ravel()
+    flat = _flat_surface(geom, np.dtype(np.float64))
+    x, y = flat[:, 0], flat[:, 1]
     d = depth.data.ravel()
 
     if isinstance(shape, Sphere):

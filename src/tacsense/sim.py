@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (DepthMap, GrayImage, Pose, SensorGeometry, _freeze, _seal,
-                   average_frames, mask_box, pixel_box, surface_axis, surface_grid)
+                   average_frames, mask_box, pixel_box, surface_axis)
 
 SCHEMES = ("standard", "s1", "s2", "s3", "s4")
 PLACEMENTS = ("center", "random")
@@ -63,7 +63,6 @@ class IlluminationField:
     """Per-pixel multiplicative gain in (0, 1], normalized so max = 1."""
 
     gains: np.ndarray
-    scheme: str = "uniform"
     _flat_frames: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
@@ -113,24 +112,23 @@ def make_illumination(scheme: str, crop_size: int,
     angles = _led_angles(scheme)
     ring_radius = RING_RADIUS_FRAC * crop_size
     center = (crop_size - 1) / 2.0
-    uu, vv = np.meshgrid(np.arange(crop_size, dtype=np.float64),
-                         np.arange(crop_size, dtype=np.float64))
+    pixels = np.arange(crop_size, dtype=np.float64)
     gains = np.zeros((crop_size, crop_size))
     with np.errstate(divide="ignore", invalid="ignore"):  # led_sigma ** 2 may be 0
         for a in angles:
             lu = center + ring_radius * math.cos(a)
             lv = center + ring_radius * math.sin(a)
-            gains += np.exp(-((uu - lu) ** 2 + (vv - lv) ** 2) / (2.0 * led_sigma ** 2))
+            r2 = (pixels - lu) ** 2 + ((pixels - lv) ** 2)[:, None]  # u across, v down
+            gains += np.exp(-r2 / (2.0 * led_sigma ** 2))
     if not gains.min() > 0:
         raise ValueError(f"led_sigma {led_sigma!r} is too small: the LED light "
                          f"underflows to 0 on the {crop_size} px field")
     gains /= gains.max()
-    return IlluminationField(gains=_seal(gains), scheme=scheme)
+    return IlluminationField(gains=_seal(gains))
 
 
 def uniform_illumination(crop_size: int) -> IlluminationField:
-    return IlluminationField(gains=_seal(np.ones((crop_size, crop_size))),
-                             scheme="uniform")
+    return IlluminationField(gains=_seal(np.ones((crop_size, crop_size))))
 
 
 def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
@@ -370,11 +368,12 @@ class SceneFrame:
 
 def _posed_depth(field: DepthField, pose: Pose, geom: SensorGeometry,
                  thickness: float) -> tuple[DepthMap, bool]:
-    xx, yy = surface_grid(geom)
+    x = surface_axis(geom)
+    y = x[:, None]  # rows broadcast against the columns to the full frame
     inv = pose.inverse()
     # In-plane motion: transform surface coordinates back into object frame.
-    ox = inv.rotation[0, 0] * xx + inv.rotation[0, 1] * yy + inv.translation[0]
-    oy = inv.rotation[1, 0] * xx + inv.rotation[1, 1] * yy + inv.translation[1]
+    ox = inv.rotation[0, 0] * x + inv.rotation[0, 1] * y + inv.translation[0]
+    oy = inv.rotation[1, 0] * x + inv.rotation[1, 1] * y + inv.translation[1]
     depth = np.clip(field(ox, oy), 0.0, thickness)
     contact = depth > 0
     in_field = bool(contact.any()) and not (

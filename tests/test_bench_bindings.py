@@ -19,9 +19,10 @@ from tacsense import recon
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
-# calib reaches surface_grid only through sim; tracing lists the binding for
-# a direct import should one appear.
-ALLOWED_ABSENT = ["calib.surface_grid"]
+# core.surface_grid was deleted: every coordinate array now broadcasts the
+# 1-D core.surface_axis, so no module binds surface_grid any more.
+ALLOWED_ABSENT = ["core.surface_grid", "recon.surface_grid", "sim.surface_grid",
+                  "calib.surface_grid"]
 
 
 @pytest.fixture

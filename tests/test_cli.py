@@ -217,7 +217,9 @@ class TestCalibrate:
         seq = tmp_path / "seq"
         seq.mkdir()
         cli.cmd_simulate(RunConfig(), seq, object_kind="slab", n_frames=1)
-        with pytest.raises(ValueError, match="ball-press run"):
+        with pytest.raises(fileio.FormatError, match=re.escape(
+                f"{seq / 'manifest.json'}: kind: calibration needs a ball-press "
+                f"run, got 'sequence'")):
             cli.cmd_calibrate(RunConfig(method="single"), seq,
                               tmp_path / "c.json")
 
@@ -471,6 +473,20 @@ class TestMain:
         assert "frame 1: reference and contact image dimensions differ" in err
         assert not (tmp_path / "out").exists()
 
+    def test_calibrate_sequence_run_names_the_manifest(self, tmp_path, capsys):
+        run_dir = tmp_path / "seq"
+        assert cli.main(["simulate", "--out", str(run_dir), "--object", "slab",
+                         "--frames", "1"]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        capsys.readouterr()
+        assert cli.main(["calibrate", "--run", str(run_dir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"tacsense calibrate: {run_dir / 'manifest.json'}: kind: "
+                       f"calibration needs a ball-press run, got 'sequence'\n")
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
     def test_failed_reconstruct_leaves_existing_output_alone(self, single_calib,
                                                              tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -502,6 +518,15 @@ class TestMain:
         (lambda m: {**m, "optical": {**m["optical"], "thickness": "2"}},
          "manifest.json: optical.thickness: expected number, got str '2'"),
         (lambda m: {**m, "frames": [{}]}, "manifest.json: frames[0].image: missing"),
+        (lambda m: {**m, "frames": [{**m["frames"][0], "image": "../b/frame_000.pgm"}]},
+         "manifest.json: frames[0].image: expected path inside the run, "
+         "got str '../b/frame_000.pgm'"),
+        (lambda m: {**m, "frames": [{**m["frames"][0], "image": "/etc/hostname"}]},
+         "manifest.json: frames[0].image: expected path inside the run, "
+         "got str '/etc/hostname'"),
+        (lambda m: {**m, "reference": "../run/reference.pgm"},
+         "manifest.json: reference: expected path inside the run, "
+         "got str '../run/reference.pgm'"),
         (lambda m: {**m, "geometry": {**m["geometry"], "extra": 1}},
          "manifest.json: geometry: "),
         (lambda m: {**m, "geometry": {**m["geometry"], "crop_size": 500}},

@@ -16,7 +16,7 @@ from tacsense.core import (
     gray_from_rgb,
     image_mean_std,
     pixel_to_surface,
-    surface_grid,
+    surface_axis,
 )
 
 
@@ -49,12 +49,12 @@ class TestPixelToSurface:
         x1, _ = pixel_to_surface(g, u + 1, v)
         assert x1 - x0 == pytest.approx(g.pixel_pitch)
 
-    def test_surface_grid_matches_pointwise(self, geom):
-        xx, yy = surface_grid(geom)
+    def test_surface_axis_matches_pointwise(self, geom):
+        axis = surface_axis(geom)
         for u, v in [(0, 0), (290, 290), (579, 100)]:
             x, y = pixel_to_surface(geom, u, v)
-            assert xx[v, u] == pytest.approx(x)
-            assert yy[v, u] == pytest.approx(y)
+            assert axis[u] == pytest.approx(x)
+            assert axis[v] == pytest.approx(y)
 
 
 class TestGeometry:

@@ -176,6 +176,8 @@ KIND_MEANINGS = {
     "number >= 0": lambda v: _json_number(v) and v >= 0,
     "number > 0": lambda v: _json_number(v) and v > 0,
     "numbers": lambda v: type(v) is list and all(map(_json_number, v)),
+    "path inside the run": lambda v: (type(v) is str and not v.startswith("/")
+                                      and ".." not in v.split("/")),
 }
 CHOICES = ("single", "regression")
 EDGE_VALUES = [None, True, False, 0, 0.0, -0.0, 1, -1, 5e-324, 10 ** 400, -10 ** 400,
@@ -210,6 +212,21 @@ class TestCheckFields:
             expected = f"one of {kind}" if isinstance(kind, tuple) else kind
             assert str(exc.value).startswith(
                 f"f.json: outer.key: expected {expected}, got {type(value).__name__} ")
+
+
+    @pytest.mark.parametrize("value, inside", [
+        ("frame_000.pgm", True), ("sub/frame_000.pgm", True), ("./a..b.pgm", True),
+        ("", True), ("../b/frame_000.pgm", False), ("sub/../../x.pgm", False),
+        ("..", False), ("/etc/hostname", False), ("//x.pgm", False)])
+    def test_path_inside_the_run(self, value, inside):
+        schema = {"image": "path inside the run"}
+        if inside:
+            fileio.check_fields("manifest.json", {"image": value}, schema)
+        else:
+            with pytest.raises(FormatError, match=re.escape(
+                    f"manifest.json: image: expected path inside the run, "
+                    f"got str {value!r}")):
+                fileio.check_fields("manifest.json", {"image": value}, schema)
 
 
 class TestPly:

@@ -16,7 +16,6 @@ from tacsense.core import (
     SensorGeometry,
     Sphere,
     surface_axis,
-    surface_grid,
 )
 
 
@@ -269,7 +268,7 @@ def smooth_hex_nut(geom):
 
 def meshgrid_rim_points(depth, geom):
     """The rim cloud as it was built before: masked meshgrids, then strided."""
-    xx, yy = surface_grid(geom)
+    xx, yy = np.meshgrid(surface_axis(geom), surface_axis(geom))
     d = depth.data
     keep = (d > recon.CONTACT_MIN_DEPTH) & (d < recon.PLATEAU_FRAC * d.max())
     points = np.column_stack([xx[keep], yy[keep], -d[keep]])
@@ -288,7 +287,7 @@ class TestPointCloud:
     def test_columns_equal_the_meshgrid_construction(self, shape_geom):
         depth = DepthMap(np.random.default_rng(3).uniform(
             0.0, 2.0, (shape_geom.crop_size,) * 2))
-        xx, yy = surface_grid(shape_geom)
+        xx, yy = np.meshgrid(surface_axis(shape_geom), surface_axis(shape_geom))
         expected = np.column_stack([xx.ravel(), yy.ravel(), -depth.data.ravel()])
         points = recon.depth_to_pointcloud(depth, shape_geom).points
         assert points.tobytes() == expected.tobytes()
@@ -397,7 +396,7 @@ class TestRaycastProject:
     def test_sphere_rays_outside_cap_are_skipped(self, geom):
         depth = DepthMap(np.zeros((geom.crop_size,) * 2))
         cloud, skipped = recon.raycast_project(depth, Sphere(radius=10.0), geom)
-        xx, yy = surface_grid(geom)
+        xx, yy = np.meshgrid(surface_axis(geom), surface_axis(geom))
         expected = int((xx ** 2 + yy ** 2 >= 100.0).sum())
         assert skipped == expected
         assert len(cloud) + skipped == geom.crop_size ** 2
@@ -414,5 +413,5 @@ class TestRaycastProject:
         depth = DepthMap(np.zeros((geom.crop_size,) * 2))
         shape = Cylinder(radius=15.0, axis=(0.0, 1.0, 0.0))
         cloud, _ = recon.raycast_project(depth, shape, geom)
-        xx, yy = surface_grid(geom)
+        xx, yy = np.meshgrid(surface_axis(geom), surface_axis(geom))
         assert np.abs(cloud.points[:, 1] - yy.ravel()).max() <= 1e-9

@@ -4,15 +4,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_demo(*args) -> subprocess.CompletedProcess:
+def run_script(name, *args) -> subprocess.CompletedProcess:
+    """scripts/<name> run with this checkout's src/ first on the import path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_tracking_demo.py"), *args],
-        env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_demo(*args) -> subprocess.CompletedProcess:
+    return run_script("run_tracking_demo.py", *args)
 
 
 def test_tracking_demo_prints_one_row_per_frame():
@@ -49,3 +55,15 @@ def test_bench_record_writes_one_record_per_tree(tmp_path):
     assert "calib.detect_contact_circle.ms" in entry["layers"]["metrics"]
     assert entry["runs"][0]["figures"]["regression_mae_mm"] > 0
     assert record["units"]["regression_mae_mm"] == "mm"
+
+
+def test_fingerprint_matches_the_committed_file(tmp_path):
+    committed = json.loads((ROOT / "FINGERPRINT.json").read_text())
+    out = tmp_path / "FINGERPRINT.json"
+    done = run_script("fingerprint.py", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    fresh = json.loads(out.read_text())
+    if fresh["versions"] != committed["versions"]:
+        pytest.skip(f"FINGERPRINT.json was made with {committed['versions']}, "
+                    f"this is {fresh['versions']}")
+    assert out.read_bytes() == (ROOT / "FINGERPRINT.json").read_bytes()

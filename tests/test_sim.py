@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tacsense import sim
-from tacsense.core import DepthMap, SensorGeometry, image_mean_std, surface_grid
+from tacsense.core import DepthMap, SensorGeometry, image_mean_std, surface_axis
 from tacsense.pose import Pose
 
 
 def full_frame_sphere(geom, radius, d_max, center):
     """The spherical-cap formula of sphere_press_depth on every pixel."""
-    xx, yy = surface_grid(geom)
+    xx, yy = np.meshgrid(surface_axis(geom), surface_axis(geom))
     r2 = (xx - center[0]) ** 2 + (yy - center[1]) ** 2
     return np.maximum(d_max - radius + np.sqrt(np.maximum(radius ** 2 - r2, 0.0)), 0.0)
 
