@@ -49,7 +49,7 @@ class TestPixelToSurface:
         x1, _ = pixel_to_surface(g, u + 1, v)
         assert x1 - x0 == pytest.approx(g.pixel_pitch)
 
-    def test_surface_axis_matches_pointwise(self, geom):
+    def test_surface_grid_matches_pointwise(self, geom):
         axis = surface_axis(geom)
         for u, v in [(0, 0), (290, 290), (579, 100)]:
             x, y = pixel_to_surface(geom, u, v)
