@@ -95,9 +95,11 @@ class RunConfig:
 _CONFIG_FIELDS = {
     "seed": "int >= 0", "scheme": sim.SCHEMES, "method": METHODS,
     "thickness": "number", "noise_sigma": "number >= 0", "attenuation": "number",
-    "gain": "number", "ambient": "number", "led_sigma": "number > 0",
+    "gain": "number", "ambient": "number",
+    "led_sigma": "number > 0 whose square is finite",
     "raw_width": "int", "raw_height": "int", "crop_size": "int",
-    "field_mm": "number", "gaussian_sigma": "number > 0", "ball_radius": "number > 0",
+    "field_mm": "number", "gaussian_sigma": "number > 0 whose square is a normal float",
+    "ball_radius": "number > 0 whose square is finite",
     "presses": "int >= 0", "placement": sim.PLACEMENTS, "frames_per_press": "int > 0",
 }
 
@@ -160,7 +162,8 @@ _MANIFEST_FIELDS = {
     "optical": "object", "optical.thickness": "number",
     "optical.attenuation": "number", "optical.gain": "number", "optical.ambient": "number",
 }
-_PRESS_MANIFEST_FIELDS = {"ball_radius_mm": "number", "scheme": sim.SCHEMES}
+_PRESS_MANIFEST_FIELDS = {"ball_radius_mm": "number > 0 whose square is finite",
+                          "scheme": sim.SCHEMES}
 
 
 @dataclass(frozen=True)

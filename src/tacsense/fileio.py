@@ -17,6 +17,7 @@ import json
 import math
 import re
 import reprlib
+import sys
 from pathlib import Path, PurePath
 
 import numpy as np
@@ -346,6 +347,12 @@ def _is_json_number(value) -> bool:
         return False
 
 
+def _square(value) -> float:
+    """value ** 2 as a float, inf where it overflows instead of raising."""
+    x = float(value)
+    return x * x
+
+
 _JSON_KINDS = {
     "object": lambda v: isinstance(v, dict),
     "list": lambda v: isinstance(v, list),
@@ -356,6 +363,11 @@ _JSON_KINDS = {
     "number": _is_json_number,
     "number >= 0": lambda v: _is_json_number(v) and v >= 0,
     "number > 0": lambda v: _is_json_number(v) and v > 0,
+    # Radii and sigmas are squared as floats; a ** 2 that overflows raises.
+    "number > 0 whose square is finite": lambda v: (
+        _is_json_number(v) and v > 0 and math.isfinite(_square(v))),
+    "number > 0 whose square is a normal float": lambda v: (
+        _is_json_number(v) and v > 0 and sys.float_info.min <= _square(v) < math.inf),
     "numbers": lambda v: isinstance(v, list) and all(map(_is_json_number, v)),
     "path inside the run": lambda v: isinstance(v, str) and not (
         PurePath(v).is_absolute() or ".." in PurePath(v).parts),
@@ -367,7 +379,8 @@ def check_fields(path, payload, schema: dict[str, str | tuple], at: str = "") ->
 
     `schema` maps a dotted key path to its kind: "object", "list", "str",
     "int", "number" (finite), "numbers" (a list of them), a range ("int >= 0",
-    "int > 0", "number >= 0", "number > 0"), "path inside the run" (relative,
+    "int > 0", "number >= 0", "number > 0", and "number > 0 whose square is
+    finite" or "... is a normal float"), "path inside the run" (relative,
     without a ".." part) or a tuple of the values the key may take. A parent
     object must come before its keys. `at` is the key path of `payload` in
     the file, used in messages such as

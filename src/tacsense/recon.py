@@ -136,15 +136,23 @@ def _flat_surface(geom: SensorGeometry, dtype: np.dtype) -> np.ndarray:
     return _seal(flat.astype(dtype, copy=False))
 
 
+def _crop_depth(depth: DepthMap, geom: SensorGeometry) -> np.ndarray:
+    """The depth's data, refused unless it has one value per crop pixel."""
+    d = depth.data
+    if d.shape != (geom.crop_size, geom.crop_size):
+        raise ValueError(f"depth map of shape {d.shape} does not cover "
+                         f"the {geom.crop_size} px crop")
+    return d
+
+
 def depth_to_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
     """One point per pixel at (x, y, -depth) in the depth's dtype; z = 0 is undeformed."""
-    flat = _flat_surface(geom, depth.data.dtype)
-    if depth.data.size != len(flat):
-        raise ValueError(f"depth map of shape {depth.data.shape} does not cover "
-                         f"the {geom.crop_size} px crop")
-    # One contiguous copy of the cached x/y block is faster than filling x and y.
-    pts = flat.copy()
-    np.negative(depth.data.ravel(), out=pts[:, 2])
+    d = _crop_depth(depth, geom)
+    # The cached block is long-lived: without it each frame frees its 4 MB
+    # x/y block, glibc trims the heap, and the next frame's arrays, file
+    # reads included, fault their pages back in.
+    pts = _flat_surface(geom, d.dtype).copy()
+    np.negative(d.ravel(), out=pts[:, 2])
     return PointCloud(_seal(pts))
 
 
@@ -166,7 +174,7 @@ def depth_rim_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
     differences of the depth map (one-sided at the image border), so
     n is proportional to (dd/dx, dd/dy, 1).
     """
-    d = depth.data
+    d = _crop_depth(depth, geom)
     h, w = d.shape
     # flatnonzero then divmod: 2-D np.nonzero is ~15x slower on a frame.
     rim = np.flatnonzero((d > CONTACT_MIN_DEPTH) & (d < PLATEAU_FRAC * d.max()))
@@ -207,27 +215,19 @@ def raycast_project(depth: DepthMap, shape: SurfaceShape, geom: SensorGeometry
     """
     if isinstance(shape, Planar):
         return depth_to_pointcloud(depth, geom), 0
-    flat = _flat_surface(geom, np.dtype(np.float64))
-    x, y = flat[:, 0], flat[:, 1]
-    d = depth.data.ravel()
-
+    d = _crop_depth(depth, geom)
+    x = surface_axis(geom)
+    x, y = np.broadcast_arrays(x, x[:, None])  # row-major over the crop, as d
     if isinstance(shape, Sphere):
         r = shape.radius
-        center = np.asarray(shape.center, dtype=np.float64)
         rho2 = x * x + y * y
-        hit = rho2 < r * r
-        skipped = int((~hit).sum())
+        hit = rho2 < r * r  # so r * r - rho2 > 0 on every hit
         # Radial rays from the sphere center through the field coordinates;
         # (x, y) are arc-equivalent offsets of the cap around +z.
-        dz = np.sqrt(np.maximum(r * r - rho2[hit], 0.0))
-        dirs = np.column_stack([x[hit], y[hit], dz]) / r
-        pts = center + dirs * (r - d[hit])[:, None]
-        return PointCloud(pts), skipped
-
-    if isinstance(shape, Cylinder):
-        r = shape.radius
+        dirs = np.column_stack([x[hit], y[hit], np.sqrt(r * r - rho2[hit])]) / r
+        base = np.asarray(shape.center, dtype=np.float64)
+    elif isinstance(shape, Cylinder):
         axis = np.asarray(shape.axis, dtype=np.float64)
-        point = np.asarray(shape.point, dtype=np.float64)
         # Outward direction at the field center: z component orthogonal to the axis.
         n0 = np.array([0.0, 0.0, 1.0]) - axis[2] * axis
         if np.linalg.norm(n0) < 1e-9:
@@ -235,12 +235,11 @@ def raycast_project(depth: DepthMap, shape: SurfaceShape, geom: SensorGeometry
         n0 /= np.linalg.norm(n0)
         e = np.cross(axis, n0)
         # x wraps around the circumference (arc length), y runs along the axis.
-        phi = x / r
+        phi = x / shape.radius
         hit = np.abs(phi) <= math.pi
-        skipped = int((~hit).sum())
         dirs = np.cos(phi[hit])[:, None] * n0 + np.sin(phi[hit])[:, None] * e
-        base = point + y[hit, None] * axis
-        pts = base + dirs * (r - d[hit])[:, None]
-        return PointCloud(pts), skipped
-
-    raise TypeError(f"unknown surface shape {type(shape).__name__}")
+        base = np.asarray(shape.point, dtype=np.float64) + y[hit][:, None] * axis
+    else:
+        raise TypeError(f"unknown surface shape {type(shape).__name__}")
+    pts = base + dirs * (shape.radius - d[hit])[:, None]
+    return PointCloud(pts), int((~hit).sum())

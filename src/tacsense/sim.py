@@ -17,11 +17,22 @@ import numpy as np
 from .core import (DepthMap, GrayImage, Pose, SensorGeometry, _freeze, _seal,
                    average_frames, mask_box, pixel_box, surface_axis)
 
-SCHEMES = ("standard", "s1", "s2", "s3", "s4")
 PLACEMENTS = ("center", "random")
 
 DEFAULT_LED_SIGMA = 700.0
 RING_RADIUS_FRAC = 0.8  # LED ring radius as a share of the crop size
+
+# Each scheme's LED angles in radians on the 8-position ring (a WS2812B-8).
+_RING = np.arange(8) * (2.0 * math.pi / 8.0)
+_LED_ANGLES = {
+    "standard": _RING,
+    "s1": _RING[:4],            # adjacent half ring
+    "s2": _RING[::2],           # alternating
+    "s3": _RING[[0, 1, 4, 5]],  # two opposing adjacent pairs
+    # clustered in the upper-right octant
+    "s4": -math.pi / 4.0 + np.deg2rad(np.linspace(-11.25, 11.25, 4)),
+}
+SCHEMES = tuple(_LED_ANGLES)
 
 
 @dataclass(frozen=True)
@@ -86,21 +97,6 @@ class IlluminationField:
         return frame
 
 
-def _led_angles(scheme: str) -> np.ndarray:
-    base = np.arange(8) * (2.0 * math.pi / 8.0)
-    if scheme == "standard":
-        return base
-    if scheme == "s1":          # adjacent half ring
-        return base[:4]
-    if scheme == "s2":          # alternating
-        return base[::2]
-    if scheme == "s3":          # two opposing adjacent pairs
-        return base[[0, 1, 4, 5]]
-    if scheme == "s4":          # clustered in the upper-right octant
-        return -math.pi / 4.0 + np.deg2rad(np.linspace(-11.25, 11.25, 4))
-    raise ValueError(f"unknown illumination scheme {scheme!r}")
-
-
 def make_illumination(scheme: str, crop_size: int,
                       led_sigma: float = DEFAULT_LED_SIGMA) -> IlluminationField:
     """Sum-of-Gaussians field from LEDs on a ring around the image center.
@@ -109,13 +105,14 @@ def make_illumination(scheme: str, crop_size: int,
     four-LED subsets (half ring, alternating, opposing pairs, corner
     cluster). The field is normalized so its maximum gain is 1.
     """
-    angles = _led_angles(scheme)
+    if scheme not in _LED_ANGLES:
+        raise ValueError(f"unknown illumination scheme {scheme!r}")
     ring_radius = RING_RADIUS_FRAC * crop_size
     center = (crop_size - 1) / 2.0
     pixels = np.arange(crop_size, dtype=np.float64)
     gains = np.zeros((crop_size, crop_size))
     with np.errstate(divide="ignore", invalid="ignore"):  # led_sigma ** 2 may be 0
-        for a in angles:
+        for a in _LED_ANGLES[scheme]:
             lu = center + ring_radius * math.cos(a)
             lv = center + ring_radius * math.sin(a)
             r2 = (pixels - lu) ** 2 + ((pixels - lv) ** 2)[:, None]  # u across, v down
@@ -250,12 +247,9 @@ class BallPressRig:
         return self._render(depth, count), depth, center, d_max
 
 
-def reference_image(model: OpticalModel, illum: IlluminationField,
-                    noise_sigma: float = 0.0,
-                    rng: np.random.Generator | None = None) -> GrayImage:
-    """Frame with no contact anywhere."""
-    zeros = DepthMap(_seal(np.zeros_like(illum.gains)))
-    return render_tactile(zeros, model, illum, noise_sigma=noise_sigma, rng=rng)
+def reference_image(model: OpticalModel, illum: IlluminationField) -> GrayImage:
+    """Noise-free frame with no contact anywhere."""
+    return render_tactile(DepthMap(_seal(np.zeros_like(illum.gains))), model, illum)
 
 
 DepthField = Callable[[np.ndarray, np.ndarray], np.ndarray]

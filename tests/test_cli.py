@@ -1,12 +1,18 @@
+import contextlib
 import importlib.util
+import io
 import json
 import re
+import shutil
 import sys
+import tempfile
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tacsense import calib, cli, fileio, sim
 from tacsense.cli import RunConfig
@@ -542,6 +548,9 @@ class TestMain:
          "'s4'), got str 'zz'"),
         (lambda m: {**m, "optical": {**m["optical"], "thickness": 10 ** 400}},
          "manifest.json: optical.thickness: expected number, got int 1000"),
+        (lambda m: {**m, "ball_radius_mm": 1e300},
+         "manifest.json: ball_radius_mm: expected number > 0 whose square is "
+         "finite, got float 1e+300"),
         (lambda m: {**m, "geometry": dict.fromkeys(
             ("raw_width", "raw_height", "crop_size"), 10 ** 400) | {"field_mm": 24.0}},
          "manifest.json: geometry: int too large to convert to float"),
@@ -614,6 +623,35 @@ class TestMain:
         assert len(err.strip().splitlines()) == 1
         assert f"tacsense simulate: {message}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value, square", [
+        ("simulate", "ball_radius", 1e300, "finite"),
+        ("simulate", "led_sigma", 1e300, "finite"),
+        ("evaluate", "led_sigma", 1e300, "finite"),
+        ("reconstruct", "gaussian_sigma", 1e300, "a normal float"),
+        ("track", "gaussian_sigma", 1e300, "a normal float"),
+        ("reconstruct", "gaussian_sigma", 1e-300, "a normal float"),
+    ])
+    def test_config_value_squared_out_of_range_exit_one(self, press_run, single_calib,
+                                                        tmp_path, capsys, command,
+                                                        key, value, square):
+        """One line naming the key, no warning, and --out left as it was."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        run_args = ([] if command in ("simulate", "evaluate")
+                    else ["--run", str(press_run[0]), "--calib", str(single_calib)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", str(config), *run_args,
+                             "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"tacsense {command}: config: {key}: expected number > 0 whose square "
+            f"is {square}, got float {value!r}\n")
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
     def test_flag_overrides_reach_pipeline(self, tmp_path):
         out = tmp_path / "run"
@@ -791,3 +829,57 @@ def test_benchmark_cli_calls_exit_zero(tmp_path, monkeypatch):
     op = bench.op(state, 0)
     assert op.frames == workloads.BATCH_FRAMES_PER_RUN
     assert (tmp_path / "out_0" / "timings.json").exists()
+
+
+# The RunConfig keys that hold a float.
+FLOAT_CONFIG_KEYS = [key for key, kind in cli._CONFIG_FIELDS.items()
+                     if isinstance(kind, str) and kind.startswith("number")]
+# Log-uniform from 1e-300 to 1e308, plus hypothesis's own floats up to 1.7e308.
+WIDE_FLOATS = (st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e)
+               | st.floats(1e-300, 1.7e308))
+
+
+@pytest.fixture(scope="module")
+def small_press_run(tmp_path_factory):
+    """(run, calibration file) of one 64 px press, for fast whole commands."""
+    root = tmp_path_factory.mktemp("small")
+    config = root / "c.json"
+    config.write_text(json.dumps({"crop_size": 64}))
+    assert cli.main(["simulate", "--config", str(config), "--out", str(root / "run")]) == 0
+    assert cli.main(["calibrate", "--run", str(root / "run"),
+                     "--out", str(root / "calib")]) == 0
+    return root / "run", root / "calib" / "calibration.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from([*FLOAT_CONFIG_KEYS, "ball_radius_mm"]), value=WIDE_FLOATS)
+def test_float_value_exits_zero_or_one_with_one_line(small_press_run, key, value):
+    """No float of the whole range ends in a traceback.
+
+    `simulate` reads most keys, `reconstruct` reads gaussian_sigma, and
+    `calibrate` reads a press manifest's ball_radius_mm. A refusal is one
+    stderr line, and nothing is written.
+    """
+    run_dir, calib_path = small_press_run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "c.json"
+        config.write_text(json.dumps({"crop_size": 64}
+                                     | ({} if key == "ball_radius_mm" else {key: value})))
+        out = tmp / "out"
+        if key == "ball_radius_mm":
+            shutil.copytree(run_dir, tmp / "run")
+            manifest = json.loads((tmp / "run" / "manifest.json").read_text())
+            fileio.write_json(tmp / "run" / "manifest.json", manifest | {key: value})
+            argv = ["calibrate", "--run", str(tmp / "run")]
+        elif key == "gaussian_sigma":
+            argv = ["reconstruct", "--run", str(run_dir), "--calib", str(calib_path)]
+        else:
+            argv = ["simulate"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--config", str(config), "--out", str(out)])
+        assert code in (0, 1)
+        if code == 1:
+            assert len(err.getvalue().splitlines()) == 1
+            assert not out.exists()

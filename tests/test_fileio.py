@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -164,6 +165,16 @@ def _json_number(value) -> bool:
         return False
 
 
+def _positive_with_square_from(low: float):
+    """A number > 0 whose float64 square, taken by numpy, lies in [low, inf)."""
+    def meaning(value) -> bool:
+        if not (_json_number(value) and value > 0):
+            return False
+        with np.errstate(over="ignore", under="ignore"):
+            return bool(low <= np.square(np.float64(value)) < np.inf)
+    return meaning
+
+
 # What each check_fields kind means, spelled out independently of fileio.
 KIND_MEANINGS = {
     "object": lambda v: type(v) is dict,
@@ -175,6 +186,9 @@ KIND_MEANINGS = {
     "number": _json_number,
     "number >= 0": lambda v: _json_number(v) and v >= 0,
     "number > 0": lambda v: _json_number(v) and v > 0,
+    "number > 0 whose square is finite": _positive_with_square_from(0.0),
+    "number > 0 whose square is a normal float":
+        _positive_with_square_from(sys.float_info.min),
     "numbers": lambda v: type(v) is list and all(map(_json_number, v)),
     "path inside the run": lambda v: (type(v) is str and not v.startswith("/")
                                       and ".." not in v.split("/")),
@@ -227,6 +241,30 @@ class TestCheckFields:
                     f"manifest.json: image: expected path inside the run, "
                     f"got str {value!r}")):
                 fileio.check_fields("manifest.json", {"image": value}, schema)
+
+
+    @pytest.mark.parametrize("kind, value, accepted", [
+        ("number > 0 whose square is finite", 1e154, True),
+        ("number > 0 whose square is finite", 10 ** 154, True),
+        ("number > 0 whose square is finite", 1e-300, True),  # squares to 0.0
+        ("number > 0 whose square is finite", 1e155, False),
+        ("number > 0 whose square is finite", 10 ** 155, False),
+        ("number > 0 whose square is finite", 1.7e308, False),
+        ("number > 0 whose square is finite", 0.0, False),
+        ("number > 0 whose square is a normal float", 1e-150, True),
+        ("number > 0 whose square is a normal float", 1e154, True),
+        ("number > 0 whose square is a normal float", 1e-160, False),  # subnormal
+        ("number > 0 whose square is a normal float", 1e-300, False),
+        ("number > 0 whose square is a normal float", 1e155, False),
+        ("number > 0 whose square is a normal float", -1.5, False)])
+    def test_square_kinds_at_the_float_range(self, kind, value, accepted):
+        schema = {"sigma": kind}
+        if accepted:
+            fileio.check_fields("config", {"sigma": value}, schema)
+        else:
+            with pytest.raises(FormatError, match=re.escape(
+                    f"config: sigma: expected {kind}, got {type(value).__name__} ")):
+                fileio.check_fields("config", {"sigma": value}, schema)
 
 
 class TestPly:

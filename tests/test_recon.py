@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -415,3 +416,56 @@ class TestRaycastProject:
         cloud, _ = recon.raycast_project(depth, shape, geom)
         xx, yy = np.meshgrid(surface_axis(geom), surface_axis(geom))
         assert np.abs(cloud.points[:, 1] - yy.ravel()).max() <= 1e-9
+
+    @pytest.mark.parametrize("shape", [
+        Sphere(radius=10.0, center=(0.5, -1.0, -3.0)),
+        Cylinder(radius=3.0, axis=(0.6, 0.8, 0.0), point=(1.0, 2.0, -3.0))])
+    def test_points_equal_the_rays_of_the_flat_pixel_list(self, shape):
+        """Byte for byte the rays built before, from row-major pixel columns."""
+        n = SMALL_GEOM.crop_size
+        depth = DepthMap(np.random.default_rng(5).uniform(
+            0.0, 0.5, (n, n)).astype(np.float32))
+        x = np.tile(surface_axis(SMALL_GEOM), n)
+        y = np.repeat(surface_axis(SMALL_GEOM), n)
+        d, r = depth.data.ravel(), shape.radius
+        if isinstance(shape, Sphere):
+            hit = x * x + y * y < r * r
+            dirs = np.column_stack(
+                [x[hit], y[hit], np.sqrt(r * r - (x * x + y * y)[hit])]) / r
+            base = np.asarray(shape.center)
+        else:
+            axis = np.asarray(shape.axis)
+            n0 = np.array([0.0, 0.0, 1.0]) - axis[2] * axis
+            n0 /= np.linalg.norm(n0)
+            hit = np.abs(x / r) <= math.pi
+            dirs = (np.cos(x[hit] / r)[:, None] * n0
+                    + np.sin(x[hit] / r)[:, None] * np.cross(axis, n0))
+            base = np.asarray(shape.point) + y[hit, None] * axis
+        cloud, skipped = recon.raycast_project(depth, shape, SMALL_GEOM)
+        assert skipped == int((~hit).sum()) > 0
+        expected = base + dirs * (r - d[hit])[:, None]
+        assert cloud.points.tobytes() == expected.tobytes()
+
+
+# Every depth -> point projection, as a function of (depth, geometry).
+PROJECTIONS = {
+    "depth_to_pointcloud": recon.depth_to_pointcloud,
+    "depth_rim_pointcloud": recon.depth_rim_pointcloud,
+    "raycast_planar": lambda d, g: recon.raycast_project(d, Planar(), g),
+    "raycast_sphere": lambda d, g: recon.raycast_project(d, Sphere(radius=20.0), g),
+    "raycast_cylinder": lambda d, g: recon.raycast_project(d, Cylinder(radius=15.0), g),
+}
+
+
+@pytest.mark.parametrize("projection", PROJECTIONS)
+@pytest.mark.parametrize("shape", [
+    (10, 10),
+    (SMALL_GEOM.crop_size + 20,) * 2,
+    (SMALL_GEOM.crop_size // 2, 2 * SMALL_GEOM.crop_size)],
+    ids=["10x10", "260x260", "120x480"])
+def test_every_projection_refuses_a_map_that_is_not_the_crop(projection, shape):
+    """Same pixel count or not, only a crop-sized map is projected."""
+    depth = DepthMap(np.linspace(0.0, 1.0, shape[0] * shape[1]).reshape(shape))
+    with pytest.raises(ValueError, match=re.escape(
+            f"depth map of shape {shape} does not cover the 240 px crop")):
+        PROJECTIONS[projection](depth, SMALL_GEOM)
