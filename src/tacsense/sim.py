@@ -111,7 +111,8 @@ def make_illumination(scheme: str, crop_size: int,
     center = (crop_size - 1) / 2.0
     pixels = np.arange(crop_size, dtype=np.float64)
     gains = np.zeros((crop_size, crop_size))
-    with np.errstate(divide="ignore", invalid="ignore"):  # led_sigma ** 2 may be 0
+    # led_sigma ** 2 may be 0 or subnormal; the check below refuses that field.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for a in _LED_ANGLES[scheme]:
             lu = center + ring_radius * math.cos(a)
             lv = center + ring_radius * math.sin(a)

@@ -653,6 +653,20 @@ class TestMain:
             f"is {square}, got float {value!r}\n")
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
+    def test_led_sigma_with_a_subnormal_square_exit_one_without_warning(self, tmp_path,
+                                                                       capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"led_sigma": 1e-160}))
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "tacsense simulate: led_sigma 1e-160 is too small: the LED light "
+            "underflows to 0 on the 580 px field\n")
+        assert not out.exists()
+
     def test_flag_overrides_reach_pipeline(self, tmp_path):
         out = tmp_path / "run"
         code = cli.main(["simulate", "--out", str(out), "--presses", "2",

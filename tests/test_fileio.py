@@ -242,7 +242,6 @@ class TestCheckFields:
                     f"got str {value!r}")):
                 fileio.check_fields("manifest.json", {"image": value}, schema)
 
-
     @pytest.mark.parametrize("kind, value, accepted", [
         ("number > 0 whose square is finite", 1e154, True),
         ("number > 0 whose square is finite", 10 ** 154, True),
