@@ -74,8 +74,11 @@ class RunConfig:
         unknown = set(values) - set(cls.__dataclass_fields__)
         if unknown:
             raise fileio.FormatError(f"{path}: unknown config keys: {sorted(unknown)}")
-        return replace(cls(**values),
-                       **{k: v for k, v in overrides.items() if v is not None})
+        try:
+            cfg = cls(**values)
+        except fileio.FormatError as exc:  # a file value: name the file
+            raise fileio.FormatError(f"{path}{str(exc).removeprefix('config')}") from None
+        return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
     def geometry(self) -> SensorGeometry:
         return SensorGeometry(raw_width=self.raw_width, raw_height=self.raw_height,
@@ -94,8 +97,8 @@ class RunConfig:
 # OpticalModel check the ranges of their keys, as they do for a manifest.
 _CONFIG_FIELDS = {
     "seed": "int >= 0", "scheme": sim.SCHEMES, "method": METHODS,
-    "thickness": "number", "noise_sigma": "number >= 0", "attenuation": "number",
-    "gain": "number", "ambient": "number",
+    "thickness": "number", "noise_sigma": "number >= 0 whose square is finite",
+    "attenuation": "number", "gain": "number", "ambient": "number",
     "led_sigma": "number > 0 whose square is finite",
     "raw_width": "int", "raw_height": "int", "crop_size": "int",
     "field_mm": "number", "gaussian_sigma": "number > 0 whose square is a normal float",

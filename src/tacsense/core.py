@@ -186,6 +186,9 @@ class SensorGeometry:
         if not (math.isfinite(self.field_mm) and self.field_mm > 0):
             raise ValueError(f"field_mm must be finite and positive, "
                              f"got {self.field_mm!r}")
+        # Cloud coordinates reach field_mm / 2 and are stored as float32.
+        if not self.field_mm / 2.0 <= float(np.finfo(np.float32).max):
+            raise ValueError(f"field_mm / 2 must fit a float32, got {self.field_mm!r}")
         # A subnormal or zero pitch would put every pixel at x = y = 0.
         if not self.pixel_pitch >= sys.float_info.min:
             raise ValueError(f"pixel_pitch (field_mm / crop_size) must be a positive "

@@ -1,10 +1,12 @@
 """File formats: binary PGM frames, tagged float32 depth maps, PLY point clouds.
 
+PGM and depth headers are matched in place, without copying the file's bytes.
 PLY (Turk, 1994) is written as `format binary_little_endian 1.0` with float
-x, y, z vertex properties. `read_ply` reads that and `format ascii 1.0`: the
-first element must be `vertex`, with scalar properties (char, uchar, short,
-ushort, int, uint, float, double and their sized aliases) that include x, y
-and z; other vertex properties and later elements are skipped.
+x, y, z vertex properties. `read_ply` reads that and `format ascii 1.0`, whose
+rows it counts one by one: the first element must be `vertex`, with scalar
+properties (char, uchar, short, ushort, int, uint, float, double and their
+sized aliases) that include x, y and z; other vertex properties and later
+elements are skipped.
 
 JSON files (run manifests, calibrations, reports) are written by `write_json`
 and read by `read_json`, both strict JSON without NaN or infinities, and
@@ -25,6 +27,9 @@ import numpy as np
 from .core import DepthMap, GrayImage, PointCloud, SensorError, _seal
 
 DEPTH_MAGIC = b"DTDEPTH1"
+_DEPTH_SIZE = re.compile(rb"\n(\d+) (\d+)\n")
+_PGM_GAP = re.compile(rb"(?:\s|#[^\n]*)*")  # whitespace and comments
+_DIGITS = re.compile(rb"\d+")
 
 
 class FormatError(SensorError):
@@ -43,20 +48,14 @@ def read_pgm(path) -> GrayImage:
     if not data.startswith(b"P5"):
         raise FormatError(f"{path}: bad PGM magic at byte 0")
     # Header: magic, width, height, maxval separated by whitespace/comments.
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        m = re.match(rb"\d+", data[pos:])
+    pos, fields = 2, []
+    for _ in range(3):
+        pos = _PGM_GAP.match(data, pos).end()
+        m = _DIGITS.match(data, pos)
         if not m:
             raise FormatError(f"{path}: malformed PGM header at byte {pos}")
-        fields.append(int(m.group(0)))
-        pos += m.end()
+        fields.append(int(m.group()))
+        pos = m.end()
     width, height, maxval = fields
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval} at byte {pos}")
@@ -87,11 +86,11 @@ def read_depth(path) -> DepthMap:
     data = Path(path).read_bytes()
     if not data.startswith(DEPTH_MAGIC):
         raise FormatError(f"{path}: bad depth magic at byte 0")
-    m = re.match(rb"\n(\d+) (\d+)\n", data[len(DEPTH_MAGIC):])
+    m = _DEPTH_SIZE.match(data, len(DEPTH_MAGIC))
     if not m:
         raise FormatError(f"{path}: malformed depth header at byte {len(DEPTH_MAGIC)}")
     width, height = int(m.group(1)), int(m.group(2))
-    pos = len(DEPTH_MAGIC) + m.end()
+    pos = m.end()
     expected = width * height * 4
     if len(data) - pos < expected:
         raise FormatError(
@@ -236,41 +235,29 @@ def _read_ascii_vertices(path, data: bytes, body: int, count: int,
                          names: list[str]):
     """x, y, z of the first `count` text rows, and the byte offset of a row.
 
-    The rows are split and parsed in bulk; per-row value counts come from the
-    token starts between newlines, so a ragged row is found before parsing.
+    The rows are split and counted one by one, then parsed in one call.
     """
-    buf = np.frombuffer(data, dtype=np.uint8, offset=body)
-    # bytes.split() whitespace: space and \t \n \v \f \r
-    space = (buf == ord(" ")) | ((buf >= ord("\t")) & (buf <= ord("\r")))
-    ends = np.flatnonzero(buf == ord("\n"))
-    tail = ends[-1] + 1 if len(ends) else 0
-    if not space[tail:].all():
-        ends = np.append(ends, len(buf))  # last row without a final newline
-    if len(ends) < count:
-        raise _truncated(path, data, count, len(ends))
-    ends = ends[:count]
-
-    def row_at(i: int) -> int:
-        return body + (int(ends[i - 1]) + 1 if i else 0)
-
-    width = len(names)
-    text = space[:ends[-1]]
-    starts = np.flatnonzero(~text & np.concatenate(([True], text[:-1])))
-    per_row = np.diff(np.searchsorted(starts, ends), prepend=0)
-    ragged = np.flatnonzero(per_row != width)
-    if ragged.size:
-        i = int(ragged[0])
-        raise FormatError(f"{path}: PLY vertex row {i} at byte {row_at(i)} has "
-                          f"{per_row[i]} values, expected {width}")
-    tokens = data[body:body + int(ends[-1])].split()
+    rows = data[body:].split(b"\n")
+    if not rows[-1].strip():
+        rows.pop()  # the whitespace after the last row is no row
+    if len(rows) < count:
+        raise _truncated(path, data, count, len(rows))
+    width, offsets, tokens = len(names), [body], []
+    for i, row in enumerate(rows[:count]):
+        words = row.split()
+        if len(words) != width:
+            raise FormatError(f"{path}: PLY vertex row {i} at byte {offsets[i]} "
+                              f"has {len(words)} values, expected {width}")
+        tokens += words
+        offsets.append(offsets[i] + len(row) + 1)
     try:
         values = np.array(tokens, dtype=np.float64).reshape(count, width)
     except ValueError:
         k = next(k for k, t in enumerate(tokens) if not _is_number(t))
         raise FormatError(f"{path}: PLY vertex row {k // width} at byte "
-                          f"{row_at(k // width)} has non-numeric value "
+                          f"{offsets[k // width]} has non-numeric value "
                           f"{tokens[k]!r}") from None
-    return values[:, [names.index(axis) for axis in "xyz"]], row_at
+    return values[:, [names.index(axis) for axis in "xyz"]], offsets.__getitem__
 
 
 def _is_number(token: bytes) -> bool:
@@ -362,8 +349,10 @@ _JSON_KINDS = {
     "int > 0": lambda v: _is_json_int(v) and v > 0,
     "number": _is_json_number,
     "number >= 0": lambda v: _is_json_number(v) and v >= 0,
-    "number > 0": lambda v: _is_json_number(v) and v > 0,
-    # Radii and sigmas are squared as floats; a ** 2 that overflows raises.
+    # Radii and sigmas are squared as floats; a ** 2 that overflows raises. A
+    # noise sigma with a finite square scales every normal draw to a finite value.
+    "number >= 0 whose square is finite": lambda v: (
+        _is_json_number(v) and v >= 0 and math.isfinite(_square(v))),
     "number > 0 whose square is finite": lambda v: (
         _is_json_number(v) and v > 0 and math.isfinite(_square(v))),
     "number > 0 whose square is a normal float": lambda v: (
@@ -379,11 +368,11 @@ def check_fields(path, payload, schema: dict[str, str | tuple], at: str = "") ->
 
     `schema` maps a dotted key path to its kind: "object", "list", "str",
     "int", "number" (finite), "numbers" (a list of them), a range ("int >= 0",
-    "int > 0", "number >= 0", "number > 0", and "number > 0 whose square is
-    finite" or "... is a normal float"), "path inside the run" (relative,
-    without a ".." part) or a tuple of the values the key may take. A parent
-    object must come before its keys. `at` is the key path of `payload` in
-    the file, used in messages such as
+    "int > 0", "number >= 0", "number >= 0 whose square is finite", and
+    "number > 0 whose square is finite" or "... is a normal float"), "path
+    inside the run" (relative, without a ".." part) or a tuple of the values
+    the key may take. A parent object must come before its keys. `at` is the
+    key path of `payload` in the file, used in messages such as
     "manifest.json: optical.thickness: expected number, got str '2'".
     """
     if not isinstance(payload, dict):

@@ -49,6 +49,9 @@ class OpticalModel:
         for key in ("thickness", "attenuation", "gain"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        if not math.isfinite(self.attenuation * self.thickness):
+            raise ValueError(f"attenuation * thickness must be finite, got "
+                             f"{self.attenuation!r} * {self.thickness!r}")
         if not self.ambient >= 0:
             raise ValueError(f"ambient must be non-negative, got {self.ambient!r}")
         if self.ambient + self.gain > 255:

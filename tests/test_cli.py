@@ -76,37 +76,48 @@ class TestRunConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"placement": "corner"}))
         with pytest.raises(fileio.FormatError,
-                           match=re.escape("config: placement: expected one of "
+                           match=re.escape(f"{path}: placement: expected one of "
                                            "('center', 'random'), got str 'corner'")):
             RunConfig.load(path)
 
     @pytest.mark.parametrize("values, message", [
-        ({"seed": "abc"}, "config: seed: expected int >= 0, got str 'abc'"),
-        ({"presses": 2.5}, "config: presses: expected int >= 0, got float 2.5"),
-        ({"seed": True}, "config: seed: expected int >= 0, got bool True"),
-        ({"scheme": 3}, "config: scheme: expected one of "
+        ({"seed": "abc"}, "seed: expected int >= 0, got str 'abc'"),
+        ({"presses": 2.5}, "presses: expected int >= 0, got float 2.5"),
+        ({"seed": True}, "seed: expected int >= 0, got bool True"),
+        ({"scheme": 3}, "scheme: expected one of "
                         "('standard', 's1', 's2', 's3', 's4'), got int 3"),
-        ({"method": "spline"}, "config: method: expected one of "
+        ({"method": "spline"}, "method: expected one of "
                                "('single', 'regression'), got str 'spline'"),
-        ({"thickness": 0}, "config: optical: thickness must be positive, got 0"),
-        ({"noise_sigma": -1.0},
-         "config: noise_sigma: expected number >= 0, got float -1.0"),
-        ({"presses": -1}, "config: presses: expected int >= 0, got int -1"),
+        ({"thickness": 0}, "optical: thickness must be positive, got 0"),
+        ({"noise_sigma": -1.0}, "noise_sigma: expected number >= 0 whose square is "
+                                "finite, got float -1.0"),
+        ({"presses": -1}, "presses: expected int >= 0, got int -1"),
         ({"frames_per_press": 0},
-         "config: frames_per_press: expected int > 0, got int 0"),
-        ({"gain": 10 ** 400}, "config: gain: expected number, got int 1000"),
+         "frames_per_press: expected int > 0, got int 0"),
+        ({"gain": 10 ** 400}, "gain: expected number, got int 1000"),
         ({"gain": 250, "ambient": 10},
-         "config: optical: ambient + gain must not exceed 255"),
+         "optical: ambient + gain must not exceed 255"),
         ({"crop_size": 900},
-         "config: geometry: crop window does not fit inside the raw frame"),
+         "geometry: crop window does not fit inside the raw frame"),
         ({"raw_width": 10 ** 400, "raw_height": 10 ** 400, "crop_size": 10 ** 400},
-         "config: geometry: int too large to convert to float"),
+         "geometry: int too large to convert to float"),
     ])
     def test_bad_value_names_the_key(self, tmp_path, values, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(values))
-        with pytest.raises(fileio.FormatError, match=re.escape(message)):
+        with pytest.raises(fileio.FormatError, match=re.escape(f"{path}: {message}")):
             RunConfig.load(path)
+
+    def test_bad_flag_over_a_file_names_config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 5, "crop_size": 64}))
+        with pytest.raises(fileio.FormatError) as exc:
+            RunConfig.load(path, seed=-3)
+        assert str(exc.value) == "config: seed: expected int >= 0, got int -3"
+        with pytest.raises(fileio.FormatError) as exc:
+            RunConfig.load(path, crop_size=900)
+        assert str(exc.value) == ("config: geometry: crop window does not fit "
+                                  "inside the raw frame")
 
     def test_bad_flag_override_rejected(self):
         with pytest.raises(fileio.FormatError,
@@ -137,6 +148,11 @@ class TestRunConfig:
         ("geometry", "field_mm", 0.0, "field_mm must be finite and positive, got 0.0"),
         ("geometry", "field_mm", 1e-320, "pixel_pitch (field_mm / crop_size) must be a "
                                          "positive normal float, got "),
+        ("geometry", "field_mm", 7e38, "field_mm / 2 must fit a float32, got 7e+38"),
+        ("optical", "attenuation", 1.7e308, "attenuation * thickness must be finite, "
+                                            "got 1.7e+308 * 2.0"),
+        ("optical", "thickness", 1.7e308, "attenuation * thickness must be finite, "
+                                          "got 1.2 * 1.7e+308"),
     ])
     def test_config_and_manifest_give_one_message(self, tmp_path, section, key,
                                                   value, message):
@@ -606,8 +622,8 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("values, message", [
-        ({"seed": "abc"}, "config: seed: expected int >= 0, got str 'abc'"),
-        ({"presses": 2.5}, "config: presses: expected int >= 0, got float 2.5"),
+        ({"seed": "abc"}, "{config}: seed: expected int >= 0, got str 'abc'"),
+        ({"presses": 2.5}, "{config}: presses: expected int >= 0, got float 2.5"),
         ({"led_sigma": 1.0}, "led_sigma 1.0 is too small: the LED light underflows "
                              "to 0 on the 580 px field"),
         ({"led_sigma": 1e-200}, "led_sigma 1e-200 is too small"),
@@ -621,7 +637,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.strip().splitlines()) == 1
-        assert f"tacsense simulate: {message}" in err
+        assert f"tacsense simulate: {message.format(config=config)}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key, value, square", [
@@ -649,8 +665,47 @@ class TestMain:
                              "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"tacsense {command}: config: {key}: expected number > 0 whose square "
+            f"tacsense {command}: {config}: {key}: expected number > 0 whose square "
             f"is {square}, got float {value!r}\n")
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("simulate", "thickness", 1.7e308,
+         "optical: attenuation * thickness must be finite, got 1.2 * 1.7e+308"),
+        ("simulate", "attenuation", 1.7e308,
+         "optical: attenuation * thickness must be finite, got 1.7e+308 * 2.0"),
+        ("simulate", "noise_sigma", 1.7e308, "noise_sigma: expected number >= 0 whose "
+                                             "square is finite, got float 1.7e+308"),
+        ("simulate", "field_mm", 1e200,
+         "geometry: field_mm / 2 must fit a float32, got 1e+200"),
+        ("reconstruct", "geometry.field_mm", 7e38,
+         "geometry: field_mm / 2 must fit a float32, got 7e+38"),
+    ])
+    def test_value_the_model_cannot_represent_exit_one(self, press_run, single_calib,
+                                                      tmp_path, capsys, command, key,
+                                                      value, message):
+        """One line naming the file and the key, no warning, --out as it was."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({} if "." in key else {key: value}))
+        source = config
+        run_args = []
+        if command == "reconstruct":
+            run_dir = tmp_path / "run"
+            shutil.copytree(press_run[0], run_dir)
+            source = run_dir / "manifest.json"
+            manifest = json.loads(source.read_text())
+            manifest["geometry"]["field_mm"] = value
+            fileio.write_json(source, manifest)
+            run_args = ["--run", str(run_dir), "--calib", str(single_calib)]
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", str(config), *run_args,
+                             "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"tacsense {command}: {source}: {message}\n"
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
     def test_led_sigma_with_a_subnormal_square_exit_one_without_warning(self, tmp_path,
@@ -742,7 +797,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.strip().splitlines()) == 1
-        assert "config: gain: expected number, got int 1000" in err
+        assert f"{config}: gain: expected number, got int 1000" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("existing", ["", "a", "a/b"])
@@ -866,34 +921,45 @@ def small_press_run(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(key=st.sampled_from([*FLOAT_CONFIG_KEYS, "ball_radius_mm"]), value=WIDE_FLOATS)
+@given(key=st.sampled_from([*FLOAT_CONFIG_KEYS, "ball_radius_mm", "geometry.field_mm"]),
+       value=WIDE_FLOATS)
 def test_float_value_exits_zero_or_one_with_one_line(small_press_run, key, value):
-    """No float of the whole range ends in a traceback.
+    """No float of the whole range ends in a traceback or a warning.
 
-    `simulate` reads most keys, `reconstruct` reads gaussian_sigma, and
-    `calibrate` reads a press manifest's ball_radius_mm. A refusal is one
-    stderr line, and nothing is written.
+    `simulate` reads most keys, `reconstruct` reads gaussian_sigma and a
+    manifest's geometry.field_mm, and `calibrate` reads a press manifest's
+    ball_radius_mm. Warnings are errors. A refusal is one stderr line, and
+    nothing is written; a success writes nothing to stderr.
     """
     run_dir, calib_path = small_press_run
+    in_manifest = key in ("ball_radius_mm", "geometry.field_mm")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config = tmp / "c.json"
         config.write_text(json.dumps({"crop_size": 64}
-                                     | ({} if key == "ball_radius_mm" else {key: value})))
+                                     | ({} if in_manifest else {key: value})))
         out = tmp / "out"
-        if key == "ball_radius_mm":
+        if in_manifest:
             shutil.copytree(run_dir, tmp / "run")
             manifest = json.loads((tmp / "run" / "manifest.json").read_text())
-            fileio.write_json(tmp / "run" / "manifest.json", manifest | {key: value})
-            argv = ["calibrate", "--run", str(tmp / "run")]
-        elif key == "gaussian_sigma":
+            *parents, name = key.split(".")
+            owner = manifest[parents[0]] if parents else manifest
+            owner[name] = value
+            fileio.write_json(tmp / "run" / "manifest.json", manifest)
+            run_dir = tmp / "run"
+        if key == "ball_radius_mm":
+            argv = ["calibrate", "--run", str(run_dir)]
+        elif key in ("gaussian_sigma", "geometry.field_mm"):
             argv = ["reconstruct", "--run", str(run_dir), "--calib", str(calib_path)]
         else:
             argv = ["simulate"]
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = cli.main([*argv, "--config", str(config), "--out", str(out)])
         assert code in (0, 1)
         if code == 1:
             assert len(err.getvalue().splitlines()) == 1
             assert not out.exists()
+        else:
+            assert err.getvalue() == ""

@@ -77,6 +77,8 @@ class TestGeometry:
         ({"field_mm": 0.0}, "field_mm must be finite and positive, got 0.0"),
         ({"field_mm": 1e-320}, "pixel_pitch (field_mm / crop_size) must be a "
                                "positive normal float"),
+        ({"field_mm": 7e38}, "field_mm / 2 must fit a float32, got 7e+38"),
+        ({"field_mm": 1.7e308}, "field_mm / 2 must fit a float32, got 1.7e+308"),
     ])
     def test_unusable_values_refused_naming_the_key(self, values, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -86,6 +88,13 @@ class TestGeometry:
         geom = SensorGeometry(crop_size=1, field_mm=sys.float_info.min)
         assert geom.pixel_pitch == sys.float_info.min
         assert SensorGeometry(crop_size=np.int64(290)).pixel_pitch == 24.0 / 290
+
+    def test_largest_usable_field(self):
+        """The field's half is the largest float32, so full clouds stay finite."""
+        largest = 2.0 * float(np.finfo(np.float32).max)
+        assert SensorGeometry(field_mm=largest).field_mm == largest
+        with pytest.raises(ValueError, match="field_mm / 2 must fit a float32"):
+            SensorGeometry(field_mm=np.nextafter(largest, np.inf))
 
 
 class TestGrayFromRgb:

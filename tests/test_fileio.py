@@ -32,6 +32,28 @@ class TestPgm:
         img = fileio.read_pgm(path)
         assert img.pixels.shape == (2, 2)
 
+    def test_comment_before_every_field_accepted(self, tmp_path):
+        path = tmp_path / "frame.pgm"
+        path.write_bytes(b"P5# after the magic\n3#w\n\t#\n2 # h\n255\n" + bytes(range(6)))
+        assert fileio.read_pgm(path).pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+    @pytest.mark.parametrize("content, offset", [
+        (b"P5\n3 2\n# runs to the end", 24),  # a comment to the end of the file
+        (b"P5\n3 2#\n#", 9),
+        (b"P5", 2),
+        (b"P5 \t\n", 5),
+        (b"P5\n3 x2\n255\n", 5),  # a non-digit after whitespace
+        (b"P5\n3\x1c2 255\n", 4),  # \x1c is no PGM whitespace
+        (b"P5\n-3 2 255\n", 3),
+        (b"P5\n# c\n3 2\n# c\n+255\n", 15),
+    ])
+    def test_malformed_header_reports_offset(self, tmp_path, content, offset):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(content)
+        with pytest.raises(FormatError) as exc:
+            fileio.read_pgm(path)
+        assert str(exc.value) == f"{path}: malformed PGM header at byte {offset}"
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
@@ -185,7 +207,8 @@ KIND_MEANINGS = {
     "int > 0": lambda v: type(v) is int and v > 0,
     "number": _json_number,
     "number >= 0": lambda v: _json_number(v) and v >= 0,
-    "number > 0": lambda v: _json_number(v) and v > 0,
+    "number >= 0 whose square is finite": lambda v: (
+        (_json_number(v) and v == 0) or _positive_with_square_from(0.0)(v)),
     "number > 0 whose square is finite": _positive_with_square_from(0.0),
     "number > 0 whose square is a normal float":
         _positive_with_square_from(sys.float_info.min),
@@ -250,6 +273,12 @@ class TestCheckFields:
         ("number > 0 whose square is finite", 10 ** 155, False),
         ("number > 0 whose square is finite", 1.7e308, False),
         ("number > 0 whose square is finite", 0.0, False),
+        ("number >= 0 whose square is finite", 0, True),
+        ("number >= 0 whose square is finite", -0.0, True),
+        ("number >= 0 whose square is finite", 1e154, True),
+        ("number >= 0 whose square is finite", 1e155, False),
+        ("number >= 0 whose square is finite", 10 ** 155, False),
+        ("number >= 0 whose square is finite", -1e-300, False),
         ("number > 0 whose square is a normal float", 1e-150, True),
         ("number > 0 whose square is a normal float", 1e154, True),
         ("number > 0 whose square is a normal float", 1e-160, False),  # subnormal
@@ -361,6 +390,32 @@ class TestPly:
     def test_ascii_last_row_without_newline(self, tmp_path):
         path = ply_file(tmp_path, ASCII_XYZ + "0 0 0\n1 1 1\n2 2 2")
         assert fileio.read_ply(path).points[2].tolist() == [2.0, 2.0, 2.0]
+
+    def test_ascii_crlf_rows_and_every_separator(self, tmp_path):
+        path = ply_file(tmp_path, ASCII_XYZ + "0\t1\v2\r\n \f3  4\t\t5 \r\n6\r7\f8\r\n")
+        assert fileio.read_ply(path).points.tolist() == [[0, 1, 2], [3, 4, 5],
+                                                         [6, 7, 8]]
+
+    @pytest.mark.parametrize("body, message", [
+        # A whitespace-only tail after the last row is no row...
+        ("0 0 0\n1 1 1\n \t\r\v\f", "truncated PLY body at byte {size}, "
+                                   "expected 3 vertices, found 2"),
+        ("0 0 0\n1 1 1\n\n", "PLY vertex row 2 at byte 112 has 0 values, "
+                            "expected 3"),
+        # ...but an unterminated last row with values is one.
+        ("0 0 0\n1 1 1\n  5", "PLY vertex row 2 at byte 112 has 1 values, "
+                            "expected 3"),
+        ("0 0 0\r\n\r\n1 1 1\n", "PLY vertex row 1 at byte 107 has 0 values, "
+                                  "expected 3"),
+        ("", "truncated PLY body at byte {size}, expected 3 vertices, found 0"),
+        (" \r\n", "truncated PLY body at byte {size}, expected 3 vertices, found 1"),
+    ])
+    def test_ascii_row_count_and_offsets(self, tmp_path, body, message):
+        path = ply_file(tmp_path, ASCII_XYZ + body)
+        with pytest.raises(FormatError) as exc:
+            fileio.read_ply(path)
+        size = path.stat().st_size
+        assert str(exc.value) == f"{path}: {message.format(size=size)}"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ply"
@@ -555,10 +610,15 @@ class TestRasterFuzz:
 
     @FUZZ
     @given(pixels=images, depth=depths, where=st.floats(0.0, 1.0),
-           byte=st.integers(0, 255))
+           byte=st.integers(0, 255) | st.sampled_from(b" \t\n#0123456789"),
+           in_header=st.booleans())
     def test_byte_mutation_reads_or_raises_format_error(self, tmp_path, pixels,
-                                                        depth, where, byte):
+                                                        depth, where, byte,
+                                                        in_header):
+        """A byte anywhere in the file, or, half the time, in its header."""
         for name, (content, reader) in write_rasters(tmp_path, pixels, depth).items():
             data = bytearray(content)
-            data[min(int(where * len(data)), len(data) - 1)] = byte
+            raster = pixels.size if name == "pgm" else 4 * depth.size
+            span = len(data) - raster if in_header else len(data)
+            data[min(int(where * span), span - 1)] = byte
             read_or_format_error(tmp_path, name, bytes(data), reader)

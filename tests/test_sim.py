@@ -124,6 +124,10 @@ class TestOpticalModel:
         ("attenuation", 0.0, "attenuation must be positive, got 0.0"),
         ("gain", math.nan, "gain must be positive, got nan"),
         ("ambient", -1.0, "ambient must be non-negative, got -1.0"),
+        ("attenuation", 1.7e308, "attenuation * thickness must be finite, "
+                                 "got 1.7e+308 * 2.0"),
+        ("thickness", 1.6e308, "attenuation * thickness must be finite, "
+                               "got 1.2 * 1.6e+308"),
     ])
     def test_each_message_names_its_key(self, key, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
