@@ -9,14 +9,16 @@ repository, which is exported with ``git archive`` into a temporary
 directory first; the default is this checkout. For every seed, every
 workload of ``BENCHMARK.json`` runs through the tree's own
 ``perfbench/run.py`` untraced; the trees take turns running first from one
-seed to the next. Then each workload runs once traced, on the first seed.
+seed to the next. Each ``--heldout`` seed then runs the same way on the
+held-out input stream (``perfbench/run.py --heldout``). Then each workload
+runs once traced, on the first seed.
 
 The file holds one record per tree: its commit (and whether the checkout
 had uncommitted changes), ``nproc``, the Python, numpy and scipy versions,
 and per workload the median of each gated end-to-end metric over the
-seeds, every run's metrics, figures and failure counts, and the traced
-run's per-layer metrics and figures. ``units`` gives the unit of each
-metric and figure.
+seeds, every run's metrics, figures and failure counts (held-out runs
+apart, outside the medians), and the traced run's per-layer metrics and
+figures. ``units`` gives the unit of each metric and figure.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ def parse_args(argv=None):
     parser.add_argument("--workload", action="append",
                         help="workload to run (default: every workload)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[11, 12, 13])
+    parser.add_argument("--heldout", type=int, nargs="+", default=[], metavar="SEED",
+                        help="seeds also run on the held-out input stream")
     parser.add_argument("--seconds", type=float, default=30.0,
                         help="length of each untraced run")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
@@ -83,14 +87,15 @@ def prepare(source: str, scratch: Path) -> tuple[Path, str | None, bool]:
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
-              trace: int) -> tuple[dict, dict]:
+              trace: int, heldout: bool = False) -> tuple[dict, dict]:
     """(result line, environment) of one perfbench run in `tree`.
 
     Beside the result line's metrics, the result holds the run's figures in
     the same form, {name: {"value": ..., "unit": ...}}.
     """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+            *(["--heldout"] if heldout else [])]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"bench_record: {' '.join(argv[1:])} in {tree} exited "
@@ -125,18 +130,23 @@ def main(argv=None) -> int:
         trees = [(label, *prepare(source, Path(scratch)))
                  for label, source in args.trees]
         records = {label: {"label": label, "commit": commit, "uncommitted": dirty,
-                           "workloads": {w: {"runs": []} for w in workloads}}
+                           "workloads": {w: {"runs": [], "heldout_runs": []}
+                                         for w in workloads}}
                    for label, _, commit, dirty in trees}
-        for i, seed in enumerate(args.seeds):
+        pairs = ([(seed, False) for seed in args.seeds]
+                 + [(seed, True) for seed in args.heldout])
+        for i, (seed, heldout) in enumerate(pairs):
             order = trees if i % 2 == 0 else trees[::-1]
             for workload in workloads:
                 for label, tree, _, _ in order:
-                    result, env = run_bench(tree, workload, seed, args.seconds, 0)
+                    result, env = run_bench(tree, workload, seed, args.seconds, 0,
+                                            heldout)
                     records[label].update(nproc=env["nproc"], python=env["python"],
                                           numpy=env["numpy"], scipy=env["scipy"])
-                    records[label]["workloads"][workload]["runs"].append(
+                    runs = "heldout_runs" if heldout else "runs"
+                    records[label]["workloads"][workload][runs].append(
                         {"seed": seed, **flat(result, units)})
-                    print(f"{label} {workload} seed {seed}: "
+                    print(f"{label} {workload} {'held-out ' * heldout}seed {seed}: "
                           + ", ".join(f"{k} {v['value']:.6g}"
                                       for k, v in result["metrics"].items()),
                           flush=True)
@@ -152,7 +162,8 @@ def main(argv=None) -> int:
             print(f"{record['label']} {workload} median: "
                   + ", ".join(f"{k} {v:.6g}" for k, v in entry["median"].items()))
     payload = {"format": "tacsense-bench-record-v1", "pr": args.pr,
-               "settings": {"seeds": args.seeds, "seconds": args.seconds,
+               "settings": {"seeds": args.seeds, "heldout_seeds": args.heldout,
+                            "seconds": args.seconds,
                             "trace_seed": args.seeds[0], "workloads": workloads},
                "units": units, "records": list(records.values())}
     args.out_dir.mkdir(parents=True, exist_ok=True)

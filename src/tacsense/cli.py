@@ -38,7 +38,8 @@ class RunConfig:
     """Reproducible experiment manifest; flags override file values.
 
     Construction checks every field against `_CONFIG_FIELDS`, then builds the
-    geometry and optical model, and raises FormatError naming the key.
+    geometry and optical model and checks that the LED light reaches every
+    pixel, and raises FormatError naming the key.
     """
 
     seed: int = 0
@@ -62,7 +63,9 @@ class RunConfig:
 
     def __post_init__(self):
         fileio.check_fields("config", asdict(self), _CONFIG_FIELDS)
-        for key, build in (("geometry", self.geometry), ("optical", self.optical)):
+        for key, build in (("geometry", self.geometry), ("optical", self.optical),
+                           ("led_sigma", lambda: sim.check_led_sigma(
+                               self.scheme, self.crop_size, self.led_sigma))):
             try:
                 build()
             except (ValueError, OverflowError) as exc:
@@ -365,7 +368,7 @@ def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
     clouds = [recon.reconstruct_cloud(diff, pipeline)
               for diff, _ in run.differences()]
     if model_cloud_path is not None:
-        model_cloud = recon.subsample(fileio.read_ply(model_cloud_path))
+        model_cloud = fileio.read_ply(model_cloud_path)
         source = model_cloud_path
     else:
         model_cloud, source = clouds[0], "frame 0"

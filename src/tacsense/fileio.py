@@ -36,6 +36,16 @@ class FormatError(SensorError):
     """Malformed file content; the message carries the byte offset."""
 
 
+def _header_int(path, m: re.Match, group: int = 0) -> int:
+    """The integer of a matched header field; FormatError at the field's byte
+    offset if it has more digits than Python converts."""
+    try:
+        return int(m.group(group))
+    except ValueError:
+        raise FormatError(f"{path}: header field too long ({len(m.group(group))} "
+                          f"digits) at byte {m.start(group)}") from None
+
+
 def write_pgm(path, img: GrayImage) -> None:
     """Binary PGM (P5), maxval 255."""
     with open(path, "wb") as f:
@@ -54,7 +64,7 @@ def read_pgm(path) -> GrayImage:
         m = _DIGITS.match(data, pos)
         if not m:
             raise FormatError(f"{path}: malformed PGM header at byte {pos}")
-        fields.append(int(m.group()))
+        fields.append(_header_int(path, m))
         pos = m.end()
     width, height, maxval = fields
     if maxval != 255:
@@ -89,7 +99,7 @@ def read_depth(path) -> DepthMap:
     m = _DEPTH_SIZE.match(data, len(DEPTH_MAGIC))
     if not m:
         raise FormatError(f"{path}: malformed depth header at byte {len(DEPTH_MAGIC)}")
-    width, height = int(m.group(1)), int(m.group(2))
+    width, height = _header_int(path, m, 1), _header_int(path, m, 2)
     pos = m.end()
     expected = width * height * 4
     if len(data) - pos < expected:

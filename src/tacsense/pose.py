@@ -16,15 +16,19 @@ from .core import DegenerateGeometryError, PointCloud, Pose, SensorError, _seal
 RANK_TOL = 1e-9
 # ICP drops pairs farther than this multiple of the median pair distance.
 REJECT_RATIO = 5.0
+# ICP matches at most this many source points, every step-th one: most of an
+# ICP call is one k-d query per source point per match.
+SOURCE_BUDGET = 1000
 
 
 @dataclass(frozen=True)
 class IcpReport:
     """Outcome of one ICP call.
 
-    `rmse` and `inlier_fraction` describe the returned pose: its inlier RMSE
-    against its own nearest neighbours, and the share of source points kept
-    as inliers by the rejection rule.
+    `rmse` and `inlier_fraction` describe the returned pose on the sampled
+    source (see `icp`): its inlier RMSE against its own nearest neighbours,
+    and the share of sampled source points kept as inliers by the rejection
+    rule.
     """
 
     pose: Pose
@@ -111,10 +115,12 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
         max_iter: int = 50, tol_mm: float = 1e-5) -> IcpReport:
     """Guarded ICP aligning `source` onto `target`.
 
-    Each iteration pairs every moved source point with its nearest target
-    point, drops pairs farther than REJECT_RATIO times the median pair
-    distance, and takes one step from those pairs, scored by the residual
-    that step minimises. A target with normals (`PointCloud.normals`, as rim
+    ICP matches a sample of the source, every step-th point with the step
+    that leaves at most SOURCE_BUDGET points, against the whole target. Each
+    iteration pairs every moved sample point with its nearest target point,
+    drops pairs farther than REJECT_RATIO times the median pair distance,
+    and takes one step from those pairs, scored by the residual that step
+    minimises. A target with normals (`PointCloud.normals`, as rim
     clouds carry them) takes linearised point-to-plane steps, scored by the
     inlier pairs' point-to-plane RMS. A target without normals, or one whose
     plane system turns rank-deficient (e.g. a planar target), takes SVD
@@ -127,16 +133,19 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
     non-increasing in k.
 
     The report's `rmse` is the point-to-point inlier RMSE of the returned
-    pose, whichever score guided the steps; `inlier_fraction` is the share
-    of source points kept as inliers.
+    pose on the sample, whichever score guided the steps; `inlier_fraction`
+    is the share of sampled source points kept as inliers.
     """
     if len(source) == 0 or len(target) == 0:
         raise ValueError("ICP requires non-empty clouds")
-    # ICP works in float64: float32 points (a PLY model cloud) are widened once.
-    # Normals only meet float64 operands, so float32 normals need no copy.
-    source, target = (c if c.points.dtype == np.float64 else
-                      PointCloud(_seal(c.points.astype(np.float64)), c.normals)
-                      for c in (source, target))
+    # ICP works in float64. The source is strided before it is widened, so a
+    # large float32 model (a PLY cloud) is never widened whole. Normals only
+    # meet float64 operands, so float32 normals need no copy.
+    step = -(-len(source) // SOURCE_BUDGET)
+    source = PointCloud(_seal(source.points[::step].astype(np.float64)),
+                        None if source.normals is None else source.normals[::step])
+    if target.points.dtype != np.float64:
+        target = PointCloud(_seal(target.points.astype(np.float64)), target.normals)
     tree = cKDTree(target.points)
     normals = target.normals
 

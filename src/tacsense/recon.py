@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 
 CONTACT_MIN_DEPTH = 0.05  # mm; shallower pixels are not in contact
 PLATEAU_FRAC = 0.92       # rim pixels are shallower than this share of the deepest
-MAX_ICP_POINTS = 4000     # subsample's cap on a cloud handed to ICP
+MAX_ICP_POINTS = 4000     # cap on the points of a rim cloud
 
 
 @dataclass(frozen=True)
@@ -188,16 +188,6 @@ def depth_rim_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
     normals = np.column_stack([dx, dy, np.ones_like(dx)])
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return PointCloud(_seal(points), _seal(normals))
-
-
-def subsample(cloud: PointCloud) -> PointCloud:
-    """Every step-th point, with the step that leaves at most MAX_ICP_POINTS.
-
-    For unorganized clouds such as a PLY model cloud; a strided cloud keeps
-    no normals.
-    """
-    step = _icp_step(len(cloud))
-    return cloud if step == 1 else PointCloud(cloud.points[::step])
 
 
 def reconstruct_cloud(diff: DifferenceImage, config: PipelineConfig) -> PointCloud:

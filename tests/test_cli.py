@@ -624,9 +624,9 @@ class TestMain:
     @pytest.mark.parametrize("values, message", [
         ({"seed": "abc"}, "{config}: seed: expected int >= 0, got str 'abc'"),
         ({"presses": 2.5}, "{config}: presses: expected int >= 0, got float 2.5"),
-        ({"led_sigma": 1.0}, "led_sigma 1.0 is too small: the LED light underflows "
-                             "to 0 on the 580 px field"),
-        ({"led_sigma": 1e-200}, "led_sigma 1e-200 is too small"),
+        ({"led_sigma": 1.0}, "{config}: led_sigma: 1.0 is too small: the LED light "
+                             "underflows to 0 on the 580 px field"),
+        ({"led_sigma": 1e-200}, "{config}: led_sigma: 1e-200 is too small"),
     ])
     def test_bad_config_type_exit_one_without_output(self, tmp_path, capsys,
                                                      values, message):
@@ -718,8 +718,8 @@ class TestMain:
             code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "tacsense simulate: led_sigma 1e-160 is too small: the LED light "
-            "underflows to 0 on the 580 px field\n")
+            f"tacsense simulate: {config}: led_sigma: 1e-160 is too small: the LED "
+            f"light underflows to 0 on the 580 px field\n")
         assert not out.exists()
 
     def test_flag_overrides_reach_pipeline(self, tmp_path):

@@ -54,6 +54,17 @@ class TestPgm:
             fileio.read_pgm(path)
         assert str(exc.value) == f"{path}: malformed PGM header at byte {offset}"
 
+    @pytest.mark.parametrize("header, offset", [
+        (b"P5 # 1 255\n", 3), (b"P5 1 # 255\n", 5), (b"P5 1 1 #\n", 7)])
+    def test_field_too_long_for_int_reports_offset(self, tmp_path, header, offset):
+        # 5,000 digits exceed int()'s default limit of 4,300.
+        path = tmp_path / "long.pgm"
+        path.write_bytes(header.replace(b"#", b"9" * 5000))
+        with pytest.raises(FormatError) as exc:
+            fileio.read_pgm(path)
+        assert str(exc.value) == (f"{path}: header field too long (5000 digits) "
+                                  f"at byte {offset}")
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
@@ -121,6 +132,16 @@ class TestDepth:
         path.write_bytes(b"DTDEPTH1\n2x2\n" + bytes(16))
         with pytest.raises(FormatError, match="header at byte 8"):
             fileio.read_depth(path)
+
+    @pytest.mark.parametrize("header, offset", [
+        (b"DTDEPTH1\n# 1\n", 9), (b"DTDEPTH1\n1 #\n", 11)])
+    def test_field_too_long_for_int_reports_offset(self, tmp_path, header, offset):
+        path = tmp_path / "long.dtd"
+        path.write_bytes(header.replace(b"#", b"9" * 5000))
+        with pytest.raises(FormatError) as exc:
+            fileio.read_depth(path)
+        assert str(exc.value) == (f"{path}: header field too long (5000 digits) "
+                                  f"at byte {offset}")
 
     @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
     def test_invalid_value_reports_offset(self, tmp_path, value):
@@ -338,8 +359,8 @@ class TestPly:
         assert not fileio.read_ply(path).points.flags.owndata
 
     def test_strided_float32_cloud_writes_its_points(self, tmp_path):
-        # A stride of a cloud read from a file, as recon.subsample makes it,
-        # stays a strided view of the file's bytes.
+        # A stride of a cloud read from a file, every step-th point as
+        # pose.icp samples its source, stays a strided view of the file's bytes.
         rows = np.arange(30, dtype="<f4").reshape(10, 3)
         strided = np.frombuffer(rows.tobytes(), dtype="<f4").reshape(10, 3)[::3]
         cloud = PointCloud(strided)

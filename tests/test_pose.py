@@ -51,6 +51,14 @@ def plane_rms(pose, source, target):
                                    * target.normals[dst], axis=1))
 
 
+def assert_same_report(a, b):
+    """Two ICP reports agree byte for byte."""
+    assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
+    assert a.pose.translation.tobytes() == b.pose.translation.tobytes()
+    assert ((a.rmse, a.iterations, a.converged, a.inlier_fraction)
+            == (b.rmse, b.iterations, b.converged, b.inlier_fraction))
+
+
 def spy(fn, calls):
     """fn, recording each result in `calls`."""
     def wrapped(*args, **kwargs):
@@ -85,14 +93,14 @@ def hex_nut_rims(geom):
             for f in frames]
 
 
-@pytest.fixture(scope="module")
-def live_track_708_rims():
-    """Rim clouds of the benchmark's live_track input for seed 708: a noisy
-    (sigma 1) 24-frame hex-nut rotation in 5-degree steps, calibrated from one
-    deep press against an 8-frame averaged reference, drawn from the seed as
-    perfbench/workloads.py draws them."""
+def live_track_rims(seed, kind="hex_nut"):
+    """Rim clouds of the benchmark's live_track input for `seed`: a noisy
+    (sigma 1) 24-frame rotation of the object `kind` (live_track's is the hex
+    nut) in 5-degree steps, calibrated from one deep press against an 8-frame
+    averaged reference, drawn from the seed as perfbench/workloads.py draws
+    them."""
     sigma = 1.0
-    rng = np.random.default_rng(np.random.SeedSequence([708, 0]).generate_state(1)[0])
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]).generate_state(1)[0])
     cfg = cli.RunConfig(noise_sigma=sigma)
     geom, optical, illum = cfg.geometry(), cfg.optical(), cfg.illumination()
     reference = average_frames([
@@ -107,10 +115,16 @@ def live_track_708_rims():
         model=cli.calibrate_single(diff, cli.CALIB_BALL_RADIUS, geom), geom=geom,
         sigma=cfg.gaussian_sigma, depth_clamp=optical.thickness)
     poses = [Pose.rot_z(5.0 * k) for k in range(24)]
-    frames = sim.render_sequence(sim.object_depth_field("hex_nut"), poses, geom,
+    frames = sim.render_sequence(sim.object_depth_field(kind), poses, geom,
                                  optical, illum, noise_sigma=sigma, rng=rng)
+    assert all(f.in_field for f in frames)
     return [recon.reconstruct_cloud(recon.difference(reference, f.image), pipeline)
             for f in frames]
+
+
+@pytest.fixture(scope="module")
+def live_track_708_rims():
+    return live_track_rims(708)
 
 
 class TestPose:
@@ -413,22 +427,64 @@ class TestIcp:
 
     @pytest.mark.parametrize("with_normals", [False, True])
     def test_float32_clouds_give_the_report_of_their_widenings(self, with_normals):
-        src = graph_surface(500, seed=28)
-        true = small_motion(np.random.default_rng(29), 4.0, 0.2)
-        normals = graph_normals(src.points) @ true.rotation.T if with_normals else None
-        source = PointCloud(src.points.astype(np.float32))
-        target = PointCloud(true.apply(src.points).astype(np.float32),
-                            None if normals is None else normals.astype(np.float32))
-        wide = [PointCloud(c.points.astype(np.float64),
-                           None if c.normals is None else c.normals.astype(np.float64))
-                for c in (source, target)]
-        init = Pose.rot_z(1.0)
-        narrow, widened = icp(source, target, init=init), icp(*wide, init=init)
-        assert narrow.pose.rotation.tobytes() == widened.pose.rotation.tobytes()
-        assert narrow.pose.translation.tobytes() == widened.pose.translation.tobytes()
-        assert (narrow.rmse, narrow.iterations, narrow.converged,
-                narrow.inlier_fraction) == (widened.rmse, widened.iterations,
-                                            widened.converged, widened.inlier_fraction)
+        # 4,321 source points are above the budget: ICP strides, then widens.
+        for n in (500, 4321):
+            src = graph_surface(n, seed=28)
+            true = small_motion(np.random.default_rng(29), 4.0, 0.2)
+            normals = graph_normals(src.points) @ true.rotation.T if with_normals else None
+            source = PointCloud(src.points.astype(np.float32))
+            target = PointCloud(true.apply(src.points).astype(np.float32),
+                                None if normals is None else normals.astype(np.float32))
+            wide = [PointCloud(c.points.astype(np.float64),
+                               None if c.normals is None else c.normals.astype(np.float64))
+                    for c in (source, target)]
+            init = Pose.rot_z(1.0)
+            narrow, widened = icp(source, target, init=init), icp(*wide, init=init)
+            assert_same_report(narrow, widened)
+
+    @pytest.mark.parametrize("n", [pose_module.SOURCE_BUDGET + 1, 2500, 4000, 10_000])
+    def test_source_above_the_budget_matches_its_stride_by_hand(self, n):
+        src = graph_surface(n, seed=30)
+        true = small_motion(np.random.default_rng(31), 4.0, 0.2)
+        dst = graph_surface(3000, seed=32).points
+        target = PointCloud(true.apply(dst), graph_normals(dst) @ true.rotation.T)
+        step = -(-n // pose_module.SOURCE_BUDGET)
+        by_hand = PointCloud(src.points[::step])
+        assert len(by_hand) <= pose_module.SOURCE_BUDGET < len(src)
+        init = Pose.rot_z(0.5)
+        assert_same_report(icp(src, target, init=init), icp(by_hand, target, init=init))
+
+    @pytest.mark.parametrize("n, outliers, sampled", [
+        # At the budget the source is matched whole: every outlier counts.
+        (1000, (1, 3, 4, 8, 997), 1000),
+        # Above it, every 2nd (1,001 points) or 4th (4,000) point is matched:
+        # only the outliers the stride keeps count, over the sample.
+        (1001, (1, 3, 4, 8, 997), 501),
+        (4000, (1, 2, 4, 8, 3996), 1000),
+    ])
+    def test_inlier_fraction_is_counted_over_the_sample(self, n, outliers, sampled):
+        surface = graph_surface(n, seed=33).points
+        points = surface.copy()
+        points[list(outliers)] = 100.0 + np.arange(len(outliers))[:, None]
+        step = -(-n // pose_module.SOURCE_BUDGET)
+        kept_outliers = sum(i % step == 0 for i in outliers)
+        report = icp(PointCloud(points), PointCloud(surface))
+        assert report.inlier_fraction == (sampled - kept_outliers) / sampled
+        assert report.rmse < 1e-9
+
+    @pytest.mark.parametrize("kind, symmetry_deg", [
+        ("slab", 90.0), ("ball_array", 90.0), ("star", 72.0), ("hex_nut", 60.0)])
+    def test_objects_track_within_a_tenth_of_a_degree_at_noise_one(self, kind,
+                                                                   symmetry_deg):
+        # 24 noisy frames 5 degrees apart, drawn as live_track's seed 11 draws
+        # them; each rim cloud has 2,600-4,000 points, ICP matches <= 1,000.
+        rims = live_track_rims(11, kind)
+        assert max(map(len, rims)) > pose_module.SOURCE_BUDGET
+        for k, report in enumerate(track_pose(rims, rims[0])):
+            assert report.converged, k
+            err = ((report.pose.z_angle_deg() - 5.0 * k + symmetry_deg / 2.0)
+                   % symmetry_deg - symmetry_deg / 2.0)
+            assert abs(err) <= 0.1, k
 
     def test_rim_clouds_track_with_plane_steps(self, hex_nut_rims, monkeypatch):
         plane_steps = []

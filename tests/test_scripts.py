@@ -38,12 +38,13 @@ def test_tracking_demo_takes_every_object_kind():
 def test_bench_record_writes_one_record_per_tree(tmp_path):
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--pr", "0",
-         "--workload", "calib_eval", "--seeds", "1", "--seconds", "0.5",
-         "--out-dir", str(tmp_path)],
+         "--workload", "calib_eval", "--seeds", "1", "--heldout", "2",
+         "--seconds", "0.5", "--out-dir", str(tmp_path)],
         capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     record = json.loads((tmp_path / "BENCH_0.json").read_text())
     assert record["pr"] == 0 and record["settings"]["seeds"] == [1]
+    assert record["settings"]["heldout_seeds"] == [2]
     (tree,) = record["records"]
     assert tree["label"] == "checkout" and tree["nproc"] >= 1
     assert {"python", "numpy", "scipy", "commit", "uncommitted"} <= set(tree)
@@ -51,6 +52,8 @@ def test_bench_record_writes_one_record_per_tree(tmp_path):
     assert set(entry["median"]) == {"frames_per_s_norm", "depth_mae_mm",
                                     "peak_rss_mb", "setup_s"}
     assert [run["seed"] for run in entry["runs"]] == [1]
+    assert [run["seed"] for run in entry["heldout_runs"]] == [2]
+    assert entry["heldout_runs"][0]["correct"]
     assert entry["runs"][0]["correct"] and entry["layers"]["correct"]
     assert "calib.detect_contact_circle.ms" in entry["layers"]["metrics"]
     assert entry["runs"][0]["figures"]["regression_mae_mm"] > 0

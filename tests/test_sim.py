@@ -207,6 +207,34 @@ class TestIllumination:
         with pytest.raises(ValueError):
             sim.make_illumination("s9", 64)
 
+    @pytest.mark.parametrize("scheme", sim.SCHEMES)
+    def test_led_sigma_refused_exactly_where_a_pixel_goes_dark(self, scheme):
+        def dark(sigma):
+            """The field summed whole, as the check's reference, has a 0 pixel."""
+            with np.errstate(divide="ignore", over="ignore"):
+                gains = sum(np.exp(-r2 / (2.0 * sigma ** 2))
+                            for r2 in sim._led_r2(scheme, 64))
+            return not gains.min() > 0
+
+        def refused(sigma):
+            try:
+                sim.check_led_sigma(scheme, 64, sigma)
+            except ValueError as exc:
+                assert str(exc) == (f"{sigma!r} is too small: the LED light "
+                                    f"underflows to 0 on the 64 px field")
+                return True
+            return False
+
+        lo, hi = 1e-300, 1e4  # bisect to the two adjacent floats around the limit
+        while True:
+            mid = math.sqrt(lo * hi) if hi > 2.0 * lo else (lo + hi) / 2.0
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if refused(mid) else (lo, mid)
+        for sigma in (1e-200, 1e-160, lo, hi, float(np.nextafter(hi, 1.0)), 700.0):
+            assert refused(sigma) == dark(sigma), sigma
+        assert refused(lo) and not refused(hi)
+
     @pytest.mark.parametrize("value", [np.nan, 0.0, 1.5])
     def test_gains_outside_unit_interval_refused(self, value):
         gains = np.ones((4, 4))
