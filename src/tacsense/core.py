@@ -11,6 +11,7 @@ import numpy as np
 # BT.601 luma weights; conventional camera-pipeline grayscale conversion.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 ORTHONORMAL_TOL = 1e-9
+MAX_FRAME_SIDE = 4096  # px: over 5x the 800x600 frame; a crop^2 float64 array <= 128 MiB
 
 
 class SensorError(Exception):
@@ -193,6 +194,10 @@ class SensorGeometry:
         if not self.pixel_pitch >= sys.float_info.min:
             raise ValueError(f"pixel_pitch (field_mm / crop_size) must be a positive "
                              f"normal float, got {self.pixel_pitch!r}")
+        for key in ("raw_width", "raw_height"):
+            if getattr(self, key) > MAX_FRAME_SIDE:
+                raise ValueError(f"{key} must be at most {MAX_FRAME_SIDE} px, "
+                                 f"got {getattr(self, key)}")
 
     @property
     def pixel_pitch(self) -> float:

@@ -358,7 +358,6 @@ _JSON_KINDS = {
     "int >= 0": lambda v: _is_json_int(v) and v >= 0,
     "int > 0": lambda v: _is_json_int(v) and v > 0,
     "number": _is_json_number,
-    "number >= 0": lambda v: _is_json_number(v) and v >= 0,
     # Radii and sigmas are squared as floats; a ** 2 that overflows raises. A
     # noise sigma with a finite square scales every normal draw to a finite value.
     "number >= 0 whose square is finite": lambda v: (
@@ -378,11 +377,11 @@ def check_fields(path, payload, schema: dict[str, str | tuple], at: str = "") ->
 
     `schema` maps a dotted key path to its kind: "object", "list", "str",
     "int", "number" (finite), "numbers" (a list of them), a range ("int >= 0",
-    "int > 0", "number >= 0", "number >= 0 whose square is finite", and
-    "number > 0 whose square is finite" or "... is a normal float"), "path
-    inside the run" (relative, without a ".." part) or a tuple of the values
-    the key may take. A parent object must come before its keys. `at` is the
-    key path of `payload` in the file, used in messages such as
+    "int > 0", "number >= 0 whose square is finite", and "number > 0 whose
+    square is finite" or "... is a normal float"), "path inside the run"
+    (relative, without a ".." part) or a tuple of the values the key may
+    take. A parent object must come before its keys. `at` is the key path of
+    `payload` in the file, used in messages such as
     "manifest.json: optical.thickness: expected number, got str '2'".
     """
     if not isinstance(payload, dict):

@@ -50,11 +50,12 @@ class PipelineConfig:
 
 
 def difference(reference: GrayImage, contact: GrayImage) -> DifferenceImage:
-    """Per-pixel intensity drop, negative values clamped to zero."""
+    """Per-pixel intensity drop clamped at zero: max(ref, contact) - contact in uint8."""
     if reference.pixels.shape != contact.pixels.shape:
         raise ValueError("reference and contact image dimensions differ")
-    d = reference.pixels.astype(np.int16) - contact.pixels.astype(np.int16)
-    return DifferenceImage(_seal(np.maximum(d, 0).astype(np.uint8)))
+    d = np.maximum(reference.pixels, contact.pixels)
+    d -= contact.pixels
+    return DifferenceImage(_seal(d))
 
 
 def map_depth(diff: DifferenceImage, config: PipelineConfig) -> DepthMap:

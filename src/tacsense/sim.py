@@ -101,35 +101,10 @@ class IlluminationField:
         return frame
 
 
-def _led_r2(scheme: str, crop_size: int):
-    """Each LED's squared distance in px to every pixel, u across and v down."""
-    ring_radius = RING_RADIUS_FRAC * crop_size
-    center = (crop_size - 1) / 2.0
-    pixels = np.arange(crop_size, dtype=np.float64)
-    for a in _LED_ANGLES[scheme]:
-        lu = center + ring_radius * math.cos(a)
-        lv = center + ring_radius * math.sin(a)
-        yield (pixels - lu) ** 2 + ((pixels - lv) ** 2)[:, None]
-
-
 @functools.lru_cache(maxsize=8)
-def _farthest_r2(scheme: str, crop_size: int) -> np.float64:
-    """The largest squared distance from a pixel to its nearest LED."""
-    return functools.reduce(np.minimum, _led_r2(scheme, crop_size)).max()
-
-
 def check_led_sigma(scheme: str, crop_size: int, led_sigma: float) -> None:
-    """Refuse a led_sigma whose LED light underflows to 0 on some pixel.
-
-    A pixel is lit iff the Gaussian of its nearest LED is > 0, and that
-    Gaussian is least at the pixel farthest from its nearest LED.
-    """
-    # led_sigma ** 2 may be 0 or subnormal; the Gaussian is then 0.
-    with np.errstate(divide="ignore", over="ignore"):
-        lit = np.exp(-_farthest_r2(scheme, crop_size) / (2.0 * led_sigma ** 2)) > 0
-    if not lit:
-        raise ValueError(f"{led_sigma!r} is too small: the LED light underflows "
-                         f"to 0 on the {crop_size} px field")
+    """Refuse a led_sigma that leaves a pixel unlit; cached, as every RunConfig checks it."""
+    make_illumination(scheme, crop_size, led_sigma)
 
 
 def make_illumination(scheme: str, crop_size: int,
@@ -139,14 +114,24 @@ def make_illumination(scheme: str, crop_size: int,
     The standard scheme lights all eight ring positions; s1..s4 are
     four-LED subsets (half ring, alternating, opposing pairs, corner
     cluster). The field is normalized so its maximum gain is 1. A led_sigma
-    that leaves a pixel unlit is refused (`check_led_sigma`).
+    that leaves a pixel unlit is refused.
     """
     if scheme not in _LED_ANGLES:
         raise ValueError(f"unknown illumination scheme {scheme!r}")
-    check_led_sigma(scheme, crop_size, led_sigma)
+    ring_radius = RING_RADIUS_FRAC * crop_size
+    center = (crop_size - 1) / 2.0
+    pixels = np.arange(crop_size, dtype=np.float64)
     gains = np.zeros((crop_size, crop_size))
-    for r2 in _led_r2(scheme, crop_size):
-        gains += np.exp(-r2 / (2.0 * led_sigma ** 2))
+    # led_sigma ** 2 may be 0 or subnormal; the check below refuses that field.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for a in _LED_ANGLES[scheme]:
+            lu = center + ring_radius * math.cos(a)
+            lv = center + ring_radius * math.sin(a)
+            r2 = (pixels - lu) ** 2 + ((pixels - lv) ** 2)[:, None]  # u across, v down
+            gains += np.exp(-r2 / (2.0 * led_sigma ** 2))
+    if not gains.min() > 0:
+        raise ValueError(f"{led_sigma!r} is too small: the LED light underflows "
+                         f"to 0 on the {crop_size} px field")
     gains /= gains.max()
     return IlluminationField(gains=_seal(gains))
 

@@ -356,6 +356,19 @@ def linear_samples(rng, n, k, b, jitter=0.0):
     return deltas, depths, radii
 
 
+class TestCalibrateRegression:
+    def test_blank_press_is_named_by_index(self, geom, optical, standard_illum,
+                                           standard_reference):
+        diff, _ = press_difference(geom, optical, standard_illum, standard_reference,
+                                   4.0, 1.0)
+        blank = DifferenceImage(np.zeros_like(diff.pixels))
+        with pytest.raises(NoContactError) as exc:
+            calib.calibrate_regression([diff, blank], 4.0, geom, "standard",
+                                       np.random.default_rng(0))
+        assert str(exc.value) == (f"press 1: no pixel reaches threshold "
+                                  f"{calib.CONTACT_THRESHOLD}")
+
+
 class TestFitRegression:
     def test_exact_linear_data_recovered(self):
         k_true, b_true = 0.001, 0.01

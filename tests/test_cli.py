@@ -101,12 +101,19 @@ class TestRunConfig:
          "geometry: crop window does not fit inside the raw frame"),
         ({"raw_width": 10 ** 400, "raw_height": 10 ** 400, "crop_size": 10 ** 400},
          "geometry: int too large to convert to float"),
+        ({"raw_width": 100000, "raw_height": 100000, "crop_size": 100000},
+         "geometry: raw_width must be at most 4096 px, got 100000"),
     ])
     def test_bad_value_names_the_key(self, tmp_path, values, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(values))
         with pytest.raises(fileio.FormatError, match=re.escape(f"{path}: {message}")):
             RunConfig.load(path)
+
+    def test_largest_frame_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"raw_width": 4096, "raw_height": 4096}))
+        assert RunConfig.load(path).geometry().raw_width == 4096
 
     def test_bad_flag_over_a_file_names_config(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -321,6 +328,14 @@ class TestEvaluate:
         cell = a["schemes"]["standard"]
         assert set(cell) == {"reference_std", "single_mae", "regression_mae"}
         assert cell["single_mae"] < 0.05
+
+    def test_scheme_that_darkens_the_field_reports_an_error_cell(self):
+        """led_sigma 8 lights the standard ring at 240 px but not the s4 cluster."""
+        cfg = RunConfig(crop_size=240, led_sigma=8.0)
+        report = cli.run_evaluation(cfg, schemes=("s4",))
+        assert report["schemes"] == {"s4": {"error": (
+            "FormatError: config: led_sigma: 8.0 is too small: the LED light "
+            "underflows to 0 on the 240 px field")}}
 
     def test_table_has_one_column_per_scheme(self):
         report = {"schemes": {
@@ -570,6 +585,10 @@ class TestMain:
         (lambda m: {**m, "geometry": dict.fromkeys(
             ("raw_width", "raw_height", "crop_size"), 10 ** 400) | {"field_mm": 24.0}},
          "manifest.json: geometry: int too large to convert to float"),
+        (lambda m: {**m, "geometry": {**m["geometry"], "raw_height": 4097}},
+         "manifest.json: geometry: raw_height must be at most 4096 px, got 4097"),
+        (lambda m: {**m, "frames": ["frame_000.pgm"]},
+         "manifest.json: frames[0]: expected object, got str"),
     ])
     def test_broken_manifest_exit_one(self, single_calib, tmp_path, capsys,
                                       command, edit, message):
@@ -638,6 +657,23 @@ class TestMain:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert f"tacsense simulate: {message.format(config=config)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_oversized_frame_in_config_exit_one_without_output(
+            self, press_run, single_calib, tmp_path, capsys, command):
+        """Refused by its size before any crop-sized array is built."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(dict.fromkeys(
+            ("raw_width", "raw_height", "crop_size"), 100000)))
+        out = tmp_path / "out"
+        run_args = ([] if command == "simulate"
+                    else ["--run", str(press_run[0]), "--calib", str(single_calib)])
+        code = cli.main([command, "--config", str(config), *run_args, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"tacsense {command}: {config}: geometry: raw_width must be at most "
+            f"4096 px, got 100000\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key, value, square", [

@@ -79,10 +79,16 @@ class TestGeometry:
                                "positive normal float"),
         ({"field_mm": 7e38}, "field_mm / 2 must fit a float32, got 7e+38"),
         ({"field_mm": 1.7e308}, "field_mm / 2 must fit a float32, got 1.7e+308"),
+        ({"raw_width": 4097}, "raw_width must be at most 4096 px, got 4097"),
+        ({"raw_height": 100000}, "raw_height must be at most 4096 px, got 100000"),
     ])
     def test_unusable_values_refused_naming_the_key(self, values, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             SensorGeometry(**values)
+
+    def test_largest_frame_accepted(self):
+        geom = SensorGeometry(raw_width=4096, raw_height=4096, crop_size=4096)
+        assert geom.pixel_pitch == 24.0 / 4096
 
     def test_smallest_usable_pitch(self):
         geom = SensorGeometry(crop_size=1, field_mm=sys.float_info.min)

@@ -227,7 +227,6 @@ KIND_MEANINGS = {
     "int >= 0": lambda v: type(v) is int and v >= 0,
     "int > 0": lambda v: type(v) is int and v > 0,
     "number": _json_number,
-    "number >= 0": lambda v: _json_number(v) and v >= 0,
     "number >= 0 whose square is finite": lambda v: (
         (_json_number(v) and v == 0) or _positive_with_square_from(0.0)(v)),
     "number > 0 whose square is finite": _positive_with_square_from(0.0),
@@ -483,6 +482,28 @@ class TestPly:
         with pytest.raises(FormatError, match="unsupported PLY format "
                            "'format binary_big_endian 1.0' at byte 4"):
             fileio.read_ply(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("format ascii 1.0\nformat ascii 1.0\n",
+         "misplaced PLY format line 'format ascii 1.0' at byte 21"),
+        ("element vertex 1\n",
+         "PLY element before the format line 'element vertex 1' at byte 4"),
+        ("format ascii 1.0\nelement vertex x\n",
+         "malformed PLY element 'element vertex x' at byte 21"),
+        ("format ascii 1.0\nelement face 1\n",
+         "first PLY element is not vertex 'element face 1' at byte 21"),
+        ("format ascii 1.0\nelement vertex 1\nelement vertex 2\n",
+         "second PLY vertex element 'element vertex 2' at byte 38"),
+        ("format ascii 1.0\nproperty float x\n",
+         "PLY property outside an element 'property float x' at byte 21"),
+        ("format ascii 1.0\nelement vertex 1\nproperty float x\nproperty float x\n",
+         "duplicate PLY vertex property 'property float x' at byte 55"),
+    ])
+    def test_bad_header_line_refused_with_offset(self, tmp_path, header, message):
+        path = ply_file(tmp_path, "ply\n" + header + "end_header\n0 0 0\n")
+        with pytest.raises(FormatError) as exc:
+            fileio.read_ply(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_list_property_in_vertex_rejected_with_offset(self, tmp_path):
         path = ply_file(tmp_path, "ply\nformat ascii 1.0\nelement vertex 1\n"

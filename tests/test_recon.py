@@ -65,6 +65,14 @@ class TestDifference:
         con = GrayImage(np.full((2, 2), 130, dtype=np.uint8))
         assert np.all(recon.difference(ref, con).pixels == 0)
 
+    def test_every_pixel_pair_matches_the_int16_formula(self):
+        ref, con = np.meshgrid(np.arange(256, dtype=np.uint8),
+                               np.arange(256, dtype=np.uint8))
+        expected = np.maximum(ref.astype(np.int16) - con.astype(np.int16), 0)
+        got = recon.difference(GrayImage(ref), GrayImage(con)).pixels
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             recon.difference(GrayImage(np.zeros((2, 2), dtype=np.uint8)),

@@ -209,11 +209,16 @@ class TestIllumination:
 
     @pytest.mark.parametrize("scheme", sim.SCHEMES)
     def test_led_sigma_refused_exactly_where_a_pixel_goes_dark(self, scheme):
+        pixels = np.arange(64, dtype=np.float64)
+        centre = 63 / 2.0
+        r2s = [(pixels - (centre + 0.8 * 64 * math.cos(a))) ** 2
+               + ((pixels - (centre + 0.8 * 64 * math.sin(a))) ** 2)[:, None]
+               for a in sim._LED_ANGLES[scheme]]  # LEDs on a ring of 0.8 x crop
+
         def dark(sigma):
             """The field summed whole, as the check's reference, has a 0 pixel."""
-            with np.errstate(divide="ignore", over="ignore"):
-                gains = sum(np.exp(-r2 / (2.0 * sigma ** 2))
-                            for r2 in sim._led_r2(scheme, 64))
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                gains = sum(np.exp(-r2 / (2.0 * sigma ** 2)) for r2 in r2s)
             return not gains.min() > 0
 
         def refused(sigma):
