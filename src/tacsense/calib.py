@@ -92,10 +92,10 @@ class MappingList:
         object.__setattr__(self, "depths", _freeze(d))
         object.__setattr__(self, "_depths32", _seal(d.astype(np.float32)))
 
-    def depth(self, deltas: np.ndarray) -> np.ndarray:
-        """float32 depth in mm of each integer intensity difference, by table
-        lookup; a fresh array."""
-        deltas = np.asarray(deltas)
+    def depth(self, deltas: np.ndarray, region=...) -> np.ndarray:
+        """float32 depth in mm of each integer intensity difference in `region`
+        (by default all of them), by table lookup; a fresh array."""
+        deltas = np.asarray(deltas)[region]
         # uint8 differences index the table as they are, without an intp copy;
         # np.take gathers ~2x faster than fancy indexing.
         return np.take(self._depths32, deltas if deltas.dtype == np.uint8
@@ -134,9 +134,10 @@ class RegressionModel:
             self._slope_fields[shape] = slopes
         return slopes
 
-    def depth(self, deltas: np.ndarray) -> np.ndarray:
-        """float32 depth in mm of each pixel of a difference image; a fresh array."""
-        return self.slope_field(deltas.shape) * deltas
+    def depth(self, deltas: np.ndarray, region=...) -> np.ndarray:
+        """float32 depth in mm of each pixel in `region` (by default all) of a
+        difference image, from those pixels' own slopes; a fresh array."""
+        return self.slope_field(deltas.shape)[region] * deltas[region]
 
 
 def fit_circle_kasa(us: np.ndarray, vs: np.ndarray) -> tuple[float, float, float]:

@@ -17,7 +17,8 @@ import numpy as np
 from . import fileio, recon, sim
 from .calib import (calibrate_regression, calibrate_single, load_calibration,
                     save_calibration)
-from .core import GrayImage, Pose, SensorError, SensorGeometry, image_mean_std
+from .core import (GrayImage, PointCloud, Pose, SensorError, SensorGeometry,
+                   image_mean_std)
 from .pose import track_pose
 
 RUN_FORMAT = "tacsense-run-v1"
@@ -368,15 +369,19 @@ def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
     clouds = [recon.reconstruct_cloud(diff, pipeline)
               for diff, _ in run.differences()]
     if model_cloud_path is not None:
-        model_cloud = fileio.read_ply(model_cloud_path)
-        source = model_cloud_path
+        # The frames' clouds hold only the rim, so the model keeps only its rim.
+        cloud = fileio.read_ply(model_cloud_path)
+        rim = recon.rim_band(-cloud.points[:, 2])
+        model_cloud = PointCloud(cloud.points[rim],
+                                 None if cloud.normals is None else cloud.normals[rim])
+        source, what = model_cloud_path, "rim points"
     else:
-        model_cloud, source = clouds[0], "frame 0"
+        model_cloud, source, what = clouds[0], "frame 0", "points"
     # A run whose every frame is empty tracks nothing against frame 0, and
     # reports each frame as not converged.
     tracked = model_cloud_path is not None or any(len(c) >= 3 for c in clouds)
     if tracked and len(model_cloud) < 3:
-        raise SensorError(f"{source}: model cloud has {len(model_cloud)} points, "
+        raise SensorError(f"{source}: model cloud has {len(model_cloud)} {what}, "
                           f"need at least 3")
     reports = track_pose(clouds, model_cloud)
     # An empty frame's rmse is infinite, which JSON cannot hold: it is null.

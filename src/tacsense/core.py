@@ -132,9 +132,15 @@ class RgbImage(_Raster):
 
 @dataclass(frozen=True)
 class DifferenceImage(_Raster):
-    """Non-negative intensity drop from reference to contact frame."""
+    """Non-negative intensity drop from reference to contact frame.
+
+    `noise_floor` is the largest 4x4 block sum of the frame's rise, the
+    brightening that a press cannot cause (see `recon.difference`); 0 for an
+    image not made from two frames.
+    """
 
     _kind = "difference image"
+    noise_floor: int = 0
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .core import (
     Sphere,
     SurfaceShape,
     _seal,
+    mask_box,
     surface_axis,
 )
 
@@ -31,6 +32,10 @@ if TYPE_CHECKING:
 CONTACT_MIN_DEPTH = 0.05  # mm; shallower pixels are not in contact
 PLATEAU_FRAC = 0.92       # rim pixels are shallower than this share of the deepest
 MAX_ICP_POINTS = 4000     # cap on the points of a rim cloud
+BLOCK = 4                 # px side of the blocks the contact gate sums
+GATE_RATIO = 1.25         # a contact block's drop sum exceeds this many noise floors
+WINDOW_HALO = 8           # px around the contact blocks kept in the window
+DENOISE_TAPS = 7          # taps of the Gaussian; its two passes read 6 px each side
 
 
 @dataclass(frozen=True)
@@ -49,22 +54,62 @@ class PipelineConfig:
             raise ValueError("depth clamp must be positive")
 
 
+def _block_sums(pixels: np.ndarray) -> np.ndarray:
+    """uint16 sum of each BLOCK x BLOCK block of a uint8 image (at most
+    16 * 255); the blocks at the right and bottom edges may be partial."""
+    out = pixels
+    for axis in (0, 1):
+        view = np.moveaxis(out, axis, 0)
+        acc = view[0::BLOCK].astype(np.uint16)
+        for k in range(1, BLOCK):
+            part = view[k::BLOCK]
+            acc[:len(part)] += part
+        out = np.moveaxis(acc, 0, axis)
+    return out
+
+
 def difference(reference: GrayImage, contact: GrayImage) -> DifferenceImage:
-    """Per-pixel intensity drop clamped at zero: max(ref, contact) - contact in uint8."""
+    """Per-pixel intensity drop clamped at zero, max(ref, contact) - contact in
+    uint8, and the frame's noise floor.
+
+    A press only darkens the elastomer, so the rise max(ref, contact) - ref is
+    noise alone. Its largest block sum is the noise floor that
+    `contact_window` holds the drop's block sums against.
+    """
     if reference.pixels.shape != contact.pixels.shape:
         raise ValueError("reference and contact image dimensions differ")
     d = np.maximum(reference.pixels, contact.pixels)
+    rise = d - reference.pixels
     d -= contact.pixels
-    return DifferenceImage(_seal(d))
+    return DifferenceImage(_seal(d), int(_block_sums(rise).max(initial=0)))
 
 
-def map_depth(diff: DifferenceImage, config: PipelineConfig) -> DepthMap:
-    """The calibration model's float32 depth per pixel, clipped to the layer.
+def contact_window(diff: DifferenceImage) -> tuple[slice, slice] | None:
+    """(rows, cols) of the frame's contact window, or None without contact.
+
+    A block is in contact when its drop sum exceeds GATE_RATIO times the
+    noise floor. The window is the bounding box of those blocks plus
+    WINDOW_HALO px, clipped to the frame. With a noise floor of 0 it covers
+    every non-zero pixel.
+    """
+    marked = _block_sums(diff.pixels) > GATE_RATIO * diff.noise_floor
+    if not marked.any():
+        return None
+    return tuple(slice(max(BLOCK * s.start - WINDOW_HALO, 0),
+                       min(BLOCK * s.stop + WINDOW_HALO, n))
+                 for s, n in zip(mask_box(marked), diff.pixels.shape))
+
+
+def map_depth(diff: DifferenceImage, config: PipelineConfig,
+              region=...) -> DepthMap:
+    """The calibration model's float32 depth of each pixel in `region`, a
+    (rows, cols) pair of slices (by default the whole image), clipped to the
+    layer.
 
     The upper bound is the largest float32 not above `depth_clamp`, so no
     depth exceeds the layer.
     """
-    depth = config.model.depth(diff.pixels)
+    depth = config.model.depth(diff.pixels, region)
     clamp = np.float32(config.depth_clamp)
     if float(clamp) > config.depth_clamp:
         clamp = np.nextafter(clamp, np.float32(0))
@@ -88,7 +133,7 @@ def gaussian_denoise(depth: DepthMap, config: PipelineConfig) -> DepthMap:
     Positive taps keep non-negative depth non-negative. The taps are float64;
     the result has the depth's dtype (float32 from `map_depth`).
     """
-    k = gaussian_kernel(7, config.sigma)
+    k = gaussian_kernel(DENOISE_TAPS, config.sigma)
     taps = np.convolve(k, k)
     out = correlate1d(depth.data, taps, axis=0, mode="reflect")
     return DepthMap(_seal(correlate1d(out, taps, axis=1, mode="reflect")))
@@ -105,9 +150,31 @@ def timed(stages: dict | None, key: str, fn, *args):
 
 def depth_from_difference(diff: DifferenceImage, config: PipelineConfig,
                           timings: dict | None = None) -> DepthMap:
-    """Depth mapping then denoising; stage ms go to `timings`, if given."""
-    depth = timed(timings, "mapping_ms", map_depth, diff, config)
-    return timed(timings, "smoothing_ms", gaussian_denoise, depth, config)
+    """Depth mapping then denoising of the contact window; 0 outside it.
+
+    The result equals mapping and denoising the whole frame with every pixel
+    outside `contact_window` zeroed. Only the window widened by the denoise
+    pass's reach, DENOISE_TAPS - 1 px, is computed: outside that region the
+    full-frame result is 0, and within it reflection at an edge inside the
+    frame reads only the region's zero margin, as the full-frame pass reads
+    zeros beyond it. Stage ms go to `timings`, if given.
+    """
+    window = contact_window(diff)
+    if window is None:
+        if timings is not None:
+            timings.update(mapping_ms=0.0, smoothing_ms=0.0)
+        return DepthMap(_seal(np.zeros(diff.pixels.shape, np.float32)))
+    margin = DENOISE_TAPS - 1
+    region = tuple(slice(max(s.start - margin, 0), min(s.stop + margin, n))
+                   for s, n in zip(window, diff.pixels.shape))
+    gated = np.zeros_like(diff.pixels)
+    gated[window] = diff.pixels[window]
+    mapped = timed(timings, "mapping_ms", map_depth, DifferenceImage(_seal(gated)),
+                   config, region)
+    smoothed = timed(timings, "smoothing_ms", gaussian_denoise, mapped, config)
+    depth = np.zeros(diff.pixels.shape, smoothed.data.dtype)
+    depth[region] = smoothed.data
+    return DepthMap(_seal(depth))
 
 
 def reconstruct(reference: GrayImage, contact: GrayImage,
@@ -162,6 +229,13 @@ def _icp_step(n: int) -> int:
     return max(-(-n // MAX_ICP_POINTS), 1)
 
 
+def rim_band(depth: np.ndarray) -> np.ndarray:
+    """Flat indices, in order, of the depths on the rim: deeper than
+    CONTACT_MIN_DEPTH and shallower than PLATEAU_FRAC of the deepest."""
+    return np.flatnonzero((depth > CONTACT_MIN_DEPTH)
+                          & (depth < PLATEAU_FRAC * depth.max(initial=0)))
+
+
 def depth_rim_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
     """Points on the sloped rim between contact onset and the flat plateau.
 
@@ -177,8 +251,8 @@ def depth_rim_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
     """
     d = _crop_depth(depth, geom)
     h, w = d.shape
-    # flatnonzero then divmod: 2-D np.nonzero is ~15x slower on a frame.
-    rim = np.flatnonzero((d > CONTACT_MIN_DEPTH) & (d < PLATEAU_FRAC * d.max()))
+    # flat indices then divmod: 2-D np.nonzero is ~15x slower on a frame.
+    rim = rim_band(d)
     rows, cols = np.divmod(rim[::_icp_step(len(rim))], w)
     axis = surface_axis(geom)
     points = np.column_stack([axis[cols], axis[rows], -d[rows, cols]])

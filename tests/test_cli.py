@@ -393,6 +393,27 @@ class TestTrack:
         assert reports[0] == reports[1]
         assert all(frame["converged"] for frame in reports[0]["frames"])
 
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_reconstructed_cloud_tracks_as_a_model(self, single_calib, tmp_path,
+                                                   noise):
+        # Most of a reconstructed cloud is the flat z = 0 plane; track keeps
+        # its rim band, as the frames' clouds hold.
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        manifest = cli.cmd_simulate(RunConfig(noise_sigma=noise, seed=3), seq,
+                                    object_kind="hex_nut", n_frames=12, step_deg=5.0)
+        rec = tmp_path / "rec"
+        rec.mkdir()
+        cli.cmd_reconstruct(RunConfig(), seq, single_calib, rec)
+        out = tmp_path / "track"
+        out.mkdir()
+        payload = cli.cmd_track(RunConfig(), seq, single_calib, out,
+                                rec / "cloud_000.ply")
+        truth = [pose_from_list(f["pose"]).z_angle_deg() for f in manifest["frames"]]
+        for frame, true in zip(payload["frames"], truth):
+            tracked = pose_from_list(frame["pose"]).z_angle_deg()
+            assert abs((tracked - (true - truth[0]) + 30.0) % 60.0 - 30.0) <= 0.1
+
 
 class TestMain:
     @pytest.mark.parametrize("points", [0, 2])
@@ -402,14 +423,17 @@ class TestMain:
         seq.mkdir()
         cli.cmd_simulate(RunConfig(), seq, object_kind="hex_nut", n_frames=2)
         model_cloud = tmp_path / "model.ply"
-        fileio.write_ply(model_cloud, PointCloud(np.zeros((points, 3))))
+        # `points` rim points 0.5 mm deep and one deeper plateau point.
+        rim = np.zeros((points, 3)) - [0.0, 0.0, 0.5]
+        fileio.write_ply(model_cloud, PointCloud(np.vstack([rim, [0.0, 0.0, -1.0]])))
         out = tmp_path / "out"
         code = cli.main(["track", "--run", str(seq), "--calib", str(single_calib),
                          "--out", str(out), "--model-cloud", str(model_cloud)])
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.strip().splitlines()) == 1
-        assert f"{model_cloud}: model cloud has {points} points, need at least 3" in err
+        assert (f"{model_cloud}: model cloud has {points} rim points, "
+                f"need at least 3") in err
         assert not out.exists()
 
     def test_track_icp_failure_names_the_frame(self, single_calib, tmp_path, capsys):
@@ -417,7 +441,9 @@ class TestMain:
         seq.mkdir()
         cli.cmd_simulate(RunConfig(), seq, object_kind="hex_nut", n_frames=2)
         model_cloud = tmp_path / "model.ply"
-        fileio.write_ply(model_cloud, PointCloud(np.outer(np.arange(3.0), [1.0, 0.0, 0.0])))
+        # Three collinear rim points 0.5 mm deep and one deeper plateau point.
+        rim = np.outer(np.arange(3.0), [1.0, 0.0, 0.0]) - [0.0, 0.0, 0.5]
+        fileio.write_ply(model_cloud, PointCloud(np.vstack([rim, [0.0, 0.0, -1.0]])))
         out = tmp_path / "out"
         code = cli.main(["track", "--run", str(seq), "--calib", str(single_calib),
                          "--out", str(out), "--model-cloud", str(model_cloud)])

@@ -155,6 +155,143 @@ class TestFloat32Chain:
         assert np.abs(out - reference).max() <= 2 * np.spacing(np.float32(clamp))
 
 
+def block_sums(pixels):
+    """int64 sum of each 4x4 block of a 2-D array, zero-padded to whole blocks."""
+    h, w = pixels.shape
+    padded = np.zeros((-(-h // 4) * 4, -(-w // 4) * 4), np.int64)
+    padded[:h, :w] = pixels
+    return padded.reshape(padded.shape[0] // 4, 4, -1, 4).sum(axis=(1, 3))
+
+
+def gate_then_full_frame(diff, cfg):
+    """The full-frame chain on the difference with every pixel zeroed outside
+    the bounding box of the blocks above 1.25 noise floors plus 8 px."""
+    rows, cols = np.nonzero(block_sums(diff.pixels) > 1.25 * diff.noise_floor)
+    gated = np.zeros_like(diff.pixels)
+    if len(rows):
+        window = (slice(max(4 * rows.min() - 8, 0), 4 * rows.max() + 12),
+                  slice(max(4 * cols.min() - 8, 0), 4 * cols.max() + 12))
+        gated[window] = diff.pixels[window]
+    return recon.gaussian_denoise(recon.map_depth(DifferenceImage(gated), cfg),
+                                  cfg).data
+
+
+@st.composite
+def gated_differences(draw):
+    """A difference image of 1 to 40 px a side: low noise, one brighter box
+    anywhere (border-touching included), and a noise floor."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    pixels = draw(arrays(np.uint8, (h, w), elements=st.integers(0, 3)))
+    r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    box = (slice(r0, draw(st.integers(r0 + 1, h))),
+           slice(c0, draw(st.integers(c0 + 1, w))))
+    pixels[box] = np.maximum(pixels[box], draw(st.integers(0, 255)))
+    return DifferenceImage(pixels, draw(st.integers(0, 200)))
+
+
+nonnegative_regression_models = st.builds(
+    calib.RegressionModel, st.floats(0.0, 1e-3), st.floats(0.0, 0.05),
+    st.floats(-50.0, 100.0), st.floats(-50.0, 100.0))
+
+
+class TestContactGate:
+    """depth_from_difference maps and denoises only the contact window."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(diff=gated_differences(),
+           model=st.one_of(monotone_tables, nonnegative_regression_models),
+           clamp=st.floats(0.05, 5.0))
+    def test_window_equals_gate_then_full_frame_bit_for_bit(self, diff, model,
+                                                           clamp):
+        cfg = recon.PipelineConfig(model=model, depth_clamp=clamp)
+        out = recon.depth_from_difference(diff, cfg).data
+        assert out.dtype == np.float32
+        assert out.tobytes() == gate_then_full_frame(diff, cfg).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(diff=gated_differences(), model=regression_models)
+    def test_any_regression_slope_gives_equal_values(self, diff, model):
+        # A negative slope maps a zero difference to -0.0, equal to 0.
+        cfg = recon.PipelineConfig(model=model)
+        assert np.array_equal(recon.depth_from_difference(diff, cfg).data,
+                              gate_then_full_frame(diff, cfg))
+
+    @pytest.mark.parametrize("box", [
+        (slice(0, 5), slice(10, 20)), (slice(30, 37), slice(10, 20)),
+        (slice(10, 20), slice(0, 3)), (slice(10, 20), slice(35, 41)),
+        (slice(0, 37), slice(0, 41))])
+    def test_window_at_each_frame_border(self, box, optical):
+        pixels = np.random.default_rng(5).integers(0, 3, (37, 41), dtype=np.uint8)
+        pixels[box] = 40
+        for model in (make_lookup_model(optical),
+                      calib.RegressionModel(1e-3, 0.01, 12.0, 30.0)):
+            cfg = recon.PipelineConfig(model=model)
+            diff = DifferenceImage(pixels, noise_floor=40)
+            assert (recon.depth_from_difference(diff, cfg).data.tobytes()
+                    == gate_then_full_frame(diff, cfg).tobytes())
+
+    @settings(max_examples=60, deadline=None)
+    @given(deltas=arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                                max_side=30)),
+           model=st.one_of(monotone_tables, nonnegative_regression_models))
+    def test_floor_zero_keeps_the_full_frame_chain(self, deltas, model):
+        cfg = recon.PipelineConfig(model=model)
+        diff = DifferenceImage(deltas)
+        assert diff.noise_floor == 0
+        full = recon.gaussian_denoise(recon.map_depth(diff, cfg), cfg).data
+        assert recon.depth_from_difference(diff, cfg).data.tobytes() == full.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(frames=array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40).flatmap(
+        lambda shape: st.tuples(arrays(np.uint8, shape), arrays(np.uint8, shape))))
+    def test_noise_floor_is_the_largest_rise_block_sum(self, frames):
+        ref, con = frames
+        diff = recon.difference(GrayImage(ref), GrayImage(con))
+        rise = np.maximum(con.astype(np.int64) - ref, 0)
+        assert diff.noise_floor == block_sums(rise).max()
+        assert np.array_equal(diff.pixels, np.maximum(ref.astype(np.int16) - con, 0))
+
+    def test_no_marked_block_maps_to_zeros(self, optical):
+        cfg = recon.PipelineConfig(model=make_lookup_model(optical))
+        timings = {}
+        diff = DifferenceImage(np.full((9, 9), 2, np.uint8), noise_floor=100)
+        out = recon.depth_from_difference(diff, cfg, timings)
+        assert out.data.dtype == np.float32 and not out.data.any()
+        assert timings == {"mapping_ms": 0.0, "smoothing_ms": 0.0}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_noise_only_frame_maps_to_zeros(self, seed, geom, optical, standard_illum):
+        rig = sim.BallPressRig(geom, optical, standard_illum, 1.0,
+                               np.random.default_rng(seed))
+        blank = sim.render_tactile(DepthMap(np.zeros((geom.crop_size,) * 2)), optical,
+                                   standard_illum, noise_sigma=1.0, rng=rig.rng)
+        diff = recon.difference(rig.reference, blank)
+        assert diff.noise_floor > 0 and diff.pixels.any()
+        cfg = recon.PipelineConfig(model=make_lookup_model(optical), geom=geom)
+        assert not recon.depth_from_difference(diff, cfg).data.any()
+
+    @pytest.mark.parametrize("ball_radius, d_max, min_cover", [
+        (4.0, 0.1, 0.0), (50.0, 1.5, 0.75)])
+    def test_noisy_press_keeps_every_contact_pixel(self, ball_radius, d_max,
+                                                   min_cover, geom, optical,
+                                                   standard_illum):
+        # A 0.1 mm press, two gray levels deep, and one covering >= 75% of
+        # the frame, at noise sigma 1.
+        rig = sim.BallPressRig(geom, optical, standard_illum, 1.0,
+                               np.random.default_rng(8))
+        truth = sim.sphere_press_depth(geom, ball_radius, d_max,
+                                       thickness=optical.thickness)
+        assert (truth.data > 0).mean() >= min_cover
+        image = sim.render_tactile(truth, optical, standard_illum, noise_sigma=1.0,
+                                   rng=rig.rng)
+        cfg = recon.PipelineConfig(model=make_lookup_model(optical), geom=geom,
+                                   depth_clamp=optical.thickness)
+        out = recon.reconstruct(rig.reference, image, cfg).data
+        assert out[truth.data > recon.CONTACT_MIN_DEPTH].all()
+        deepest = np.unravel_index(truth.data.argmax(), truth.data.shape)
+        assert abs(out[deepest] - d_max) <= 0.05
+
+
 class TestSlopeFieldCache:
     """map_depth reuses each regression model's slope field; full frames are the reference."""
 
