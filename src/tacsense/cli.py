@@ -370,10 +370,8 @@ def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
               for diff, _ in run.differences()]
     if model_cloud_path is not None:
         # The frames' clouds hold only the rim, so the model keeps only its rim.
-        cloud = fileio.read_ply(model_cloud_path)
-        rim = recon.rim_band(-cloud.points[:, 2])
-        model_cloud = PointCloud(cloud.points[rim],
-                                 None if cloud.normals is None else cloud.normals[rim])
+        points = fileio.read_ply(model_cloud_path).points
+        model_cloud = PointCloud(points[recon.rim_band(-points[:, 2])])
         source, what = model_cloud_path, "rim points"
     else:
         model_cloud, source, what = clouds[0], "frame 0", "points"
