@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Compare two records of one BENCH_<pr>.json against BENCHMARK.json's bounds.
+
+    python3 scripts/bench_compare.py BENCH_21.json [--old parent] [--new change]
+
+For each workload both records ran, and each end-to-end metric of
+``BENCHMARK.json``, it prints the two medians over the runs, the relative
+change, and whether the change is inside the metric's bound: a change in the
+metric's "better" direction always is, a change the other way is inside
+while it is no larger than the bound. Beside ``frames_per_s_norm`` it prints
+the median raw ``frames_per_s`` figure, since the two can rank trees
+oppositely. Held-out runs are left out, as they are of the record's medians.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("record", type=Path, help="a BENCH_<pr>.json file")
+    parser.add_argument("--old", default="parent", help="label of the baseline record")
+    parser.add_argument("--new", default="change", help="label of the compared record")
+    return parser.parse_args(argv)
+
+
+def median(runs: list[dict], kind: str, name: str) -> float | None:
+    """Median of one metric or figure over the runs, or None if they lack it
+    (BENCH_14.json holds no raw frames_per_s)."""
+    values = [run[kind][name] for run in runs if name in run.get(kind, {})]
+    return statistics.median(values) if values else None
+
+
+def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
+    """The report's lines; SystemExit if a record label is missing."""
+    records = {record["label"]: record for record in payload["records"]}
+    for label in (old, new):
+        if label not in records:
+            raise SystemExit(f"bench_compare: no record labelled {label!r}; "
+                             f"the file has {sorted(records)}")
+    before, after = records[old], records[new]
+    lines = [f"{old} {str(before.get('commit'))[:7]} -> "
+             f"{new} {str(after.get('commit'))[:7]}"]
+    for workload, entry in before["workloads"].items():
+        if workload not in after["workloads"]:
+            continue
+        runs = (entry["runs"], after["workloads"][workload]["runs"])
+        failed = [f"{sum(r['failed'] for r in rs)} of {sum(r['attempted'] for r in rs)}"
+                  for rs in runs]
+        lines.append(f"{workload}: {len(runs[0])} -> {len(runs[1])} runs, "
+                     f"failed {failed[0]} -> {failed[1]}")
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            a, b = (median(rs, "metrics", name) for rs in runs)
+            change = (b - a) / a
+            worse = -change if metric["better"] == "higher" else change
+            verdict = "inside" if worse <= metric["bound"] else "OUTSIDE"
+            lines.append(f"  {name:<18} {a:.4g} -> {b:.4g} {metric['unit']}  "
+                         f"{change:+.1%}  {verdict} the bound of "
+                         f"{metric['bound']:.0%} ({metric['better']} is better)")
+            if name == "frames_per_s_norm":
+                a, b = (median(rs, "figures", "frames_per_s") for rs in runs)
+                if a is not None and b is not None:
+                    lines.append(f"  {'  raw frames_per_s':<18} {a:.4g} -> {b:.4g} "
+                                 f"1/s  {(b - a) / a:+.1%}")
+    return lines
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    payload = json.loads(args.record.read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    header, *lines = compare(payload, spec, args.old, args.new)
+    print(f"{args.record.name}: {header}", *lines, sep="\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

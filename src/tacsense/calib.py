@@ -93,9 +93,9 @@ class MappingList:
         object.__setattr__(self, "_depths32", _seal(d.astype(np.float32)))
 
     def depth(self, deltas: np.ndarray, region=...) -> np.ndarray:
-        """float32 depth in mm of each integer intensity difference in `region`
-        (by default all of them), by table lookup; a fresh array."""
-        deltas = np.asarray(deltas)[region]
+        """float32 depth in mm of each integer intensity difference, by table
+        lookup wherever `region` places them in the frame; a fresh array."""
+        deltas = np.asarray(deltas)
         # uint8 differences index the table as they are, without an intp copy;
         # np.take gathers ~2x faster than fancy indexing.
         return np.take(self._depths32, deltas if deltas.dtype == np.uint8
@@ -110,8 +110,6 @@ class RegressionModel:
     b_c: float
     center_u: float
     center_v: float
-    _slope_fields: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
 
     def __post_init__(self):
         for key in ("k_c", "b_c", "center_u", "center_v"):
@@ -123,21 +121,14 @@ class RegressionModel:
                      np.asarray(v, dtype=np.float64) - self.center_v)
         return self.k_c * r + self.b_c
 
-    def slope_field(self, shape: tuple[int, int]) -> np.ndarray:
-        """Read-only float32 slope at every pixel of an image of `shape`, built
-        once per shape."""
-        shape = tuple(shape)
-        slopes = self._slope_fields.get(shape)
-        if slopes is None:
-            slopes = self.slope(np.arange(shape[1]), np.arange(shape[0])[:, None])
-            slopes = _seal(slopes.astype(np.float32))
-            self._slope_fields[shape] = slopes
-        return slopes
-
     def depth(self, deltas: np.ndarray, region=...) -> np.ndarray:
-        """float32 depth in mm of each pixel in `region` (by default all) of a
-        difference image, from those pixels' own slopes; a fresh array."""
-        return self.slope_field(deltas.shape)[region] * deltas[region]
+        """float32 depth in mm of each pixel of a difference image, from its own
+        float32 slope; a fresh array. `region`, a (rows, cols) pair of slices,
+        places `deltas` in the frame (by default at pixel (0, 0))."""
+        v0, u0 = (0, 0) if region is ... else (s.start or 0 for s in region)
+        h, w = deltas.shape
+        slopes = self.slope(np.arange(u0, u0 + w), np.arange(v0, v0 + h)[:, None])
+        return slopes.astype(np.float32) * deltas
 
 
 def fit_circle_kasa(us: np.ndarray, vs: np.ndarray) -> tuple[float, float, float]:

@@ -159,6 +159,14 @@ def _pose_to_list(pose: Pose) -> list[float]:
     return [*pose.rotation.ravel().tolist(), *pose.translation.tolist()]
 
 
+def _pose_from_list(values: list[float]) -> Pose:
+    """The pose of 12 numbers from `_pose_to_list`; ValueError if they are
+    not 12 or not a proper rigid transform."""
+    if len(values) != 12:
+        raise ValueError(f"expected 12 numbers, got {len(values)}")
+    return Pose(np.reshape(values[:9], (3, 3)), values[9:])
+
+
 # Keys every run manifest needs, and those a ball-press run adds; see
 # fileio.check_fields.
 _MANIFEST_FIELDS = {
@@ -201,6 +209,15 @@ class Run:
                 models[key] = build(**manifest[key])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise fileio.FormatError(f"{manifest_path}: {key}: {exc}") from None
+        if manifest["kind"] == "sequence":
+            for i, frame in enumerate(manifest["frames"]):
+                fileio.check_fields(manifest_path, frame, {"pose": "numbers"},
+                                    at=f"frames[{i}]")
+                try:
+                    _pose_from_list(frame["pose"])
+                except ValueError as exc:
+                    raise fileio.FormatError(
+                        f"{manifest_path}: frames[{i}].pose: {exc}") from None
         geom = models["geometry"]
         reference = fileio.read_pgm(run_dir / manifest["reference"])
         if reference.pixels.shape != (geom.crop_size, geom.crop_size):

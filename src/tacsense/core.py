@@ -329,7 +329,10 @@ class Pose:
         # Every comparison with NaN is false, so the checks below would pass it.
         if not (np.isfinite(r).all() and np.isfinite(t).all()):
             raise ValueError("pose contains non-finite values")
-        if np.abs(r.T @ r - np.eye(3)).max() > ORTHONORMAL_TOL:
+        # An orthonormal matrix's entries lie in [-1, 1]; larger ones are
+        # refused before r.T @ r can overflow.
+        if (np.abs(r).max() > 1.0 + ORTHONORMAL_TOL
+                or np.abs(r.T @ r - np.eye(3)).max() > ORTHONORMAL_TOL):
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
             raise ValueError("rotation determinant is not +1")

@@ -82,13 +82,27 @@ def read_pgm(path) -> GrayImage:
     return GrayImage(pixels.reshape(height, width))
 
 
+def _narrow(values: np.ndarray, message: str) -> np.ndarray:
+    """float32 `values` as they are, others cast to float32; ValueError with
+    `message` if a finite value overflows."""
+    if values.dtype == np.float32:
+        return values
+    with np.errstate(over="ignore"):
+        narrowed = values.astype("<f4")
+    if not np.isfinite(narrowed).all():
+        raise ValueError(message)
+    return narrowed
+
+
 def write_depth(path, depth: DepthMap) -> None:
-    """Magic, 'width height' as text, then row-major little-endian float32 mm."""
+    """Magic, 'width height' as text, then row-major little-endian float32 mm;
+    float64 depth is narrowed, and refused if a value overflows float32."""
+    values = _narrow(depth.data, f"{path}: depth values overflow float32")
     with open(path, "wb") as f:
         f.write(DEPTH_MAGIC)
         f.write(f"\n{depth.width} {depth.height}\n".encode("ascii"))
         # float32 depth is written as it is, without a copy.
-        f.write(np.ascontiguousarray(depth.data, dtype="<f4"))
+        f.write(np.ascontiguousarray(values, dtype="<f4"))
 
 
 def read_depth(path) -> DepthMap:
@@ -128,12 +142,7 @@ PLY_FORMATS = ("ascii", "binary_little_endian")
 def write_ply(path, cloud: PointCloud) -> None:
     """Binary little-endian PLY with float x, y, z vertex properties; float64
     points are narrowed, and refused if one overflows float32."""
-    points = cloud.points
-    if points.dtype != np.float32:
-        with np.errstate(over="ignore"):
-            points = points.astype("<f4")
-        if not np.isfinite(points).all():
-            raise ValueError(f"{path}: point coordinates overflow float32")
+    points = _narrow(cloud.points, f"{path}: point coordinates overflow float32")
     with open(path, "wb") as f:
         f.write(b"ply\nformat binary_little_endian 1.0\n")
         f.write(f"element vertex {len(cloud)}\n".encode("ascii"))

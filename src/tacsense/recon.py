@@ -102,9 +102,9 @@ def contact_window(diff: DifferenceImage) -> tuple[slice, slice] | None:
 
 def map_depth(diff: DifferenceImage, config: PipelineConfig,
               region=...) -> DepthMap:
-    """The calibration model's float32 depth of each pixel in `region`, a
-    (rows, cols) pair of slices (by default the whole image), clipped to the
-    layer.
+    """The calibration model's float32 depth of each pixel of `diff`, clipped
+    to the layer. `region`, a (rows, cols) pair of slices, says where `diff`
+    sits in the frame (by default it is the whole frame).
 
     The upper bound is the largest float32 not above `depth_clamp`, so no
     depth exceeds the layer.
@@ -167,8 +167,9 @@ def depth_from_difference(diff: DifferenceImage, config: PipelineConfig,
     margin = DENOISE_TAPS - 1
     region = tuple(slice(max(s.start - margin, 0), min(s.stop + margin, n))
                    for s, n in zip(window, diff.pixels.shape))
-    gated = np.zeros_like(diff.pixels)
-    gated[window] = diff.pixels[window]
+    gated = np.zeros([s.stop - s.start for s in region], np.uint8)
+    gated[tuple(slice(w.start - r.start, w.stop - r.start)
+                for w, r in zip(window, region))] = diff.pixels[window]
     mapped = timed(timings, "mapping_ms", map_depth, DifferenceImage(_seal(gated)),
                    config, region)
     smoothed = timed(timings, "smoothing_ms", gaussian_denoise, mapped, config)

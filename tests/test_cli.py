@@ -634,6 +634,42 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["reconstruct", "track"])
     @pytest.mark.parametrize("edit, message", [
+        (lambda f: f[0].update(pose="x"),
+         "frames[0].pose: expected numbers, got str 'x'"),
+        (lambda f: f[1].pop("pose"), "frames[1].pose: missing"),
+        (lambda f: f[1].update(pose=f[1]["pose"][:11]),
+         "frames[1].pose: expected 12 numbers, got 11"),
+        (lambda f: f[0].update(pose=[2.0, *f[0]["pose"][1:]]),
+         "frames[0].pose: rotation is not orthonormal"),
+        (lambda f: f[0].update(pose=[-1.0, *f[0]["pose"][1:]]),
+         "frames[0].pose: rotation determinant is not +1"),
+        (lambda f: f[1].update(pose=[1e200] * 12),
+         "frames[1].pose: rotation is not orthonormal"),
+        (lambda f: f[1].update(pose=[*f[1]["pose"][:11], "0"]),
+         "frames[1].pose: expected numbers, got list"),
+    ])
+    def test_broken_sequence_pose_exit_one(self, single_calib, tmp_path, capsys,
+                                           command, edit, message):
+        run_dir = tmp_path / "seq"
+        assert cli.main(["simulate", "--out", str(run_dir), "--object", "hex_nut",
+                         "--frames", "2"]) == 0
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        edit(manifest["frames"])
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--run", str(run_dir), "--calib",
+                             str(single_calib), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"tacsense {command}: {manifest_path}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "track"])
+    @pytest.mark.parametrize("edit, message", [
         (lambda p: p.pop("max_calibrated"), "max_calibrated: missing"),
         (lambda p: p.update(thickness=10 ** 400),
          "thickness: expected number, got int 1000"),
@@ -782,6 +818,19 @@ class TestMain:
         assert capsys.readouterr().err == (
             f"tacsense simulate: {config}: led_sigma: 1e-160 is too small: the LED "
             f"light underflows to 0 on the 580 px field\n")
+        assert not out.exists()
+
+    def test_depth_that_overflows_float32_exit_one_without_output(self, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", "--thickness", "1e300", "--ball-radius",
+                             "1e150", "--presses", "1", "--out", str(out)])
+        assert code == 1
+        assert re.fullmatch(rf"tacsense simulate: {re.escape(str(out))}/\.partial-\w+"
+                            r"/frame_000\.dtd: depth values overflow float32\n",
+                            capsys.readouterr().err)
         assert not out.exists()
 
     def test_flag_overrides_reach_pipeline(self, tmp_path):

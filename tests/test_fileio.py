@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,15 @@ class TestDepth:
         path = tmp_path / "d.dtd"
         fileio.write_depth(path, DepthMap(np.zeros((2, 3))))
         assert path.read_bytes().startswith(b"DTDEPTH1\n3 2\n")
+
+    def test_float32_overflow_refused_before_writing(self, tmp_path):
+        path = tmp_path / "d.dtd"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: depth "
+                               "values overflow float32$"):
+                fileio.write_depth(path, DepthMap(np.array([[0.0, 1e39]])))
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.dtd"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,9 +155,13 @@ class TestPose:
         pts = random_cloud(15, seed=2).points
         assert np.allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)))
 
-    def test_non_orthonormal_rotation_rejected(self):
-        with pytest.raises(ValueError):
-            Pose(np.eye(3) * 1.001, np.zeros(3))
+    @pytest.mark.parametrize("rotation", [np.eye(3) * 1.001, np.full((3, 3), 1e200),
+                                          np.diag([1e300, 1.0, 1.0])])
+    def test_non_orthonormal_rotation_rejected(self, rotation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not orthonormal"):
+                Pose(rotation, np.zeros(3))
 
     def test_reflection_rejected(self):
         with pytest.raises(ValueError):

@@ -259,6 +259,33 @@ class TestContactGate:
         assert out.data.dtype == np.float32 and not out.data.any()
         assert timings == {"mapping_ms": 0.0, "smoothing_ms": 0.0}
 
+    @pytest.mark.parametrize("box", [(slice(10, 20), slice(12, 18)),
+                                     (slice(0, 37), slice(30, 41))])
+    def test_map_depth_is_handed_the_region(self, box, optical, monkeypatch):
+        """The gated image is the mapped region's size: the window plus the
+        denoise reach, clipped to the frame."""
+        pixels = np.zeros((37, 41), np.uint8)
+        pixels[box] = 40
+        diff = DifferenceImage(pixels, noise_floor=40)
+        window = recon.contact_window(diff)
+        region = tuple(slice(max(s.start - 6, 0), min(s.stop + 6, n))
+                       for s, n in zip(window, pixels.shape))
+        calls = []
+        map_depth = recon.map_depth
+
+        def spy(diff, config, region=...):
+            calls.append((diff.pixels.copy(), region))
+            return map_depth(diff, config, region)
+
+        monkeypatch.setattr(recon, "map_depth", spy)
+        recon.depth_from_difference(diff, recon.PipelineConfig(
+            model=make_lookup_model(optical)))
+        [(handed, handed_region)] = calls
+        assert handed_region == region
+        gated = np.zeros_like(pixels)
+        gated[window] = pixels[window]
+        assert np.array_equal(handed, gated[region])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_noise_only_frame_maps_to_zeros(self, seed, geom, optical, standard_illum):
         rig = sim.BallPressRig(geom, optical, standard_illum, 1.0,
@@ -292,8 +319,19 @@ class TestContactGate:
         assert abs(out[deepest] - d_max) <= 0.05
 
 
-class TestSlopeFieldCache:
-    """map_depth reuses each regression model's slope field; full frames are the reference."""
+@st.composite
+def framed_regions(draw):
+    """A uint8 difference frame of 1 to 40 px a side and a region of it:
+    regions at the frame's edges and 1 px sides included."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    deltas = draw(arrays(np.uint8, (h, w)))
+    r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    return deltas, (slice(r0, draw(st.integers(r0 + 1, h))),
+                    slice(c0, draw(st.integers(c0 + 1, w))))
+
+
+class TestModelDepth:
+    """Each model maps the array it is given; full frames are the reference."""
 
     def test_regression_matches_full_frame_slope(self, geom):
         rng = np.random.default_rng(3)
@@ -310,12 +348,19 @@ class TestSlopeFieldCache:
                 expected = np.clip(slope * diff.pixels, 0.0, 1.0)
                 assert np.array_equal(recon.map_depth(diff, cfg).data, expected)
 
-    def test_field_is_cached_read_only(self):
-        model = calib.RegressionModel(1e-4, 0.01, 3.0, 4.0)
-        field = model.slope_field((6, 7))
-        assert field is model.slope_field([6, 7])
-        assert not field.flags.writeable
-        assert model == calib.RegressionModel(1e-4, 0.01, 3.0, 4.0)
+    @settings(max_examples=150, deadline=None)
+    @given(frame=framed_regions(),
+           model=st.builds(calib.RegressionModel, st.floats(-1e-3, 1e-3),
+                           st.floats(-0.05, 0.05), st.floats(-50.0, 100.0),
+                           st.floats(-50.0, 100.0)))
+    def test_region_maps_with_its_own_slopes(self, frame, model):
+        # Byte for byte, so a negative slope's -0.0 must stay -0.0.
+        deltas, region = frame
+        vv, uu = np.mgrid[0:deltas.shape[0], 0:deltas.shape[1]]
+        expected = model.slope(uu, vv).astype(np.float32)[region] * deltas[region]
+        out = model.depth(deltas[region], region)
+        assert out.dtype == np.float32
+        assert out.tobytes() == expected.tobytes()
 
     def test_lookup_index_types_agree(self, optical):
         model = make_lookup_model(optical)

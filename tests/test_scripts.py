@@ -60,6 +60,34 @@ def test_bench_record_writes_one_record_per_tree(tmp_path):
     assert record["units"]["regression_mae_mm"] == "mm"
 
 
+def test_bench_compare_reads_the_committed_record():
+    done = run_script("bench_compare.py", str(ROOT / "BENCH_21.json"))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["BENCH_21.json: parent c0af674 -> change 5025bbe",
+                         "live_track: 10 -> 10 runs, failed 0 of 6207 -> 0 of 7263"]
+    norm, raw, *rest = lines[2:]
+    assert norm.split() == ["frames_per_s_norm", "49.36", "->", "77.11", "1/s",
+                            "+56.2%", "inside", "the", "bound", "of", "25%",
+                            "(higher", "is", "better)"]
+    assert raw.split()[:6] == ["raw", "frames_per_s", "55.21", "->", "85.67", "1/s"]
+    assert [line.split()[0] for line in rest] == ["depth_mae_mm", "peak_rss_mb",
+                                                  "setup_s"]
+    assert all(" inside the bound of " in line for line in rest)
+
+
+def test_bench_compare_flags_a_change_outside_the_bound():
+    """Swapping the records turns live_track's gain into a 36% loss."""
+    done = run_script("bench_compare.py", str(ROOT / "BENCH_21.json"),
+                      "--old", "change", "--new", "parent")
+    assert done.returncode == 0, done.stderr
+    norm = done.stdout.splitlines()[2]
+    assert "77.11 -> 49.36" in norm and "-36.0%  OUTSIDE the bound of 25%" in norm
+    done = run_script("bench_compare.py", str(ROOT / "BENCH_21.json"), "--new", "x")
+    assert done.returncode == 1
+    assert "no record labelled 'x'" in done.stderr
+
+
 def test_fingerprint_matches_the_committed_file(tmp_path):
     committed = json.loads((ROOT / "FINGERPRINT.json").read_text())
     out = tmp_path / "FINGERPRINT.json"
