@@ -7,7 +7,12 @@ For each workload both records ran, and each end-to-end metric of
 ``BENCHMARK.json``, it prints the two medians over the runs, the relative
 change, and whether the change is inside the metric's bound: a change in the
 metric's "better" direction always is, a change the other way is inside
-while it is no larger than the bound. Beside ``frames_per_s_norm`` it prints
+while it is no larger than the bound. Under each metric it prints the
+baseline's quartiles (``statistics.quantiles(values, n=4)``) and how many
+seed-matched pairs of runs the compared record won in the "better"
+direction, ties counting for neither: a gain is claimed only when the
+change wins nine in ten pairs and the medians differ by more than the
+distance between those quartiles. Beside ``frames_per_s_norm`` it prints
 the median raw ``frames_per_s`` figure, since the two can rank trees
 oppositely. Held-out runs are left out, as they are of the record's medians.
 """
@@ -38,6 +43,20 @@ def median(runs: list[dict], kind: str, name: str) -> float | None:
     return statistics.median(values) if values else None
 
 
+def spread(runs: tuple[list[dict], list[dict]], metric: dict
+           ) -> tuple[float, float, int, int]:
+    """(lower and upper quartile of the baseline runs, pairs the compared
+    runs won, pairs) for one end-to-end metric; runs pair up by seed."""
+    name = metric["name"]
+    values = [run["metrics"][name] for run in runs[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    old = {run["seed"]: run["metrics"][name] for run in runs[0]}
+    pairs = [(old[run["seed"]], run["metrics"][name]) for run in runs[1]
+             if run["seed"] in old]
+    sign = 1 if metric["better"] == "higher" else -1
+    return q1, q3, sum(sign * (b - a) > 0 for a, b in pairs), len(pairs)
+
+
 def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
     """The report's lines; SystemExit if a record label is missing."""
     records = {record["label"]: record for record in payload["records"]}
@@ -65,6 +84,9 @@ def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
             lines.append(f"  {name:<18} {a:.4g} -> {b:.4g} {metric['unit']}  "
                          f"{change:+.1%}  {verdict} the bound of "
                          f"{metric['bound']:.0%} ({metric['better']} is better)")
+            q1, q3, won, pairs = spread(runs, metric)
+            lines.append(f"  {'  ' + old + ' quartiles':<18} {q1:.4g} to {q3:.4g} "
+                         f"{metric['unit']}  {new} better in {won} of {pairs} seed pairs")
             if name == "frames_per_s_norm":
                 a, b = (median(rs, "figures", "frames_per_s") for rs in runs)
                 if a is not None and b is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import shutil
@@ -39,8 +40,8 @@ class RunConfig:
     """Reproducible experiment manifest; flags override file values.
 
     Construction checks every field against `_CONFIG_FIELDS`, then builds the
-    geometry and optical model and checks that the LED light reaches every
-    pixel, and raises FormatError naming the key.
+    geometry, optical model and LED field (the one `illumination` returns
+    again, from sim's cache), and raises FormatError naming the key.
     """
 
     seed: int = 0
@@ -65,8 +66,7 @@ class RunConfig:
     def __post_init__(self):
         fileio.check_fields("config", asdict(self), _CONFIG_FIELDS)
         for key, build in (("geometry", self.geometry), ("optical", self.optical),
-                           ("led_sigma", lambda: sim.check_led_sigma(
-                               self.scheme, self.crop_size, self.led_sigma))):
+                           ("led_sigma", self.illumination)):
             try:
                 build()
             except (ValueError, OverflowError) as exc:
@@ -433,6 +433,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # no caller mutates it, and main runs once per operation
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tacsense", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -471,6 +472,7 @@ def main(argv=None) -> int:
         if args.step_deg is not None and not math.isfinite(args.step_deg):
             parser.error(f"argument --step-deg: {args.step_deg} must be finite")
     overrides = {key: getattr(args, key) for key in COMMANDS[args.command][1]}
+    out = args.out  # until the stage exists
     try:
         cfg = RunConfig.load(args.config, **overrides)
         # Every command writes into a stage: its output appears whole or not at all.
@@ -489,7 +491,9 @@ def main(argv=None) -> int:
             elif args.command == "track":
                 cmd_track(cfg, args.run, args.calib, out, args.model_cloud)
     except (SensorError, ValueError, OSError) as exc:
-        print(f"tacsense {args.command}: {exc}", file=sys.stderr)
+        # The stage is gone by now: name its files where they would have gone.
+        print(f"tacsense {args.command}: {str(exc).replace(str(out), str(args.out))}",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -101,12 +101,7 @@ class IlluminationField:
         return frame
 
 
-@functools.lru_cache(maxsize=8)
-def check_led_sigma(scheme: str, crop_size: int, led_sigma: float) -> None:
-    """Refuse a led_sigma that leaves a pixel unlit; cached, as every RunConfig checks it."""
-    make_illumination(scheme, crop_size, led_sigma)
-
-
+@functools.lru_cache(maxsize=1)  # callers light one field at a time
 def make_illumination(scheme: str, crop_size: int,
                       led_sigma: float = DEFAULT_LED_SIGMA) -> IlluminationField:
     """Sum-of-Gaussians field from LEDs on a ring around the image center.
@@ -114,7 +109,7 @@ def make_illumination(scheme: str, crop_size: int,
     The standard scheme lights all eight ring positions; s1..s4 are
     four-LED subsets (half ring, alternating, opposing pairs, corner
     cluster). The field is normalized so its maximum gain is 1. A led_sigma
-    that leaves a pixel unlit is refused.
+    that leaves a pixel unlit is refused; the last field built is kept.
     """
     if scheme not in _LED_ANGLES:
         raise ValueError(f"unknown illumination scheme {scheme!r}")

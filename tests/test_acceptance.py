@@ -27,6 +27,7 @@ from tacsense.core import (
     SensorGeometry,
     Sphere,
     gray_from_rgb,
+    surface_axis,
 )
 from tacsense.pose import Pose, icp, nearest_neighbors, track_pose
 
@@ -149,8 +150,10 @@ def test_criterion_6_non_planar_consistency(geom, announce):
     rng = np.random.default_rng(0)
     bumpy = DepthMap(rng.uniform(0, 2.0, (geom.crop_size,) * 2))
     ray, _ = recon.raycast_project(bumpy, Planar(), geom)
-    flat = recon.depth_to_pointcloud(bumpy, geom)
-    planar_err = float(np.abs(ray.points - flat.points).max())
+    # Built here, not by depth_to_pointcloud, which raycast_project returns.
+    x, y = np.broadcast_arrays(surface_axis(geom), surface_axis(geom)[:, None])
+    flat = np.column_stack([x.ravel(), y.ravel(), -bumpy.data.ravel()])
+    planar_err = float(np.abs(ray.points - flat).max())
     ok = sphere_err <= 1e-6 and cyl_err <= 1e-6 and planar_err <= 1e-9
     announce(6, "non-planar surface projection consistency", ok,
              f"sphere {sphere_err:.1e} (<= 1e-6), cylinder {cyl_err:.1e} "

@@ -66,14 +66,19 @@ def test_bench_compare_reads_the_committed_record():
     lines = done.stdout.splitlines()
     assert lines[:2] == ["BENCH_21.json: parent c0af674 -> change 5025bbe",
                          "live_track: 10 -> 10 runs, failed 0 of 6207 -> 0 of 7263"]
-    norm, raw, *rest = lines[2:]
+    norm, spread, raw, *rest = lines[2:]
     assert norm.split() == ["frames_per_s_norm", "49.36", "->", "77.11", "1/s",
                             "+56.2%", "inside", "the", "bound", "of", "25%",
                             "(higher", "is", "better)"]
+    assert spread.split() == ["parent", "quartiles", "48.55", "to", "50.42", "1/s",
+                              "change", "better", "in", "10", "of", "10", "seed",
+                              "pairs"]
     assert raw.split()[:6] == ["raw", "frames_per_s", "55.21", "->", "85.67", "1/s"]
-    assert [line.split()[0] for line in rest] == ["depth_mae_mm", "peak_rss_mb",
-                                                  "setup_s"]
-    assert all(" inside the bound of " in line for line in rest)
+    assert [line.split()[0] for line in rest[::2]] == ["depth_mae_mm", "peak_rss_mb",
+                                                       "setup_s"]
+    assert all(" inside the bound of " in line for line in rest[::2])
+    assert all(line.split()[:2] == ["parent", "quartiles"] for line in rest[1::2])
+    assert "change better in 2 of 10 seed pairs" in rest[3]  # peak_rss_mb
 
 
 def test_bench_compare_flags_a_change_outside_the_bound():

@@ -223,7 +223,7 @@ class TestIllumination:
 
         def refused(sigma):
             try:
-                sim.check_led_sigma(scheme, 64, sigma)
+                sim.make_illumination(scheme, 64, sigma)
             except ValueError as exc:
                 assert str(exc) == (f"{sigma!r} is too small: the LED light "
                                     f"underflows to 0 on the 64 px field")
