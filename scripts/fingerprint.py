@@ -7,11 +7,12 @@ Every command runs through ``tacsense.cli.main`` in a temporary directory:
 ``simulate`` (noisy random presses, noiseless s4 presses and a noisy
 hex-nut sequence), ``calibrate`` (single on the s4 presses, regression on
 the random ones), ``reconstruct`` of both press runs, ``track`` of the
-sequence, and ``evaluate`` at noise 0 and 1 on a 240 px crop.
+sequence, ``reconstruct`` of the sequence and ``track --model-cloud`` against
+its first PLY cloud, and ``evaluate`` at noise 0 and 1 on a 240 px crop.
 
 The file holds the SHA-256 of every output file but ``timings.json``, the
-headline numbers (the study's MAEs, each reconstruction's depth MAE against
-the run's truth, the tracking error against the manifest poses) and the
+headline numbers (the study's MAEs, each press reconstruction's depth MAE
+against the run's truth, both tracking errors against the manifest poses) and the
 Python, numpy and scipy versions. Unchanged code on the same versions
 writes the same file byte for byte, so a change that keeps every output
 shows no diff.
@@ -57,6 +58,11 @@ SCENARIOS = [
      "--out", "{tmp}/recon/random"],
     ["track", "--run", "{tmp}/runs/nut",
      "--calib", "{tmp}/calib/regression/calibration.json", "--out", "{tmp}/track/nut"],
+    ["reconstruct", "--run", "{tmp}/runs/nut",
+     "--calib", "{tmp}/calib/regression/calibration.json", "--out", "{tmp}/recon/nut"],
+    ["track", "--run", "{tmp}/runs/nut",
+     "--calib", "{tmp}/calib/regression/calibration.json",
+     "--model-cloud", "{tmp}/recon/nut/cloud_000.ply", "--out", "{tmp}/track/nut_ply"],
     ["evaluate", "--out", "{tmp}/eval/noise0", "--seed", "5",
      "--config", "{tmp}/small.json"],
     ["evaluate", "--out", "{tmp}/eval/noise1", "--seed", "5", "--noise", "1",
@@ -107,6 +113,8 @@ def headline(tmp: Path) -> dict:
             for run in ("s4", "random")},
         "track_err_deg_max": track_error_deg(tmp / "runs/nut",
                                              tmp / "track/nut/track_report.json"),
+        "track_ply_err_deg_max": track_error_deg(
+            tmp / "runs/nut", tmp / "track/nut_ply/track_report.json"),
     }
     for study in ("noise0", "noise1"):
         report = fileio.read_json(tmp / "eval" / study / "eval_report.json")

@@ -97,15 +97,18 @@ class RunConfig:
                                      led_sigma=self.led_sigma)
 
 
-# The kind of each RunConfig field; see fileio.check_fields. SensorGeometry and
-# OpticalModel check the ranges of their keys, as they do for a manifest.
+# The kind of each SensorGeometry and OpticalModel key in a config and a run
+# manifest, then of each RunConfig field; see fileio.check_fields. The models
+# check the ranges of their keys.
+_GEOMETRY_FIELDS = {"raw_width": "int", "raw_height": "int", "crop_size": "int",
+                    "field_mm": "number"}
+_OPTICAL_FIELDS = {"thickness": "number", "attenuation": "number", "gain": "number",
+                   "ambient": "number"}
 _CONFIG_FIELDS = {
-    "seed": "int >= 0", "scheme": sim.SCHEMES, "method": METHODS,
-    "thickness": "number", "noise_sigma": "number >= 0 whose square is finite",
-    "attenuation": "number", "gain": "number", "ambient": "number",
-    "led_sigma": "number > 0 whose square is finite",
-    "raw_width": "int", "raw_height": "int", "crop_size": "int",
-    "field_mm": "number", "gaussian_sigma": "number > 0 whose square is a normal float",
+    "seed": "int >= 0", "scheme": sim.SCHEMES, "method": METHODS, **_OPTICAL_FIELDS,
+    "noise_sigma": "number >= 0 whose square is finite",
+    "led_sigma": "number > 0 whose square is finite", **_GEOMETRY_FIELDS,
+    "gaussian_sigma": "number > 0 whose square is a normal float",
     "ball_radius": "number > 0 whose square is finite",
     "presses": "int >= 0", "placement": sim.PLACEMENTS, "frames_per_press": "int > 0",
 }
@@ -167,18 +170,13 @@ def _pose_from_list(values: list[float]) -> Pose:
     return Pose(np.reshape(values[:9], (3, 3)), values[9:])
 
 
-# Keys every run manifest needs, and those a ball-press run adds; see
-# fileio.check_fields.
+# The keys each kind of run adds to those every run manifest needs.
+_KIND_FIELDS = {"presses": {"ball_radius_mm": "number > 0 whose square is finite",
+                            "scheme": sim.SCHEMES}, "sequence": {}}
 _MANIFEST_FIELDS = {
     "format": (RUN_FORMAT,), "frames": "list", "reference": "path inside the run",
-    "kind": "str",
-    "geometry": "object", "geometry.raw_width": "int", "geometry.raw_height": "int",
-    "geometry.crop_size": "int", "geometry.field_mm": "number",
-    "optical": "object", "optical.thickness": "number",
-    "optical.attenuation": "number", "optical.gain": "number", "optical.ambient": "number",
+    "kind": tuple(_KIND_FIELDS), "geometry": "object", "optical": "object",
 }
-_PRESS_MANIFEST_FIELDS = {"ball_radius_mm": "number > 0 whose square is finite",
-                          "scheme": sim.SCHEMES}
 
 
 @dataclass(frozen=True)
@@ -196,15 +194,16 @@ class Run:
         manifest_path = run_dir / "manifest.json"
         manifest = fileio.read_json(manifest_path)
         fileio.check_fields(manifest_path, manifest, _MANIFEST_FIELDS)
-        if manifest["kind"] == "presses":
-            fileio.check_fields(manifest_path, manifest, _PRESS_MANIFEST_FIELDS)
+        fileio.check_fields(manifest_path, manifest, _KIND_FIELDS[manifest["kind"]])
         if not manifest["frames"]:
             raise SensorError(f"{manifest_path}: run has no frames")
         for i, frame in enumerate(manifest["frames"]):
             fileio.check_fields(manifest_path, frame,
                                 {"image": "path inside the run"}, at=f"frames[{i}]")
         models = {}
-        for key, build in (("geometry", SensorGeometry), ("optical", sim.OpticalModel)):
+        for key, build, schema in (("geometry", SensorGeometry, _GEOMETRY_FIELDS),
+                                   ("optical", sim.OpticalModel, _OPTICAL_FIELDS)):
+            fileio.check_fields(manifest_path, manifest[key], schema, at=key)
             try:
                 models[key] = build(**manifest[key])
             except (TypeError, ValueError, OverflowError) as exc:
@@ -228,12 +227,14 @@ class Run:
         return cls(run_dir, manifest, geom, models["optical"], reference)
 
     def differences(self):
-        """Yield (difference image, stage ms) per frame; errors name the frame."""
+        """Yield (difference image, stage ms) per frame; errors name frame and file."""
         for i, frame in enumerate(self.manifest["frames"]):
-            stage_ms = {}
+            stage_ms, image = {}, self.path / frame["image"]
             try:
-                img = recon.timed(stage_ms, "read_ms", fileio.read_pgm,
-                                  self.path / frame["image"])
+                img = recon.timed(stage_ms, "read_ms", fileio.read_pgm, image)
+                if img.pixels.shape != self.reference.pixels.shape:
+                    raise ValueError(f"reference and contact image dimensions differ: "
+                                     f"{image} is {img.width}x{img.height} px")
                 diff = recon.timed(stage_ms, "difference_ms", recon.difference,
                                    self.reference, img)
             except (SensorError, ValueError, OSError) as exc:
@@ -246,24 +247,28 @@ class Run:
         run_thickness = self.optical.thickness
         if thickness != run_thickness:
             raise SensorError(f"{calib_path}: calibration thickness {thickness} mm "
-                              f"differs from the run's {run_thickness} mm")
+                              f"differs from the run's {run_thickness} mm in "
+                              f"{self.path / 'manifest.json'}")
         return recon.PipelineConfig(model=model, geom=self.geom, sigma=sigma,
                                     depth_clamp=thickness)
 
 
 def cmd_calibrate(cfg: RunConfig, run_dir: Path, out_path: Path) -> None:
-    run = Run.load(run_dir)
+    run, manifest_path = Run.load(run_dir), run_dir / "manifest.json"
     if run.manifest["kind"] != "presses":
-        raise fileio.FormatError(f"{run_dir / 'manifest.json'}: kind: calibration "
-                                 f"needs a ball-press run, got {run.manifest['kind']!r}")
+        raise fileio.FormatError(f"{manifest_path}: kind: calibration needs a "
+                                 f"ball-press run, got {run.manifest['kind']!r}")
     diffs = [diff for diff, _ in run.differences()]
     ball_radius = run.manifest["ball_radius_mm"]
-    if cfg.method == "single":
-        model = calibrate_single(diffs[0], ball_radius, run.geom)
-    else:
-        model = calibrate_regression(diffs, ball_radius, run.geom,
-                                     run.manifest["scheme"],
-                                     np.random.default_rng(cfg.seed))
+    try:
+        if cfg.method == "single":
+            model = calibrate_single(diffs[0], ball_radius, run.geom)
+        else:
+            model = calibrate_regression(diffs, ball_radius, run.geom,
+                                         run.manifest["scheme"],
+                                         np.random.default_rng(cfg.seed))
+    except (SensorError, ValueError) as exc:  # the run's presses or ball radius
+        raise SensorError(f"{manifest_path}: {exc}") from exc
     save_calibration(out_path, model, run.optical.thickness)
 
 
@@ -469,8 +474,10 @@ def main(argv=None) -> int:
                 parser.error(f"argument --{dest.replace('_', '-')}: {rule} --object")
         if args.frames is not None and args.frames < 0:
             parser.error(f"argument --frames: {args.frames} must be >= 0")
-        if args.step_deg is not None and not math.isfinite(args.step_deg):
-            parser.error(f"argument --step-deg: {args.step_deg} must be finite")
+        last = max((12 if args.frames is None else args.frames) - 1, 1)
+        if args.step_deg is not None and not math.isfinite(args.step_deg * last):
+            parser.error(f"argument --step-deg: {args.step_deg} must be finite, and "
+                         f"so must each frame's angle, up to {last} times it")
     overrides = {key: getattr(args, key) for key in COMMANDS[args.command][1]}
     out = args.out  # until the stage exists
     try:

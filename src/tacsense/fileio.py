@@ -297,8 +297,6 @@ def read_ply(path) -> PointCloud:
     """
     data = Path(path).read_bytes()
     fmt, count, names, types, body = _read_ply_header(path, data)
-    if count == 0:
-        return PointCloud(np.zeros((0, 3)))
     if fmt == "ascii":
         points, row_at = _read_ascii_vertices(path, data, body, count, names)
     else:
@@ -362,7 +360,6 @@ def _square(value) -> float:
 _JSON_KINDS = {
     "object": lambda v: isinstance(v, dict),
     "list": lambda v: isinstance(v, list),
-    "str": lambda v: isinstance(v, str),
     "int": _is_json_int,
     "int >= 0": lambda v: _is_json_int(v) and v >= 0,
     "int > 0": lambda v: _is_json_int(v) and v > 0,
@@ -376,7 +373,7 @@ _JSON_KINDS = {
     "number > 0 whose square is a normal float": lambda v: (
         _is_json_number(v) and v > 0 and sys.float_info.min <= _square(v) < math.inf),
     "numbers": lambda v: isinstance(v, list) and all(map(_is_json_number, v)),
-    "path inside the run": lambda v: isinstance(v, str) and not (
+    "path inside the run": lambda v: isinstance(v, str) and "\0" not in v and not (
         PurePath(v).is_absolute() or ".." in PurePath(v).parts),
 }
 
@@ -384,27 +381,22 @@ _JSON_KINDS = {
 def check_fields(path, payload, schema: dict[str, str | tuple], at: str = "") -> None:
     """Raise FormatError unless `payload` holds every key of `schema`.
 
-    `schema` maps a dotted key path to its kind: "object", "list", "str",
-    "int", "number" (finite), "numbers" (a list of them), a range ("int >= 0",
-    "int > 0", "number >= 0 whose square is finite", and "number > 0 whose
-    square is finite" or "... is a normal float"), "path inside the run"
-    (relative, without a ".." part) or a tuple of the values the key may
-    take. A parent object must come before its keys. `at` is the key path of
-    `payload` in the file, used in messages such as
+    `schema` maps a key to its kind: "object", "list", "int", "number"
+    (finite), "numbers" (a list of them), a range ("int >= 0", "int > 0",
+    "number >= 0 whose square is finite", and "number > 0 whose square is
+    finite" or "... is a normal float"), "path inside the run" (relative,
+    without a ".." part or a NUL) or a tuple of the values it may take.
+    `at` is the key path of `payload` in the file, used in messages such as
     "manifest.json: optical.thickness: expected number, got str '2'".
     """
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: {at}: expected object, "
                           f"got {type(payload).__name__}")
     for key, kind in schema.items():
-        owner = payload
-        *parents, name = key.split(".")
-        for parent in parents:
-            owner = owner[parent]
         where = f"{at}.{key}" if at else key
-        if name not in owner:
+        if key not in payload:
             raise FormatError(f"{path}: {where}: missing")
-        value = owner[name]
+        value = payload[key]
         choices = isinstance(kind, tuple)
         if not (value in kind if choices else _JSON_KINDS[kind](value)):
             expected = f"one of {kind}" if choices else kind

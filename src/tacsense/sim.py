@@ -102,8 +102,8 @@ class IlluminationField:
 
 
 @functools.lru_cache(maxsize=1)  # callers light one field at a time
-def make_illumination(scheme: str, crop_size: int,
-                      led_sigma: float = DEFAULT_LED_SIGMA) -> IlluminationField:
+def make_illumination(scheme: str, crop_size: int, *,
+                      led_sigma: float) -> IlluminationField:
     """Sum-of-Gaussians field from LEDs on a ring around the image center.
 
     The standard scheme lights all eight ring positions; s1..s4 are

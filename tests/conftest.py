@@ -22,7 +22,8 @@ def uniform_illum(geom):
 
 @pytest.fixture(scope="session")
 def standard_illum(geom):
-    return sim.make_illumination("standard", geom.crop_size)
+    return sim.make_illumination("standard", geom.crop_size,
+                                 led_sigma=sim.DEFAULT_LED_SIGMA)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tacsense import calib, cli, fileio, sim
 from tacsense.cli import RunConfig
@@ -532,7 +532,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.strip().splitlines()) == 1
-        assert str(single_calib) in err
+        assert str(single_calib) in err and str(run_dir / "manifest.json") in err
         assert "2.0 mm" in err and "3.0 mm" in err
         assert not out.exists()
 
@@ -549,6 +549,7 @@ class TestMain:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert "frame 1: reference and contact image dimensions differ" in err
+        assert f"{run_dir / 'frame_001.pgm'} is 4x4 px" in err
         assert not (tmp_path / "out").exists()
 
     def test_calibrate_sequence_run_names_the_manifest(self, tmp_path, capsys):
@@ -630,6 +631,11 @@ class TestMain:
          "manifest.json: geometry: raw_height must be at most 4096 px, got 4097"),
         (lambda m: {**m, "frames": ["frame_000.pgm"]},
          "manifest.json: frames[0]: expected object, got str"),
+        (lambda m: {**m, "kind": "Presses"}, "manifest.json: kind: expected one of "
+         "('presses', 'sequence'), got str 'Presses'"),
+        (lambda m: {k: v for k, v in m.items() if k != "ball_radius_mm"}
+         | {"kind": "Presses", "scheme": "bogus"}, "manifest.json: kind: expected "
+         "one of ('presses', 'sequence'), got str 'Presses'"),
     ])
     def test_broken_manifest_exit_one(self, single_calib, tmp_path, capsys,
                                       command, edit, message):
@@ -987,6 +993,12 @@ class TestFlags:
          "argument --step-deg: -inf must be finite"),
         (["--object", "hex_nut", "--frames", "-2"],
          "argument --frames: -2 must be >= 0"),
+        (["--object", "hex_nut", "--frames", "3", "--step-deg", "1e308"],
+         "argument --step-deg: 1e+308 must be finite, and so must each frame's "
+         "angle, up to 2 times it"),
+        (["--object", "hex_nut", "--step-deg", "2e307"],
+         "argument --step-deg: 2e+307 must be finite, and so must each frame's "
+         "angle, up to 11 times it"),
     ])
     def test_simulate_modes_refuse_each_others_flags(self, tmp_path, capsys,
                                                      args, message):
@@ -1090,3 +1102,181 @@ def test_float_value_exits_zero_or_one_with_one_line(small_press_run, key, value
             assert not out.exists()
         else:
             assert err.getvalue() == ""
+
+
+# One-mutation fault injection of the commands that read a run. A mutation is
+# (file, where, op, value), the file relative to a copy of the run's parent:
+# op "delete" drops the JSON key at key path `where`, "set" gives it `value`,
+# "truncate" cuts a PGM to `value` bytes, and "flip" XORs the PGM byte at
+# offset `where` with `value` (offsets and lengths are taken modulo the size).
+MANIFEST_KEYS = [
+    *[(key,) for key in ("format", "kind", "scheme", "seed", "noise_sigma",
+                         "reference", "frames", "geometry", "optical")],
+    *[("geometry", key) for key in ("raw_width", "raw_height", "crop_size", "field_mm")],
+    *[("optical", key) for key in ("thickness", "attenuation", "gain", "ambient")]]
+PRESS_KEYS = [*MANIFEST_KEYS, ("ball_radius_mm",),
+              *[("frames", 0, key) for key in ("image", "truth", "center_mm",
+                                               "d_max_mm")]]
+SEQUENCE_FRAMES = 3
+SEQUENCE_KEYS = [*MANIFEST_KEYS, ("object",),
+                 *[("frames", i, key) for i in range(SEQUENCE_FRAMES)
+                   for key in ("image", "truth", "pose", "in_field")]]
+CALIB_KEYS = [(key,) for key in ("format", "method", "thickness", "entries",
+                                 "max_calibrated")]
+MUTANT_VALUES = (st.sampled_from([None, True, "x", [], {}, [1.0, 2.0], 3, 0.5,
+                                  -1, 1e308, 10 ** 400,  # out of range
+                                  "Presses", "Sequence", "presses", "sequence",
+                                  "regression", "s4"])
+                 | st.text(max_size=8))
+# Keys whose value must be one of a few strings: any other value is refused.
+RUN_CHOICES = {("run/manifest.json", ("kind",)): ("presses", "sequence"),
+               ("run/manifest.json", ("format",)): (cli.RUN_FORMAT,)}
+PRESS_CHOICES = {**RUN_CHOICES, ("run/manifest.json", ("scheme",)): sim.SCHEMES}
+CALIB_CHOICES = {("calibration.json", ("format",)): (calib.CALIB_FORMAT,),
+                 ("calibration.json", ("method",)): cli.METHODS}
+
+
+def mutations(json_keys: dict[str, list], pgm_files: list[str]):
+    """One mutation of one file: a JSON key deleted or set, or a PGM truncated
+    or one of its bytes flipped."""
+    edits = [st.tuples(st.just(name), st.sampled_from(keys), st.just("delete"),
+                       st.none())
+             | st.tuples(st.just(name), st.sampled_from(keys), st.just("set"),
+                         MUTANT_VALUES)
+             for name, keys in json_keys.items()]
+    pgm = st.sampled_from(pgm_files)
+    return st.one_of(*edits,
+                     st.tuples(pgm, st.none(), st.just("truncate"),
+                               st.integers(0, 10 ** 4)),
+                     st.tuples(pgm, st.integers(0, 10 ** 4), st.just("flip"),
+                               st.integers(1, 255)))
+
+
+def apply_mutation(root: Path, mutation) -> Path:
+    """Apply `mutation` to the files under `root`; the path of the file."""
+    name, where, op, value = mutation
+    path = root / name
+    if op in ("truncate", "flip"):
+        data = bytearray(path.read_bytes())
+        if op == "truncate":
+            del data[value % len(data):]
+        else:
+            data[where % len(data)] ^= value
+        path.write_bytes(data)
+        return path
+    payload = json.loads(path.read_text())
+    owner = payload
+    for step in where[:-1]:
+        owner = owner[step]
+    if op == "delete":
+        del owner[where[-1]]
+    else:
+        owner[where[-1]] = value
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def run_mutated(command: str, run_dir: Path, calib_path: Path, mutation,
+                choices: dict, outputs: list[str]) -> None:
+    """Run `command` on a copy of the run and calibration with one mutation.
+
+    No exception escapes `cli.main`, and warnings are errors. Either the
+    command exits 0 with every output present and an empty stderr, or it exits
+    1 with one stderr line naming the mutated file and writes nothing; a
+    manifest names the files it lists by their path in the run, and a
+    manifest path set to a file that cannot be read may name that file
+    instead. A key of `choices` set to a value that is not one of its choices
+    exits 1.
+    """
+    name, where, op, value = mutation
+    refused = op == "set" and value not in choices.get((name, where), (value,))
+    pointed = op == "set" and where[-1] in ("image", "reference") and isinstance(value, str)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        shutil.copytree(run_dir, tmp / "run")
+        shutil.copy(calib_path, tmp / "calibration.json")
+        mutated = apply_mutation(tmp, mutation)
+        out = tmp / "out"
+        calib_args = ([] if command == "calibrate"
+                      else ["--calib", str(tmp / "calibration.json")])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--run", str(tmp / "run"), *calib_args,
+                             "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        if code == 0 and not refused:
+            assert lines == []
+            assert [name for name in outputs if not (out / name).is_file()] == []
+        else:
+            assert code == 1
+            assert len(lines) == 1
+            assert lines[0].startswith(f"tacsense {command}: ")
+            # An OSError names its file by the repr of the path.
+            named = [str(mutated), repr(str(mutated)), repr(mutated.name),
+                     *([str(tmp / "run" / value), repr(str(tmp / "run" / value))]
+                       if pointed else [])]
+            assert any(text in lines[0] for text in named)
+            assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_sequence_run(tmp_path_factory):
+    """A 64 px hex-nut sequence of SEQUENCE_FRAMES frames."""
+    root = tmp_path_factory.mktemp("small_sequence")
+    config = root / "c.json"
+    config.write_text(json.dumps({"crop_size": 64}))
+    assert cli.main(["simulate", "--config", str(config), "--out", str(root / "run"),
+                     "--object", "hex_nut", "--frames", str(SEQUENCE_FRAMES)]) == 0
+    return root / "run"
+
+
+# Pinned mutations, each refused in one line naming the mutated file: a kind
+# that differs from a known one in case, and the faults this fuzzing found.
+PRESSES_KIND = ("run/manifest.json", ("kind",), "set", "Presses")
+SEQUENCE_KIND = ("run/manifest.json", ("kind",), "set", "Sequence")
+NUL_REFERENCE = ("run/manifest.json", ("reference",), "set", "\0")
+NARROW_FRAME = ("run/frame_000.pgm", 3, "flip", 2)  # "64" wide becomes "44"
+THICKER_RUN = ("run/manifest.json", ("optical", "thickness"), "set", 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=mutations({"run/manifest.json": PRESS_KEYS},
+                          ["run/reference.pgm", "run/frame_000.pgm"]))
+@example(mutation=PRESSES_KIND)
+@example(mutation=SEQUENCE_KIND)
+@example(mutation=NUL_REFERENCE)
+@example(mutation=NARROW_FRAME)
+@example(mutation=("run/manifest.json", ("ball_radius_mm",), "set", 0.5))
+def test_calibrate_survives_one_mutation(small_press_run, mutation):
+    run_mutated("calibrate", *small_press_run, mutation, PRESS_CHOICES,
+                ["calibration.json"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=mutations({"run/manifest.json": PRESS_KEYS,
+                           "calibration.json": CALIB_KEYS},
+                          ["run/reference.pgm", "run/frame_000.pgm"]))
+@example(mutation=PRESSES_KIND)
+@example(mutation=SEQUENCE_KIND)
+@example(mutation=NUL_REFERENCE)
+@example(mutation=NARROW_FRAME)
+@example(mutation=THICKER_RUN)
+def test_reconstruct_survives_one_mutation(small_press_run, mutation):
+    run_mutated("reconstruct", *small_press_run, mutation,
+                PRESS_CHOICES | CALIB_CHOICES,
+                ["timings.json", "depth_000.dtd", "cloud_000.ply"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=mutations({"run/manifest.json": SEQUENCE_KEYS,
+                           "calibration.json": CALIB_KEYS},
+                          ["run/reference.pgm", *[f"run/frame_{i:03d}.pgm"
+                                                  for i in range(SEQUENCE_FRAMES)]]))
+@example(mutation=PRESSES_KIND)
+@example(mutation=SEQUENCE_KIND)
+@example(mutation=NARROW_FRAME)
+@example(mutation=THICKER_RUN)
+def test_track_survives_one_mutation(small_press_run, small_sequence_run, mutation):
+    run_mutated("track", small_sequence_run, small_press_run[1], mutation,
+                RUN_CHOICES | CALIB_CHOICES, ["track_report.json"])

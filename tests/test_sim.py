@@ -194,18 +194,28 @@ class TestBallPressRig:
 class TestIllumination:
     def test_max_gain_is_one(self):
         for scheme in sim.SCHEMES:
-            field = sim.make_illumination(scheme, 128)
+            field = sim.make_illumination(scheme, 128, led_sigma=sim.DEFAULT_LED_SIGMA)
             assert field.gains.max() == pytest.approx(1.0, abs=1e-12)
             assert field.gains.min() > 0
 
     def test_standard_four_fold_symmetry(self):
-        field = sim.make_illumination("standard", 129)
+        field = sim.make_illumination("standard", 129, led_sigma=sim.DEFAULT_LED_SIGMA)
         rotated = np.rot90(field.gains)
         assert np.allclose(field.gains, rotated, atol=1e-12)
 
+    def test_one_call_form_and_one_cache_key(self):
+        sim.make_illumination.cache_clear()
+        for _ in range(2):
+            sim.make_illumination("standard", 32, led_sigma=700.0)
+        assert sim.make_illumination.cache_info()[:2] == (1, 1)  # hits, misses
+        with pytest.raises(TypeError):
+            sim.make_illumination("standard", 32, 700.0)
+        with pytest.raises(TypeError):
+            sim.make_illumination("standard", 32)
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            sim.make_illumination("s9", 64)
+            sim.make_illumination("s9", 64, led_sigma=sim.DEFAULT_LED_SIGMA)
 
     @pytest.mark.parametrize("scheme", sim.SCHEMES)
     def test_led_sigma_refused_exactly_where_a_pixel_goes_dark(self, scheme):
@@ -223,7 +233,7 @@ class TestIllumination:
 
         def refused(sigma):
             try:
-                sim.make_illumination(scheme, 64, sigma)
+                sim.make_illumination(scheme, 64, led_sigma=sigma)
             except ValueError as exc:
                 assert str(exc) == (f"{sigma!r} is too small: the LED light "
                                     f"underflows to 0 on the 64 px field")
@@ -250,7 +260,8 @@ class TestIllumination:
     def test_corner_cluster_far_less_uniform(self, geom, optical):
         stds = {}
         for scheme in ("standard", "s4"):
-            illum = sim.make_illumination(scheme, geom.crop_size)
+            illum = sim.make_illumination(scheme, geom.crop_size,
+                                          led_sigma=sim.DEFAULT_LED_SIGMA)
             ref = sim.reference_image(optical, illum)
             stds[scheme] = image_mean_std(ref)[1]
         assert stds["s4"] >= 3.0 * stds["standard"]
