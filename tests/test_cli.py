@@ -1105,7 +1105,8 @@ def test_float_value_exits_zero_or_one_with_one_line(small_press_run, key, value
 
 
 # One-mutation fault injection of the commands that read a run. A mutation is
-# (file, where, op, value), the file relative to a copy of the run's parent:
+# (file, where, op, value), the file relative to the directory that holds a
+# copy of the run and its calibration:
 # op "delete" drops the JSON key at key path `where`, "set" gives it `value`,
 # "truncate" cuts a PGM to `value` bytes, and "flip" XORs the PGM byte at
 # offset `where` with `value` (offsets and lengths are taken modulo the size).
@@ -1190,7 +1191,8 @@ def run_mutated(command: str, run_dir: Path, calib_path: Path, mutation,
     """
     name, where, op, value = mutation
     refused = op == "set" and value not in choices.get((name, where), (value,))
-    pointed = op == "set" and where[-1] in ("image", "reference") and isinstance(value, str)
+    pointed = (op == "set" and where[-1] in ("image", "reference")
+               and isinstance(value, str))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         shutil.copytree(run_dir, tmp / "run")
@@ -1207,7 +1209,7 @@ def run_mutated(command: str, run_dir: Path, calib_path: Path, mutation,
         lines = err.getvalue().splitlines()
         if code == 0 and not refused:
             assert lines == []
-            assert [name for name in outputs if not (out / name).is_file()] == []
+            assert [path for path in outputs if not (out / path).is_file()] == []
         else:
             assert code == 1
             assert len(lines) == 1
