@@ -15,6 +15,9 @@ change wins nine in ten pairs and the medians differ by more than the
 distance between those quartiles. Beside ``frames_per_s_norm`` it prints
 the median raw ``frames_per_s`` figure, since the two can rank trees
 oppositely. Held-out runs are left out, as they are of the record's medians.
+Last, per workload, it prints every per-layer metric of the two records'
+traced runs (``layers``) as old -> new, so that a gain can be placed in the
+layer that made it; a metric one record lacks reads ``-``.
 """
 
 from __future__ import annotations
@@ -92,6 +95,13 @@ def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
                 if a is not None and b is not None:
                     lines.append(f"  {'  raw frames_per_s':<18} {a:.4g} -> {b:.4g} "
                                  f"1/s  {(b - a) / a:+.1%}")
+        layers = [record["workloads"][workload].get("layers", {}).get("metrics", {})
+                  for record in (before, after)]
+        lines.append(f"  traced layers, seed {payload['settings'].get('trace_seed')}:")
+        units = payload.get("units", {})
+        for name in dict.fromkeys([*layers[0], *layers[1]]):
+            a, b = (f"{m[name]:.4g}" if name in m else "-" for m in layers)
+            lines.append(f"    {name:<36} {a} -> {b} {units.get(name, '')}")
     return lines
 
 

@@ -34,6 +34,11 @@ TEST_BALL_RADIUS = 5.0
 
 METHODS = ("single", "regression")
 
+# A sequence's frame count and rotation step unless --frames and --step-deg
+# say otherwise.
+SEQUENCE_FRAMES = 12
+SEQUENCE_STEP_DEG = 5.0
+
 
 @dataclass
 class RunConfig:
@@ -115,7 +120,8 @@ _CONFIG_FIELDS = {
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, object_kind: str | None = None,
-                 n_frames: int = 12, step_deg: float = 5.0) -> dict:
+                 n_frames: int = SEQUENCE_FRAMES,
+                 step_deg: float = SEQUENCE_STEP_DEG) -> dict:
     rig = sim.BallPressRig(cfg.geometry(), cfg.optical(), cfg.illumination(),
                            cfg.noise_sigma, np.random.default_rng(cfg.seed))
     fileio.write_pgm(out_dir / "reference.pgm", rig.reference)
@@ -218,7 +224,10 @@ class Run:
                     raise fileio.FormatError(
                         f"{manifest_path}: frames[{i}].pose: {exc}") from None
         geom = models["geometry"]
-        reference = fileio.read_pgm(run_dir / manifest["reference"])
+        try:
+            reference = fileio.read_pgm(run_dir / manifest["reference"])
+        except OSError as exc:  # a missing file or a directory
+            raise SensorError(f"{manifest_path}: reference: {exc}") from exc
         if reference.pixels.shape != (geom.crop_size, geom.crop_size):
             raise fileio.FormatError(
                 f"{manifest_path}: geometry.crop_size {geom.crop_size} does not "
@@ -227,7 +236,8 @@ class Run:
         return cls(run_dir, manifest, geom, models["optical"], reference)
 
     def differences(self):
-        """Yield (difference image, stage ms) per frame; errors name frame and file."""
+        """Yield (difference image, stage ms) per frame; errors name the frame
+        and its file, or the manifest key of an image that cannot be opened."""
         for i, frame in enumerate(self.manifest["frames"]):
             stage_ms, image = {}, self.path / frame["image"]
             try:
@@ -237,7 +247,10 @@ class Run:
                                      f"{image} is {img.width}x{img.height} px")
                 diff = recon.timed(stage_ms, "difference_ms", recon.difference,
                                    self.reference, img)
-            except (SensorError, ValueError, OSError) as exc:
+            except OSError as exc:  # a missing file or a directory
+                raise SensorError(f"{self.path / 'manifest.json'}: frames[{i}].image: "
+                                  f"{exc}") from exc
+            except (SensorError, ValueError) as exc:
                 raise SensorError(f"frame {i}: {exc}") from exc
             yield diff, stage_ms
 
@@ -409,6 +422,7 @@ def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
                "frames": [{"pose": _pose_to_list(r.pose),
                            "rmse": r.rmse if math.isfinite(r.rmse) else None,
                            "iterations": r.iterations, "converged": r.converged,
+                           "stop": r.stop,
                            "inlier_fraction": r.inlier_fraction}
                           for r in reports]}
     fileio.write_json(out_dir / "track_report.json", payload)
@@ -451,8 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, dest=key, **options)
         if command == "simulate":
             p.add_argument("--object", choices=sim.OBJECT_KINDS)
-            p.add_argument("--frames", type=int, help="sequence frames (default 12)")
-            p.add_argument("--step-deg", type=float, help="sequence step (default 5.0)")
+            p.add_argument("--frames", type=int,
+                           help=f"sequence frames (default {SEQUENCE_FRAMES})")
+            p.add_argument("--step-deg", type=float,
+                           help=f"sequence step (default {SEQUENCE_STEP_DEG})")
         elif command != "evaluate":
             p.add_argument("--run", type=Path, required=True, help="simulate output dir")
         if command in ("reconstruct", "track"):
@@ -474,7 +490,7 @@ def main(argv=None) -> int:
                 parser.error(f"argument --{dest.replace('_', '-')}: {rule} --object")
         if args.frames is not None and args.frames < 0:
             parser.error(f"argument --frames: {args.frames} must be >= 0")
-        last = max((12 if args.frames is None else args.frames) - 1, 1)
+        last = max((SEQUENCE_FRAMES if args.frames is None else args.frames) - 1, 1)
         if args.step_deg is not None and not math.isfinite(args.step_deg * last):
             parser.error(f"argument --step-deg: {args.step_deg} must be finite, and "
                          f"so must each frame's angle, up to {last} times it")

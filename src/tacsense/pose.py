@@ -7,12 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.transform import Rotation
 
 from .core import DegenerateGeometryError, PointCloud, Pose, SensorError, _seal
 
-# Smallest/largest eigenvalue ratio below which the point-to-plane system
-# counts as rank-deficient.
+# Smallest/largest eigenvalue ratio below which the plane system counts as
+# rank-deficient.
 RANK_TOL = 1e-9
 # ICP drops pairs farther than this multiple of the median pair distance.
 REJECT_RATIO = 5.0
@@ -28,14 +27,18 @@ class IcpReport:
     `rmse` and `inlier_fraction` describe the returned pose on the sampled
     source (see `icp`): its inlier RMSE against its own nearest neighbours,
     and the share of sampled source points kept as inliers by the rejection
-    rule.
+    rule. `stop` says why ICP stopped (see `icp` and `track_pose`).
     """
 
     pose: Pose
     rmse: float
     iterations: int
-    converged: bool
+    stop: str
     inlier_fraction: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("settled", "score_rose")
 
 
 def nearest_neighbors(query: PointCloud, target: PointCloud) -> tuple[np.ndarray, np.ndarray]:
@@ -81,34 +84,38 @@ def best_rigid_transform(src: PointCloud, dst: PointCloud,
     return Pose(r, t)
 
 
-def point_to_plane_step(src: np.ndarray, dst: np.ndarray,
-                        normals: np.ndarray) -> Pose | None:
-    """Linearised point-to-plane update (Chen & Medioni 1992) for paired points.
+def plane_step(src: np.ndarray, dst: np.ndarray, dst_normals: np.ndarray,
+               src_normals: np.ndarray | None = None) -> Pose | None:
+    """Linearised symmetric-objective step (Rusinkiewicz 2019) for paired points.
 
-    Minimises sum(((R p + t - q) . n)^2) over small rotations about the
-    pairs' centroid and returns the incremental pose that maps `src` toward
-    `dst`, or None when the 6x6 normal equations are rank-deficient, as for
-    a planar target, whose normals leave in-plane motion unconstrained.
+    Minimises sum(((p - q) . n)^2), n = n_q + n_p, or n_q alone without
+    `src_normals` (Chen & Medioni's point-to-plane step), over a rotation split
+    half onto each cloud and a translation. Returns the pose moving `src` toward
+    `dst`, exact for exact pairs, or None for a rank-deficient 6x6 system (a plane).
     """
-    center = src.mean(axis=0)
-    arm = src - center
+    n = dst_normals if src_normals is None else dst_normals + src_normals
+    center = 0.5 * (src.mean(axis=0) + dst.mean(axis=0))
+    arm = src + dst - 2.0 * center
     # Unit-RMS lever arms put the rotation and translation columns on one scale.
-    scale = max(float(np.sqrt(np.mean(np.sum(arm ** 2, axis=1)))), 1e-12)
-    a = np.hstack([np.cross(arm / scale, normals), normals])
-    b = np.sum((dst - src) * normals, axis=1)
+    scale = max(math.sqrt(np.einsum("ij,ij->", arm, arm) / len(arm)), 1e-12)
+    (x, y, z), (nx, ny, nz) = arm.T / scale, n.T
+    a = np.column_stack([y * nz - z * ny, z * nx - x * nz, x * ny - y * nx, nx, ny, nz])
     h = a.T @ a
     eigvals = np.linalg.eigvalsh(h)
     if eigvals[0] <= RANK_TOL * eigvals[-1]:
         return None
-    x = np.linalg.solve(h, a.T @ b)
-    r = Rotation.from_rotvec(x[:3] / scale).as_matrix()
-    return Pose(r, center + x[3:] - r @ center)
+    solution = np.linalg.solve(h, a.T @ np.einsum("ij,ij->i", dst - src, n))
+    # Each half turns by atan|w| about w; by Rodrigues' formula the whole turn
+    # is I + 2m and (I + m) shift the translation, exact for exact pairs.
+    (wx, wy, wz), shift = solution[:3] / scale, solution[3:]
+    skew = np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+    m = (skew + skew @ skew) / (1.0 + wx * wx + wy * wy + wz * wz)
+    return Pose(np.eye(3) + 2.0 * m, shift + m @ (shift - 2.0 * center))
 
 
 def _rms(values: np.ndarray) -> float:
-    """Root mean square of scalars, or of vector lengths along the last axis."""
-    values = values.reshape(len(values), -1)
-    return float(np.sqrt(np.mean(np.sum(values ** 2, axis=1))))
+    """Root mean square of scalars."""
+    return float(np.sqrt(np.mean(values ** 2)))
 
 
 def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
@@ -120,17 +127,18 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
     iteration pairs every moved sample point with its nearest target point,
     drops pairs farther than REJECT_RATIO times the median pair distance,
     and takes one step from those pairs, scored by the residual that step
-    minimises. A target with normals (`PointCloud.normals`, as rim
-    clouds carry them) takes linearised point-to-plane steps, scored by the
-    inlier pairs' point-to-plane RMS. A target without normals, or one whose
-    plane system turns rank-deficient (e.g. a planar target), takes SVD
-    point-to-point steps from then on, scored by the inlier RMSE. A step that
-    would raise the score is not taken: ICP keeps the pose and stops,
-    converged, as it does after a step that lowers the score by less than
-    tol_mm; otherwise it stops, not converged, after max_iter steps. So for
-    `icp(..., max_iter=k, tol_mm=0)` the point-to-plane RMS (target with a
-    full-rank plane system) or the inlier RMSE (any other target) is
-    non-increasing in k.
+    minimises. A target with normals (`PointCloud.normals`, as rim clouds
+    carry them) takes `plane_step`s, symmetric if the source has normals
+    too, scored by the inlier pairs' RMS of (p - q) . n, with the step's n
+    at the scored pose. A target without normals, or one whose plane system
+    turns rank-deficient (e.g. a planar target), takes SVD point-to-point
+    steps from then on, scored by the inlier RMSE. A step that would raise
+    the score is not taken: ICP keeps the pose and stops ("score_rose"), as
+    it does after a step that lowers the score by less than tol_mm
+    ("settled"), both converged; otherwise it stops, not converged, after
+    max_iter steps ("max_iter"). So for `icp(..., max_iter=k, tol_mm=0)` the
+    plane RMS (target with a full-rank plane system) or the inlier RMSE (any
+    other target) is non-increasing in k.
 
     The report's `rmse` is the point-to-point inlier RMSE of the returned
     pose on the sample, whichever score guided the steps; `inlier_fraction`
@@ -152,8 +160,8 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
     normals = target.normals
 
     def match(candidate: Pose):
-        """(candidate, inlier source indices, their nearest target indices,
-        moved inliers, inlier RMSE, point-to-plane RMS or None)."""
+        """(candidate, inlier source and nearest target indices, moved inliers,
+        their turned source normals or None, inlier RMSE, plane RMS or None)."""
         moved = candidate.apply(source.points)
         distances, indices = tree.query(moved, k=1)
         keep = distances <= REJECT_RATIO * max(float(np.median(distances)), 1e-12)
@@ -162,36 +170,38 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
         src_idx = np.nonzero(keep)[0]
         dst_idx = indices[keep]
         moved = moved[keep]
-        plane_rms = (None if normals is None else _rms(np.sum(
-            (moved - target.points[dst_idx]) * normals[dst_idx], axis=1)))
-        return candidate, src_idx, dst_idx, moved, _rms(distances[keep]), plane_rms
+        turned = (None if normals is None or source.normals is None
+                  else source.normals[src_idx] @ candidate.rotation.T)
+        plane_rms = None if normals is None else _rms(np.einsum(
+            "ij,ij->i", moved - target.points[dst_idx],
+            normals[dst_idx] if turned is None else normals[dst_idx] + turned))
+        return candidate, src_idx, dst_idx, moved, turned, _rms(distances[keep]), plane_rms
 
-    pose, src_idx, dst_idx, moved, rmse, plane_rms = match(
+    pose, src_idx, dst_idx, moved, turned, rmse, plane_rms = match(
         init if init is not None else Pose.identity())
     plane = normals is not None
-    converged = False
-    iterations = 0
+    stop, iterations = "max_iter", 0
     for iterations in range(1, max_iter + 1):
-        step = (point_to_plane_step(moved, target.points[dst_idx], normals[dst_idx])
+        step = (plane_step(moved, target.points[dst_idx], normals[dst_idx], turned)
                 if plane else None)
         plane = step is not None
         trial = match(step.compose(pose) if plane else best_rigid_transform(
             source, target, np.column_stack([src_idx, dst_idx])))
-        improvement = plane_rms - trial[5] if plane else rmse - trial[4]
+        improvement = plane_rms - trial[6] if plane else rmse - trial[5]
         if improvement >= 0:
-            pose, src_idx, dst_idx, moved, rmse, plane_rms = trial
+            pose, src_idx, dst_idx, moved, turned, rmse, plane_rms = trial
         if improvement < 0 or improvement < tol_mm:
-            converged = True
+            stop = "settled" if improvement >= 0 else "score_rose"
             break
-    return IcpReport(pose=pose, rmse=rmse, iterations=iterations, converged=converged,
+    return IcpReport(pose=pose, rmse=rmse, iterations=iterations, stop=stop,
                      inlier_fraction=len(src_idx) / len(source))
 
 
 def track_pose(frames: list[PointCloud], model: PointCloud) -> list[IcpReport]:
     """Track the model's pose across frames, seeding each ICP from the last pose.
 
-    The first ICP starts from the identity. Empty frames yield a
-    not-converged report carrying the last good pose.
+    The first ICP starts from the identity. A frame of fewer than 3 points
+    yields a "no_points" report carrying the last good pose.
     """
     if not frames:
         raise ValueError("need at least one frame")
@@ -200,7 +210,7 @@ def track_pose(frames: list[PointCloud], model: PointCloud) -> list[IcpReport]:
     for i, cloud in enumerate(frames):
         if len(cloud) < 3:
             reports.append(IcpReport(pose=pose, rmse=math.inf, iterations=0,
-                                     converged=False, inlier_fraction=0.0))
+                                     stop="no_points", inlier_fraction=0.0))
             continue
         try:
             report = icp(model, cloud, init=pose)

@@ -376,7 +376,7 @@ class TestTrack:
         payload = cli.cmd_track(RunConfig(), seq, single_calib, out)
         assert len(payload["frames"]) == 3
         for frame in payload["frames"]:
-            assert frame["converged"]
+            assert frame["converged"] and frame["stop"] in ("settled", "score_rose")
             assert frame["inlier_fraction"] == 1.0
             pose = pose_from_list(frame["pose"])
             # acos near +1 amplifies 1e-16 matrix error to ~1e-6 degrees
@@ -633,6 +633,14 @@ class TestMain:
          "manifest.json: frames[0]: expected object, got str"),
         (lambda m: {**m, "kind": "Presses"}, "manifest.json: kind: expected one of "
          "('presses', 'sequence'), got str 'Presses'"),
+        (lambda m: {**m, "reference": "missing.pgm"},
+         "manifest.json: reference: [Errno 2] No such file or directory: "),
+        (lambda m: {**m, "reference": "."},
+         "manifest.json: reference: [Errno 21] Is a directory: "),
+        (lambda m: {**m, "frames": [{**m["frames"][0], "image": "missing.pgm"}]},
+         "manifest.json: frames[0].image: [Errno 2] No such file or directory: "),
+        (lambda m: {**m, "frames": [{**m["frames"][0], "image": "."}]},
+         "manifest.json: frames[0].image: [Errno 21] Is a directory: "),
         (lambda m: {k: v for k, v in m.items() if k != "ball_radius_mm"}
          | {"kind": "Presses", "scheme": "bogus"}, "manifest.json: kind: expected "
          "one of ('presses', 'sequence'), got str 'Presses'"),
@@ -880,6 +888,7 @@ class TestMain:
                              parse_constant=refuse)
         assert [f["rmse"] for f in payload["frames"]] == [None, None]
         assert not any(f["converged"] for f in payload["frames"])
+        assert [f["stop"] for f in payload["frames"]] == ["no_points", "no_points"]
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_output_as_it_was(self, tmp_path, capsys,
@@ -1184,15 +1193,11 @@ def run_mutated(command: str, run_dir: Path, calib_path: Path, mutation,
     No exception escapes `cli.main`, and warnings are errors. Either the
     command exits 0 with every output present and an empty stderr, or it exits
     1 with one stderr line naming the mutated file and writes nothing; a
-    manifest names the files it lists by their path in the run, and a
-    manifest path set to a file that cannot be read may name that file
-    instead. A key of `choices` set to a value that is not one of its choices
-    exits 1.
+    manifest names the files it lists by their path in the run. A key of
+    `choices` set to a value that is not one of its choices exits 1.
     """
     name, where, op, value = mutation
     refused = op == "set" and value not in choices.get((name, where), (value,))
-    pointed = (op == "set" and where[-1] in ("image", "reference")
-               and isinstance(value, str))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         shutil.copytree(run_dir, tmp / "run")
@@ -1215,9 +1220,7 @@ def run_mutated(command: str, run_dir: Path, calib_path: Path, mutation,
             assert len(lines) == 1
             assert lines[0].startswith(f"tacsense {command}: ")
             # An OSError names its file by the repr of the path.
-            named = [str(mutated), repr(str(mutated)), repr(mutated.name),
-                     *([str(tmp / "run" / value), repr(str(tmp / "run" / value))]
-                       if pointed else [])]
+            named = [str(mutated), repr(str(mutated)), repr(mutated.name)]
             assert any(text in lines[0] for text in named)
             assert not out.exists()
 
@@ -1240,6 +1243,8 @@ SEQUENCE_KIND = ("run/manifest.json", ("kind",), "set", "Sequence")
 NUL_REFERENCE = ("run/manifest.json", ("reference",), "set", "\0")
 NARROW_FRAME = ("run/frame_000.pgm", 3, "flip", 2)  # "64" wide becomes "44"
 THICKER_RUN = ("run/manifest.json", ("optical", "thickness"), "set", 3)
+MISSING_REFERENCE = ("run/manifest.json", ("reference",), "set", "x")
+FRAME_DIRECTORY = ("run/manifest.json", ("frames", 0, "image"), "set", "")
 
 
 @settings(max_examples=100, deadline=None)
@@ -1250,6 +1255,8 @@ THICKER_RUN = ("run/manifest.json", ("optical", "thickness"), "set", 3)
 @example(mutation=NUL_REFERENCE)
 @example(mutation=NARROW_FRAME)
 @example(mutation=("run/manifest.json", ("ball_radius_mm",), "set", 0.5))
+@example(mutation=MISSING_REFERENCE)
+@example(mutation=FRAME_DIRECTORY)
 def test_calibrate_survives_one_mutation(small_press_run, mutation):
     run_mutated("calibrate", *small_press_run, mutation, PRESS_CHOICES,
                 ["calibration.json"])
@@ -1264,6 +1271,8 @@ def test_calibrate_survives_one_mutation(small_press_run, mutation):
 @example(mutation=NUL_REFERENCE)
 @example(mutation=NARROW_FRAME)
 @example(mutation=THICKER_RUN)
+@example(mutation=MISSING_REFERENCE)
+@example(mutation=FRAME_DIRECTORY)
 def test_reconstruct_survives_one_mutation(small_press_run, mutation):
     run_mutated("reconstruct", *small_press_run, mutation,
                 PRESS_CHOICES | CALIB_CHOICES,
@@ -1279,6 +1288,8 @@ def test_reconstruct_survives_one_mutation(small_press_run, mutation):
 @example(mutation=SEQUENCE_KIND)
 @example(mutation=NARROW_FRAME)
 @example(mutation=THICKER_RUN)
+@example(mutation=MISSING_REFERENCE)
+@example(mutation=FRAME_DIRECTORY)
 def test_track_survives_one_mutation(small_press_run, small_sequence_run, mutation):
     run_mutated("track", small_sequence_run, small_press_run[1], mutation,
                 RUN_CHOICES | CALIB_CHOICES, ["track_report.json"])

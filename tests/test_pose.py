@@ -15,7 +15,7 @@ from tacsense.pose import (
     best_rigid_transform,
     icp,
     nearest_neighbors,
-    point_to_plane_step,
+    plane_step,
     track_pose,
 )
 
@@ -43,13 +43,16 @@ def graph_normals(points, amplitude=1.0):
 
 
 def plane_rms(pose, source, target):
-    """The point-to-plane RMS that icp scores `pose` by, over its inlier pairs."""
+    """The plane RMS that icp scores `pose` by, over its inlier pairs: of
+    (p - q) . n, with n = n_q + R n_p, or n_q for a source without normals."""
     moved = pose.apply(source.points)
     distances, indices = cKDTree(target.points).query(moved, k=1)
     keep = distances <= pose_module.REJECT_RATIO * max(float(np.median(distances)), 1e-12)
     dst = indices[keep]
-    return pose_module._rms(np.sum((moved[keep] - target.points[dst])
-                                   * target.normals[dst], axis=1))
+    normals = target.normals[dst]
+    if source.normals is not None:
+        normals = normals + source.normals[keep] @ pose.rotation.T
+    return pose_module._rms(np.sum((moved[keep] - target.points[dst]) * normals, axis=1))
 
 
 def assert_same_report(a, b):
@@ -352,8 +355,8 @@ class TestIcp:
         true = Pose.rot_z(2.0, translation=(0.1, -0.05, 0.0))
         source = PointCloud(true.inverse().apply(target.points))
         plane_steps, svd_steps = [], []
-        monkeypatch.setattr(pose_module, "point_to_plane_step",
-                            spy(point_to_plane_step, plane_steps))
+        monkeypatch.setattr(pose_module, "plane_step",
+                            spy(plane_step, plane_steps))
         monkeypatch.setattr(pose_module, "best_rigid_transform",
                             spy(best_rigid_transform, svd_steps))
         report = icp(source, target)
@@ -372,8 +375,8 @@ class TestIcp:
         true = Pose.rot_z(2.0, translation=(0.1, -0.05, 0.0))
         source = PointCloud(true.inverse().apply(target.points))
         plane_steps, svd_steps = [], []
-        monkeypatch.setattr(pose_module, "point_to_plane_step",
-                            spy(point_to_plane_step, plane_steps))
+        monkeypatch.setattr(pose_module, "plane_step",
+                            spy(plane_step, plane_steps))
         monkeypatch.setattr(pose_module, "best_rigid_transform",
                             spy(best_rigid_transform, svd_steps))
         report = icp(source, target)
@@ -396,6 +399,19 @@ class TestIcp:
                   for k in range(1, 7)]
         assert all(b <= a for a, b in zip(scores, scores[1:]))
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.2, 2.0))
+    def test_symmetric_rms_non_increasing_when_both_clouds_carry_normals(self, seed,
+                                                                          amplitude):
+        points = graph_surface(150, seed, amplitude).points
+        motion = small_motion(np.random.default_rng(seed), 6.0, 0.3)
+        normals = graph_normals(points, amplitude)
+        src = PointCloud(points, normals)
+        dst = PointCloud(motion.apply(points), normals @ motion.rotation.T)
+        scores = [plane_rms(icp(src, dst, max_iter=k, tol_mm=0.0).pose, src, dst)
+                  for k in range(1, 7)]
+        assert all(b <= a for a, b in zip(scores, scores[1:]))
+
     def test_inlier_fraction_counts_rejected_outliers(self):
         surface = graph_surface(200, seed=25).points
         far = np.full((20, 3), 100.0) + np.arange(20)[:, None]
@@ -409,9 +425,9 @@ class TestIcp:
         true = small_motion(np.random.default_rng(27), 4.0, 0.2)
 
         def refuse(*args):
-            raise AssertionError("point_to_plane_step called for a cloud without normals")
+            raise AssertionError("plane_step called for a cloud without normals")
 
-        monkeypatch.setattr(pose_module, "point_to_plane_step", refuse)
+        monkeypatch.setattr(pose_module, "plane_step", refuse)
         report = icp(src, PointCloud(true.apply(src.points)))
         assert report.converged
 
@@ -421,14 +437,28 @@ class TestIcp:
         target = PointCloud(true.apply(src.points),
                             graph_normals(src.points) @ true.rotation.T)
         plane_steps = []
-        monkeypatch.setattr(pose_module, "point_to_plane_step",
-                            spy(point_to_plane_step, plane_steps))
+        monkeypatch.setattr(pose_module, "plane_step",
+                            spy(plane_step, plane_steps))
         report = icp(src, target)
         assert any(step is not None for step in plane_steps)
         assert report.converged
         err = report.pose.compose(true.inverse())
         assert err.rotation_angle_deg() <= 1e-3
         assert np.linalg.norm(err.translation) <= 1e-4
+
+    def test_stop_names_why_icp_stopped(self, monkeypatch):
+        src = graph_surface(400, seed=26)
+        true = small_motion(np.random.default_rng(27), 4.0, 0.2)
+        target = PointCloud(true.apply(src.points),
+                            graph_normals(src.points) @ true.rotation.T)
+        settled = icp(src, target)
+        assert (settled.stop, settled.converged) == ("settled", True)
+        capped = icp(src, target, max_iter=1)
+        assert (capped.stop, capped.converged, capped.iterations) == ("max_iter", False, 1)
+        monkeypatch.setattr(pose_module, "plane_step", lambda *args: Pose.rot_z(30.0))
+        rose = icp(src, target)
+        assert (rose.stop, rose.converged, rose.iterations) == ("score_rose", True, 1)
+        assert np.array_equal(rose.pose.rotation, np.eye(3))
 
     @pytest.mark.parametrize("with_normals", [False, True])
     def test_float32_clouds_give_the_report_of_their_widenings(self, with_normals):
@@ -493,8 +523,8 @@ class TestIcp:
 
     def test_rim_clouds_track_with_plane_steps(self, hex_nut_rims, monkeypatch):
         plane_steps = []
-        monkeypatch.setattr(pose_module, "point_to_plane_step",
-                            spy(point_to_plane_step, plane_steps))
+        monkeypatch.setattr(pose_module, "plane_step",
+                            spy(plane_step, plane_steps))
         assert all(cloud.normals is not None for cloud in hex_nut_rims)
         reports = track_pose(hex_nut_rims, hex_nut_rims[0])
         assert all(report.converged for report in reports)
@@ -521,20 +551,34 @@ class TestIcp:
             assert abs(err) <= 0.1, k
 
 
-class TestPointToPlane:
-    def test_plane_step_is_exact_for_pure_translation(self):
+class TestPlaneStep:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), with_normals=st.booleans())
+    def test_one_step_recovers_a_rigid_motion_on_exact_pairs(self, seed, with_normals):
+        src = graph_surface(300, seed).points
+        true = small_motion(np.random.default_rng(seed), 10.0, 0.5)
+        normals = graph_normals(src)
+        step = plane_step(src, true.apply(src), normals @ true.rotation.T,
+                          normals if with_normals else None)
+        assert np.abs(step.rotation - true.rotation).max() < 1e-12
+        assert np.abs(step.translation - true.translation).max() < 1e-10
+
+    @pytest.mark.parametrize("with_normals", [False, True])
+    def test_plane_step_is_exact_for_pure_translation(self, with_normals):
         src = graph_surface(300, seed=27).points
         normals = graph_normals(src)
         shift = np.array([0.02, -0.01, 0.03])
-        step = point_to_plane_step(src, src + shift, normals)
+        step = plane_step(src, src + shift, normals, normals if with_normals else None)
         assert np.abs(step.rotation - np.eye(3)).max() < 1e-12
         assert np.abs(step.translation - shift).max() < 1e-12
 
-    def test_plane_step_rank_deficient_on_plane(self):
+    @pytest.mark.parametrize("with_normals", [False, True])
+    def test_plane_step_rank_deficient_on_plane(self, with_normals):
         pts = np.column_stack([np.random.default_rng(28).uniform(-5, 5, (50, 2)),
                                np.zeros(50)])
         normals = np.tile([0.0, 0.0, 1.0], (50, 1))
-        assert point_to_plane_step(pts, pts + [0.1, 0.0, 0.0], normals) is None
+        assert plane_step(pts, pts + [0.1, 0.0, 0.0], normals,
+                          normals if with_normals else None) is None
 
 
 class TestTrackPose:
@@ -559,7 +603,7 @@ class TestTrackPose:
         turned = PointCloud(Pose.rot_z(3.0).apply(model.points))
         reports = track_pose([turned, PointCloud(np.empty((0, 3)))], model)
         assert not reports[1].converged
-        assert reports[1].iterations == 0
+        assert (reports[1].stop, reports[1].iterations) == ("no_points", 0)
         assert np.array_equal(reports[1].pose.rotation, reports[0].pose.rotation)
 
     def test_no_frames_rejected(self):

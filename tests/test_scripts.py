@@ -66,7 +66,7 @@ def test_bench_compare_reads_the_committed_record():
     lines = done.stdout.splitlines()
     assert lines[:2] == ["BENCH_21.json: parent c0af674 -> change 5025bbe",
                          "live_track: 10 -> 10 runs, failed 0 of 6207 -> 0 of 7263"]
-    norm, spread, raw, *rest = lines[2:]
+    norm, spread, raw, *rest = lines[2:11]
     assert norm.split() == ["frames_per_s_norm", "49.36", "->", "77.11", "1/s",
                             "+56.2%", "inside", "the", "bound", "of", "25%",
                             "(higher", "is", "better)"]
@@ -79,6 +79,25 @@ def test_bench_compare_reads_the_committed_record():
     assert all(" inside the bound of " in line for line in rest[::2])
     assert all(line.split()[:2] == ["parent", "quartiles"] for line in rest[1::2])
     assert "change better in 2 of 10 seed pairs" in rest[3]  # peak_rss_mb
+
+
+def test_bench_compare_prints_the_traced_layers(tmp_path):
+    """Every traced per-layer metric of both records follows the end-to-end
+    rows as old -> new; one a record lacks reads "-"."""
+    payload = json.loads((ROOT / "BENCH_21.json").read_text())
+    del payload["records"][1]["workloads"]["live_track"]["layers"]["metrics"]["cli.self_ms"]
+    record = tmp_path / "BENCH_21.json"
+    record.write_text(json.dumps(payload))
+    done = run_script("bench_compare.py", str(record))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[11] == "  traced layers, seed 11:"
+    layers = {line.split()[0]: line.split()[1:] for line in lines[12:]}
+    assert len(layers) == 29
+    assert layers["pose.icp.iterations_per_frame"] == ["3.729", "->", "3.729", "count"]
+    assert layers["pose.icp.ms"] == ["8.389", "->", "8.072", "ms"]
+    assert layers["recon.gaussian_denoise.ms"] == ["7.396", "->", "1.41", "ms"]
+    assert layers["cli.self_ms"] == ["0", "->", "-", "ms"]
 
 
 def test_bench_compare_flags_a_change_outside_the_bound():
