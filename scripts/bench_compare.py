@@ -15,9 +15,13 @@ change wins nine in ten pairs and the medians differ by more than the
 distance between those quartiles. Beside ``frames_per_s_norm`` it prints
 the median raw ``frames_per_s`` figure, since the two can rank trees
 oppositely. Held-out runs are left out, as they are of the record's medians.
-Last, per workload, it prints every per-layer metric of the two records'
-traced runs (``layers``) as old -> new, so that a gain can be placed in the
-layer that made it; a metric one record lacks reads ``-``.
+Then it prints each accuracy figure of ``ACCURACY`` as old -> new: its median
+and its worst (largest) value over the seeded runs, and on a line of their
+own over the held-out runs, so that a gain bought with accuracy shows,
+although no gated metric measures it. Last, per workload, it prints every
+per-layer metric of the two records' traced runs (``layers``) as old -> new,
+so that a gain can be placed in the layer that made it; a metric one record
+lacks reads ``-``.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The figures, all errors, that say how well each workload's outputs match
+# the simulator's truth.
+ACCURACY = {"live_track": ("track_err_deg_max",),
+            "calib_eval": ("single_mae_mm", "regression_mae_mm")}
 
 
 def parse_args(argv=None):
@@ -58,6 +66,22 @@ def spread(runs: tuple[list[dict], list[dict]], metric: dict
              if run["seed"] in old]
     sign = 1 if metric["better"] == "higher" else -1
     return q1, q3, sum(sign * (b - a) > 0 for a, b in pairs), len(pairs)
+
+
+def accuracy(entries: tuple[dict, dict], workload: str, units: dict) -> list[str]:
+    """Median and worst of each accuracy figure, old -> new, over the seeded
+    runs and then the held-out runs, where both records hold it."""
+    lines = []
+    for name in ACCURACY.get(workload, ()):
+        for label, kind in (("seeded", "runs"), ("held-out", "heldout_runs")):
+            values = [[run["figures"][name] for run in entry.get(kind, [])
+                       if name in run.get("figures", {})] for entry in entries]
+            if all(values):
+                a, b = ((statistics.median(v), max(v)) for v in values)
+                lines.append(f"    {name:<18} {label:<8}  median {a[0]:.4g} -> "
+                             f"{b[0]:.4g}, worst {a[1]:.4g} -> {b[1]:.4g} "
+                             f"{units.get(name, '')}")
+    return ["  accuracy over the runs:", *lines] if lines else []
 
 
 def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
@@ -95,10 +119,11 @@ def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
                 if a is not None and b is not None:
                     lines.append(f"  {'  raw frames_per_s':<18} {a:.4g} -> {b:.4g} "
                                  f"1/s  {(b - a) / a:+.1%}")
+        units = payload.get("units", {})
+        lines += accuracy((entry, after["workloads"][workload]), workload, units)
         layers = [record["workloads"][workload].get("layers", {}).get("metrics", {})
                   for record in (before, after)]
         lines.append(f"  traced layers, seed {payload['settings'].get('trace_seed')}:")
-        units = payload.get("units", {})
         for name in dict.fromkeys([*layers[0], *layers[1]]):
             a, b = (f"{m[name]:.4g}" if name in m else "-" for m in layers)
             lines.append(f"    {name:<36} {a} -> {b} {units.get(name, '')}")

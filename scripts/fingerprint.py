@@ -33,11 +33,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from tacsense import cli, fileio
+from tacsense import cli, fileio, sim
 from tacsense.core import Pose
 
 ROOT = Path(__file__).resolve().parent.parent
-HEX_NUT_SYMMETRY_DEG = 60.0
 
 # (argv of tacsense, with {tmp} for the scenario directory), in order.
 SCENARIOS = [
@@ -101,8 +100,8 @@ def track_error_deg(run: Path, report: Path) -> float:
 
     truth = [angle(f["pose"]) for f in fileio.read_json(run / "manifest.json")["frames"]]
     tracked = [angle(f["pose"]) for f in fileio.read_json(report)["frames"]]
-    half = HEX_NUT_SYMMETRY_DEG / 2.0
-    return max(abs((est - (true - truth[0]) + half) % HEX_NUT_SYMMETRY_DEG - half)
+    symmetry = sim.OBJECT_SYMMETRY_DEG["hex_nut"]
+    return max(abs((est - (true - truth[0]) + symmetry / 2.0) % symmetry - symmetry / 2.0)
                for est, true in zip(tracked, truth))
 
 

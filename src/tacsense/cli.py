@@ -421,7 +421,8 @@ def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
     payload = {"format": "tacsense-track-v1",
                "frames": [{"pose": _pose_to_list(r.pose),
                            "rmse": r.rmse if math.isfinite(r.rmse) else None,
-                           "iterations": r.iterations, "converged": r.converged,
+                           "iterations": r.iterations, "plane_steps": r.plane_steps,
+                           "svd_steps": r.svd_steps, "converged": r.converged,
                            "stop": r.stop,
                            "inlier_fraction": r.inlier_fraction}
                           for r in reports]}

@@ -16,8 +16,10 @@ RANK_TOL = 1e-9
 # ICP drops pairs farther than this multiple of the median pair distance.
 REJECT_RATIO = 5.0
 # ICP matches at most this many source points, every step-th one: most of an
-# ICP call is one k-d query per source point per match.
-SOURCE_BUDGET = 1000
+# ICP call is one k-d query per source point per match. Of the sizes swept
+# (1000, 750, 600, 500, 400, 250), 400 is the smallest that keeps every
+# tracking scenario within its error bound.
+SOURCE_BUDGET = 400
 
 
 @dataclass(frozen=True)
@@ -28,13 +30,20 @@ class IcpReport:
     source (see `icp`): its inlier RMSE against its own nearest neighbours,
     and the share of sampled source points kept as inliers by the rejection
     rule. `stop` says why ICP stopped (see `icp` and `track_pose`).
+    `plane_steps` and `svd_steps` count the steps ICP tried of each kind,
+    the plane steps first.
     """
 
     pose: Pose
     rmse: float
-    iterations: int
+    plane_steps: int
+    svd_steps: int
     stop: str
     inlier_fraction: float
+
+    @property
+    def iterations(self) -> int:
+        return self.plane_steps + self.svd_steps
 
     @property
     def converged(self) -> bool:
@@ -180,11 +189,12 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
     pose, src_idx, dst_idx, moved, turned, rmse, plane_rms = match(
         init if init is not None else Pose.identity())
     plane = normals is not None
-    stop, iterations = "max_iter", 0
+    stop, iterations, plane_steps = "max_iter", 0, 0
     for iterations in range(1, max_iter + 1):
         step = (plane_step(moved, target.points[dst_idx], normals[dst_idx], turned)
                 if plane else None)
         plane = step is not None
+        plane_steps += plane
         trial = match(step.compose(pose) if plane else best_rigid_transform(
             source, target, np.column_stack([src_idx, dst_idx])))
         improvement = plane_rms - trial[6] if plane else rmse - trial[5]
@@ -193,7 +203,8 @@ def icp(source: PointCloud, target: PointCloud, init: Pose | None = None,
         if improvement < 0 or improvement < tol_mm:
             stop = "settled" if improvement >= 0 else "score_rose"
             break
-    return IcpReport(pose=pose, rmse=rmse, iterations=iterations, stop=stop,
+    return IcpReport(pose=pose, rmse=rmse, plane_steps=plane_steps,
+                     svd_steps=iterations - plane_steps, stop=stop,
                      inlier_fraction=len(src_idx) / len(source))
 
 
@@ -209,8 +220,9 @@ def track_pose(frames: list[PointCloud], model: PointCloud) -> list[IcpReport]:
     reports = []
     for i, cloud in enumerate(frames):
         if len(cloud) < 3:
-            reports.append(IcpReport(pose=pose, rmse=math.inf, iterations=0,
-                                     stop="no_points", inlier_fraction=0.0))
+            reports.append(IcpReport(pose=pose, rmse=math.inf, plane_steps=0,
+                                     svd_steps=0, stop="no_points",
+                                     inlier_fraction=0.0))
             continue
         try:
             report = icp(model, cloud, init=pose)

@@ -63,15 +63,6 @@ class OpticalModel:
         t = self.thickness - np.asarray(depth, dtype=np.float64)
         return self.ambient + self.gain * (1.0 - np.exp(-self.attenuation * t))
 
-    def delta_from_depth(self, depth):
-        """Intensity drop relative to the unpressed reference."""
-        return self.intensity(0.0) - self.intensity(depth)
-
-    def depth_from_delta(self, delta):
-        """Analytic inverse of delta_from_depth, for oracle use."""
-        scale = self.gain * math.exp(-self.attenuation * self.thickness)
-        return np.log1p(np.asarray(delta, dtype=np.float64) / scale) / self.attenuation
-
 
 @dataclass(frozen=True)
 class IlluminationField:
@@ -339,6 +330,15 @@ _OBJECT_FIELDS = {
     "set_screw": set_screw_field,
 }
 OBJECT_KINDS = tuple(_OBJECT_FIELDS)
+# The smallest turn about z, in degrees, that maps each object at its
+# default parameters onto itself; None for the axisymmetric set screw.
+OBJECT_SYMMETRY_DEG = {
+    "slab": 90.0,
+    "ball_array": 90.0,
+    "star": 72.0,
+    "hex_nut": 60.0,
+    "set_screw": None,
+}
 
 
 def object_depth_field(kind: str, **params) -> DepthField:

@@ -19,6 +19,8 @@ from tacsense.core import (
     SensorError,
 )
 
+from oracles import depth_from_delta
+
 
 def gray(arr):
     return GrayImage(np.asarray(arr, dtype=np.uint8))
@@ -298,7 +300,7 @@ class TestBuildMappingList:
 
     def test_inverts_forward_model(self, calibrated, optical):
         idx = np.arange(1, calibrated.max_calibrated + 1)
-        expected = optical.depth_from_delta(idx)
+        expected = depth_from_delta(optical, idx)
         assert np.abs(calibrated.depths[idx] - expected).max() <= 0.02
 
     def test_clamped_above_calibrated_range(self, calibrated):

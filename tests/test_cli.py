@@ -378,6 +378,8 @@ class TestTrack:
         for frame in payload["frames"]:
             assert frame["converged"] and frame["stop"] in ("settled", "score_rose")
             assert frame["inlier_fraction"] == 1.0
+            assert frame["plane_steps"] + frame["svd_steps"] == frame["iterations"]
+            assert frame["svd_steps"] == 0  # rim clouds carry normals
             pose = pose_from_list(frame["pose"])
             # acos near +1 amplifies 1e-16 matrix error to ~1e-6 degrees
             assert pose.rotation_angle_deg() <= 1e-4
@@ -889,6 +891,7 @@ class TestMain:
         assert [f["rmse"] for f in payload["frames"]] == [None, None]
         assert not any(f["converged"] for f in payload["frames"])
         assert [f["stop"] for f in payload["frames"]] == ["no_points", "no_points"]
+        assert all(f["plane_steps"] == f["svd_steps"] == 0 for f in payload["frames"])
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_output_as_it_was(self, tmp_path, capsys,

@@ -361,7 +361,8 @@ class TestIcp:
                             spy(best_rigid_transform, svd_steps))
         report = icp(source, target)
         assert not plane_steps
-        assert len(svd_steps) == report.iterations
+        assert (report.plane_steps, report.svd_steps) == (0, len(svd_steps))
+        assert report.svd_steps > 0
         assert report.converged
         err = report.pose.compose(true.inverse())
         assert np.abs(err.rotation - np.eye(3)).max() < 1e-9
@@ -381,7 +382,8 @@ class TestIcp:
                             spy(best_rigid_transform, svd_steps))
         report = icp(source, target)
         assert plane_steps == [None]
-        assert len(svd_steps) == report.iterations
+        assert (report.plane_steps, report.svd_steps) == (0, len(svd_steps))
+        assert report.svd_steps > 0
         assert report.converged
         err = report.pose.compose(true.inverse())
         assert np.abs(err.rotation - np.eye(3)).max() < 1e-9
@@ -440,7 +442,8 @@ class TestIcp:
         monkeypatch.setattr(pose_module, "plane_step",
                             spy(plane_step, plane_steps))
         report = icp(src, target)
-        assert any(step is not None for step in plane_steps)
+        assert report.plane_steps == len(plane_steps) > 0
+        assert None not in plane_steps and report.svd_steps == 0
         assert report.converged
         err = report.pose.compose(true.inverse())
         assert err.rotation_angle_deg() <= 1e-3
@@ -491,12 +494,15 @@ class TestIcp:
 
     @pytest.mark.parametrize("n, outliers, sampled", [
         # At the budget the source is matched whole: every outlier counts.
-        (1000, (1, 3, 4, 8, 997), 1000),
-        # Above it, every 2nd (1,001 points) or 4th (4,000) point is matched:
-        # only the outliers the stride keeps count, over the sample.
-        (1001, (1, 3, 4, 8, 997), 501),
-        (4000, (1, 2, 4, 8, 3996), 1000),
-    ])
+        (pose_module.SOURCE_BUDGET, (1, 3, 4, 8, pose_module.SOURCE_BUDGET - 3),
+         pose_module.SOURCE_BUDGET),
+        # Above it, every 2nd (budget + 1 points) or 4th (4 x budget) point is
+        # matched: only the outliers the stride keeps count, over the sample.
+        (pose_module.SOURCE_BUDGET + 1, (1, 3, 4, 8, pose_module.SOURCE_BUDGET - 3),
+         pose_module.SOURCE_BUDGET // 2 + 1),
+        (4 * pose_module.SOURCE_BUDGET, (1, 2, 4, 8, 4 * pose_module.SOURCE_BUDGET - 4),
+         pose_module.SOURCE_BUDGET),
+    ], ids=["at_the_budget", "budget_plus_one", "four_budgets"])
     def test_inlier_fraction_is_counted_over_the_sample(self, n, outliers, sampled):
         surface = graph_surface(n, seed=33).points
         points = surface.copy()
@@ -508,11 +514,12 @@ class TestIcp:
         assert report.rmse < 1e-9
 
     @pytest.mark.parametrize("kind, symmetry_deg", [
-        ("slab", 90.0), ("ball_array", 90.0), ("star", 72.0), ("hex_nut", 60.0)])
+        item for item in sim.OBJECT_SYMMETRY_DEG.items() if item[1] is not None])
     def test_objects_track_within_a_tenth_of_a_degree_at_noise_one(self, kind,
                                                                    symmetry_deg):
         # 24 noisy frames 5 degrees apart, drawn as live_track's seed 11 draws
-        # them; each rim cloud has 2,600-4,000 points, ICP matches <= 1,000.
+        # them; each rim cloud has 2,600-4,000 points, ICP matches at most
+        # SOURCE_BUDGET of them.
         rims = live_track_rims(11, kind)
         assert max(map(len, rims)) > pose_module.SOURCE_BUDGET
         for k, report in enumerate(track_pose(rims, rims[0])):
@@ -528,7 +535,9 @@ class TestIcp:
         assert all(cloud.normals is not None for cloud in hex_nut_rims)
         reports = track_pose(hex_nut_rims, hex_nut_rims[0])
         assert all(report.converged for report in reports)
-        assert any(step is not None for step in plane_steps)
+        assert None not in plane_steps
+        assert sum(report.plane_steps for report in reports) == len(plane_steps) > 0
+        assert all(report.svd_steps == 0 for report in reports)
 
     def test_hex_nut_rim_sequence_converges_within_ten_iterations(self, hex_nut_rims):
         reports = track_pose(hex_nut_rims, hex_nut_rims[0])
@@ -604,6 +613,7 @@ class TestTrackPose:
         reports = track_pose([turned, PointCloud(np.empty((0, 3)))], model)
         assert not reports[1].converged
         assert (reports[1].stop, reports[1].iterations) == ("no_points", 0)
+        assert (reports[1].plane_steps, reports[1].svd_steps) == (0, 0)
         assert np.array_equal(reports[1].pose.rotation, reports[0].pose.rotation)
 
     def test_no_frames_rejected(self):

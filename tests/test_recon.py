@@ -19,12 +19,14 @@ from tacsense.core import (
     surface_axis,
 )
 
+from oracles import delta_from_depth, depth_from_delta
+
 
 def make_lookup_model(optical):
     deltas = np.arange(256, dtype=np.float64)
-    max_delta = int(math.floor(optical.delta_from_depth(optical.thickness)))
+    max_delta = int(math.floor(delta_from_depth(optical, optical.thickness)))
     depths = np.where(deltas <= max_delta,
-                      optical.depth_from_delta(np.minimum(deltas, max_delta)),
+                      depth_from_delta(optical, np.minimum(deltas, max_delta)),
                       optical.thickness)
     depths[0] = 0.0
     return calib.MappingList(depths=depths, max_calibrated=max_delta)
@@ -98,7 +100,7 @@ class TestMapDepth:
         cfg = recon.PipelineConfig(model=model, geom=geom)
         deltas = np.arange(model.max_calibrated + 1, dtype=np.uint8).reshape(1, -1)
         out = recon.map_depth(DifferenceImage(deltas), cfg)
-        expected = optical.depth_from_delta(deltas.astype(float))
+        expected = depth_from_delta(optical, deltas.astype(float))
         assert np.abs(model.depths[deltas] - expected).max() <= 1e-9
         # map_depth looks the float32 table up, exactly.
         assert out.data.dtype == np.float32

@@ -91,13 +91,38 @@ def test_bench_compare_prints_the_traced_layers(tmp_path):
     done = run_script("bench_compare.py", str(record))
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[11] == "  traced layers, seed 11:"
-    layers = {line.split()[0]: line.split()[1:] for line in lines[12:]}
+    start = lines.index("  traced layers, seed 11:")
+    layers = {line.split()[0]: line.split()[1:] for line in lines[start + 1:]}
     assert len(layers) == 29
     assert layers["pose.icp.iterations_per_frame"] == ["3.729", "->", "3.729", "count"]
     assert layers["pose.icp.ms"] == ["8.389", "->", "8.072", "ms"]
     assert layers["recon.gaussian_denoise.ms"] == ["7.396", "->", "1.41", "ms"]
     assert layers["cli.self_ms"] == ["0", "->", "-", "ms"]
+
+
+def test_bench_compare_prints_accuracy_old_to_new():
+    """Each accuracy figure's median and worst run, old -> new, over the
+    seeded runs and on its own line over the held-out runs, before the
+    traced layers; batch_reconstruct has no such figure."""
+    done = run_script("bench_compare.py", str(ROOT / "BENCH_25.json"))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    starts = [i for i, line in enumerate(lines) if line == "  accuracy over the runs:"]
+    workloads = [next(line for line in reversed(lines[:i]) if not line.startswith(" "))
+                 for i in starts]
+    assert [line.split(":")[0] for line in workloads] == ["live_track", "calib_eval"]
+    track, calib = (lines[i + 1:lines.index("  traced layers, seed 11:", i)]
+                    for i in starts)
+    assert [line.split() for line in track] == [
+        ["track_err_deg_max", "seeded", "median", "0.04733", "->", "0.04329,",
+         "worst", "0.06441", "->", "0.06439", "deg"],
+        ["track_err_deg_max", "held-out", "median", "0.06486", "->", "0.05379,",
+         "worst", "0.0692", "->", "0.05515", "deg"]]
+    assert [line.split()[:2] for line in calib] == [
+        ["single_mae_mm", "seeded"], ["single_mae_mm", "held-out"],
+        ["regression_mae_mm", "seeded"], ["regression_mae_mm", "held-out"]]
+    assert calib[0].split()[2:] == ["median", "0.004877", "->", "0.004877,", "worst",
+                                    "0.02229", "->", "0.02229", "mm"]
 
 
 def test_bench_compare_flags_a_change_outside_the_bound():
