@@ -4,11 +4,12 @@
     PYTHONPATH=src python3 scripts/fingerprint.py [--out FINGERPRINT.json]
 
 Every command runs through ``tacsense.cli.main`` in a temporary directory:
-``simulate`` (noisy random presses, noiseless s4 presses and a noisy
-hex-nut sequence), ``calibrate`` (single on the s4 presses, regression on
-the random ones), ``reconstruct`` of both press runs, ``track`` of the
-sequence, ``reconstruct`` of the sequence and ``track --model-cloud`` against
-its first PLY cloud, and ``evaluate`` at noise 0 and 1 on a 240 px crop.
+``simulate`` (noisy random presses, noiseless s4 presses, a noisy
+hex-nut sequence and two noisy frames of each other object kind),
+``calibrate`` (single on the s4 presses, regression on the random ones),
+``reconstruct`` of both press runs, ``track`` of the hex-nut sequence,
+``reconstruct`` of that sequence and ``track --model-cloud`` against its
+first PLY cloud, and ``evaluate`` at noise 0 and 1 on a 240 px crop.
 
 The file holds the SHA-256 of every output file but ``timings.json``, the
 headline numbers (the study's MAEs, each press reconstruction's depth MAE
@@ -46,6 +47,14 @@ SCENARIOS = [
      "--seed", "2"],
     ["simulate", "--out", "{tmp}/runs/nut", "--object", "hex_nut", "--frames", "6",
      "--noise", "1", "--seed", "3"],
+    ["simulate", "--out", "{tmp}/runs/slab", "--object", "slab", "--frames", "2",
+     "--noise", "1", "--seed", "6"],
+    ["simulate", "--out", "{tmp}/runs/ball_array", "--object", "ball_array",
+     "--frames", "2", "--noise", "1", "--seed", "7"],
+    ["simulate", "--out", "{tmp}/runs/star", "--object", "star", "--frames", "2",
+     "--noise", "1", "--seed", "8"],
+    ["simulate", "--out", "{tmp}/runs/set_screw", "--object", "set_screw",
+     "--frames", "2", "--noise", "1", "--seed", "9"],
     ["calibrate", "--run", "{tmp}/runs/s4", "--method", "single",
      "--out", "{tmp}/calib/single"],
     ["calibrate", "--run", "{tmp}/runs/random", "--method", "regression",
