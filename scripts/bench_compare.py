@@ -12,9 +12,12 @@ baseline's quartiles (``statistics.quantiles(values, n=4)``) and how many
 seed-matched pairs of runs the compared record won in the "better"
 direction, ties counting for neither: a gain is claimed only when the
 change wins nine in ten pairs and the medians differ by more than the
-distance between those quartiles. Beside ``frames_per_s_norm`` it prints
-the median raw ``frames_per_s`` figure, since the two can rank trees
-oppositely. Held-out runs are left out, as they are of the record's medians.
+distance between those quartiles. Under some metrics it prints the median
+figures that make them up, old -> new (``PARTS``): the raw ``frames_per_s``
+under ``frames_per_s_norm``, since the two can rank trees oppositely, and
+``import_s`` and ``setup_body_s`` under ``setup_s``, their sum, since import
+time alone moves by up to a third on unchanged code. Held-out runs are left
+out, as they are of the record's medians.
 Then it prints each accuracy figure of ``ACCURACY`` as old -> new: its median
 and its worst (largest) value over the seeded runs, and on a line of their
 own over the held-out runs, so that a gain bought with accuracy shows,
@@ -37,6 +40,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # the simulator's truth.
 ACCURACY = {"live_track": ("track_err_deg_max",),
             "calib_eval": ("single_mae_mm", "regression_mae_mm")}
+# The figures printed under an end-to-end metric: (label, figure).
+PARTS = {"frames_per_s_norm": (("raw frames_per_s", "frames_per_s"),),
+         "setup_s": (("import_s", "import_s"), ("setup_body_s", "setup_body_s"))}
 
 
 def parse_args(argv=None):
@@ -49,7 +55,7 @@ def parse_args(argv=None):
 
 def median(runs: list[dict], kind: str, name: str) -> float | None:
     """Median of one metric or figure over the runs, or None if they lack it
-    (BENCH_14.json holds no raw frames_per_s)."""
+    (BENCH_14.json holds no figures)."""
     values = [run[kind][name] for run in runs if name in run.get(kind, {})]
     return statistics.median(values) if values else None
 
@@ -92,6 +98,7 @@ def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
             raise SystemExit(f"bench_compare: no record labelled {label!r}; "
                              f"the file has {sorted(records)}")
     before, after = records[old], records[new]
+    units = payload.get("units", {})
     lines = [f"{old} {str(before.get('commit'))[:7]} -> "
              f"{new} {str(after.get('commit'))[:7]}"]
     for workload, entry in before["workloads"].items():
@@ -114,12 +121,11 @@ def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
             q1, q3, won, pairs = spread(runs, metric)
             lines.append(f"  {'  ' + old + ' quartiles':<18} {q1:.4g} to {q3:.4g} "
                          f"{metric['unit']}  {new} better in {won} of {pairs} seed pairs")
-            if name == "frames_per_s_norm":
-                a, b = (median(rs, "figures", "frames_per_s") for rs in runs)
+            for label, figure in PARTS.get(name, ()):
+                a, b = (median(rs, "figures", figure) for rs in runs)
                 if a is not None and b is not None:
-                    lines.append(f"  {'  raw frames_per_s':<18} {a:.4g} -> {b:.4g} "
-                                 f"1/s  {(b - a) / a:+.1%}")
-        units = payload.get("units", {})
+                    lines.append(f"  {'  ' + label:<18} {a:.4g} -> {b:.4g} "
+                                 f"{units.get(figure, '')}  {(b - a) / a:+.1%}")
         lines += accuracy((entry, after["workloads"][workload]), workload, units)
         layers = [record["workloads"][workload].get("layers", {}).get("metrics", {})
                   for record in (before, after)]

@@ -11,14 +11,17 @@ workload of ``BENCHMARK.json`` runs through the tree's own
 ``perfbench/run.py`` untraced; the trees take turns running first from one
 seed to the next. Each ``--heldout`` seed then runs the same way on the
 held-out input stream (``perfbench/run.py --heldout``). Then each workload
-runs once traced, on the first seed.
+runs ``TRACED_RUNS`` times traced on the first seed, the trees again taking
+turns to run first, so that a change of the host's speed during the record
+reaches both trees' per-layer figures alike.
 
 The file holds one record per tree: its commit (and whether the checkout
 had uncommitted changes), ``nproc``, the Python, numpy and scipy versions,
 and per workload the median of each gated end-to-end metric over the
 seeds, every run's metrics, figures and failure counts (held-out runs
-apart, outside the medians), and the traced run's per-layer metrics and
-figures. ``units`` gives the unit of each metric and figure.
+apart, outside the medians), every traced run (``traced_runs``) and, in
+``layers``, the median of each of their metrics and figures, with their
+failure counts summed. ``units`` gives the unit of each metric and figure.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3  # per tree and workload; their median rejects one outlier
 
 
 def parse_args(argv=None):
@@ -120,6 +124,18 @@ def flat(result: dict, units: dict) -> dict:
     return record
 
 
+def medians(runs: list[dict]) -> dict:
+    """One record of several runs' records: each metric's and figure's median,
+    and the failure counts summed."""
+    record = {"correct": all(run["correct"] for run in runs),
+              "attempted": sum(run["attempted"] for run in runs),
+              "failed": sum(run["failed"] for run in runs)}
+    for kind in ("metrics", "figures"):
+        record[kind] = {name: statistics.median(run[kind][name] for run in runs)
+                        for name in runs[0][kind]}
+    return record
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -151,9 +167,16 @@ def main(argv=None) -> int:
                                       for k, v in result["metrics"].items()),
                           flush=True)
         for workload in workloads:
-            for label, tree, _, _ in trees:
-                result, _ = run_bench(tree, workload, args.seeds[0], args.seconds, 1)
-                records[label]["workloads"][workload]["layers"] = flat(result, units)
+            traced = {label: [] for label, *_ in trees}
+            for i in range(TRACED_RUNS):
+                for label, tree, _, _ in (trees if i % 2 == 0 else trees[::-1]):
+                    result, _ = run_bench(tree, workload, args.seeds[0], args.seconds, 1)
+                    traced[label].append(flat(result, units))
+                    print(f"{label} {workload} traced run {i + 1} of {TRACED_RUNS}",
+                          flush=True)
+            for label, runs in traced.items():
+                entry = records[label]["workloads"][workload]
+                entry.update(traced_runs=runs, layers=medians(runs))
     for record in records.values():
         for workload, entry in record["workloads"].items():
             entry["median"] = {
@@ -164,7 +187,8 @@ def main(argv=None) -> int:
     payload = {"format": "tacsense-bench-record-v1", "pr": args.pr,
                "settings": {"seeds": args.seeds, "heldout_seeds": args.heldout,
                             "seconds": args.seconds,
-                            "trace_seed": args.seeds[0], "workloads": workloads},
+                            "trace_seed": args.seeds[0], "traced_runs": TRACED_RUNS,
+                            "workloads": workloads},
                "units": units, "records": list(records.values())}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / f"BENCH_{args.pr}.json"

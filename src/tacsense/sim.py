@@ -250,20 +250,37 @@ def reference_image(model: OpticalModel, illum: IlluminationField) -> GrayImage:
     return render_tactile(DepthMap(_seal(np.zeros_like(illum.gains))), model, illum)
 
 
-DepthField = Callable[[np.ndarray, np.ndarray], np.ndarray]
-"""Depth in mm as a function of surface coordinates (x, y) in mm."""
+@dataclass(frozen=True)
+class DepthField:
+    """An object's depth in mm as a function of its coordinates (x, y) in mm.
+
+    `reach` is the radius in mm of the disc about the object's origin outside
+    which the depth is exactly 0.
+    """
+
+    depth: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    reach: float
+
+    def __call__(self, x, y):
+        return self.depth(x, y)
 
 
 def slab_field(depth: float = 0.5, half_size: float = 6.0) -> DepthField:
     def f(x, y):
         inside = (np.abs(x) <= half_size) & (np.abs(y) <= half_size)
         return np.where(inside, depth, 0.0)
-    return f
+    return DepthField(f, half_size * math.sqrt(2.0))
 
 
 def ball_array_field(ball_radius: float = 1.5, d_max: float = 0.8,
                      spacing: float = 5.0, n: int = 3) -> DepthField:
+    # A deeper press would leave d_max - ball_radius > 0 on every pixel.
+    if not 0 < d_max <= ball_radius:
+        raise ValueError(f"press depth {d_max} must be in (0, ball radius {ball_radius}]")
     offsets = (np.arange(n) - (n - 1) / 2.0) * spacing
+    # The farthest ball centre's distance plus a cap's contact radius.
+    reach = (float(np.abs(offsets).max(initial=0.0)) * math.sqrt(2.0)
+             + math.sqrt(d_max * (2.0 * ball_radius - d_max)))
 
     def f(x, y):
         depth = np.zeros_like(x)
@@ -274,7 +291,7 @@ def ball_array_field(ball_radius: float = 1.5, d_max: float = 0.8,
                     np.maximum(ball_radius ** 2 - r2, 0.0))
                 depth = np.maximum(depth, np.maximum(cap, 0.0))
         return depth
-    return f
+    return DepthField(f, reach)
 
 
 def star_field(outer: float = 7.0, inner: float = 3.0, depth: float = 0.8,
@@ -287,7 +304,7 @@ def star_field(outer: float = 7.0, inner: float = 3.0, depth: float = 0.8,
         tri = np.abs(phase - math.pi) / math.pi  # 1 at arm tip, 0 between arms
         boundary = inner + (outer - inner) * tri
         return np.where(r <= boundary, depth, 0.0)
-    return f
+    return DepthField(f, max(inner, outer))
 
 
 def hex_nut_field(across_flats: float = 8.0, hole_radius: float = 2.0,
@@ -304,7 +321,7 @@ def hex_nut_field(across_flats: float = 8.0, hole_radius: float = 2.0,
             proj = np.maximum(proj, nx * x + ny * y)
         inside = (proj <= apothem) & (np.hypot(x, y) >= hole_radius)
         return np.where(inside, depth, 0.0)
-    return f
+    return DepthField(f, apothem / math.cos(math.pi / 6.0))
 
 
 def set_screw_field(diameter: float = 4.0, depth: float = 3.0,
@@ -319,7 +336,8 @@ def set_screw_field(diameter: float = 4.0, depth: float = 3.0,
         cone = np.where((r > radius * (1.0 - tip_frac)) & (r <= radius),
                         np.maximum(ramp, 0.0), 0.0)
         return core + cone
-    return f
+    # The core reaches past the rim only if tip_frac < 0.
+    return DepthField(f, max(radius, radius * (1.0 - tip_frac)))
 
 
 _OBJECT_FIELDS = {
@@ -367,19 +385,58 @@ class SceneFrame:
     in_field: bool
 
 
+# An in-plane map that shrinks some direction by more than this (a tilt past
+# ~89.94 degrees) gives the whole frame, as does a box reaching farther than
+# _MAX_HALF_PX from its centre. Within both, the rounding of the map, of its
+# inverse and of a field's test of its reach stays under 1e-3 px, well inside
+# pixel_box's 2 px margin.
+_MIN_STRETCH = 1e-3
+_MAX_HALF_PX = 1e9
+
+
+def _reach_box(reach: float, inv: Pose, geom: SensorGeometry) -> tuple[slice, slice]:
+    """(rows, cols) of every pixel whose object coordinates under `inv`,
+    a @ (x, y) + b, can lie within `reach` mm of the object's origin: the
+    whole frame if a is near-singular, and never an error."""
+    size, pitch = geom.crop_size, geom.pixel_pitch
+    a, b = inv.rotation[:2, :2], inv.translation[:2]
+    stretch = float(np.linalg.svd(a, compute_uv=False)[-1])
+    # The box holds the disc of radius reach / stretch about a^-1 (-b).
+    half = max(reach, 0.0) / stretch / pitch
+    if not (stretch > _MIN_STRETCH and half < _MAX_HALF_PX):
+        return slice(0, size), slice(0, size)
+    # Solving for b / scale keeps the solution finite; scaled back, a centre
+    # past the largest float is +-inf, which the clip below takes off the frame.
+    scale = max(abs(float(b[0])), abs(float(b[1])), 1.0)
+    with np.errstate(over="ignore"):
+        centre = np.linalg.inv(a) @ (b / -scale) * scale / pitch + size / 2.0
+    # A centre over half + 8 px outside the frame leaves the box empty.
+    u, v = (min(max(float(c), -half - 8.0), size + half + 8.0) for c in centre)
+    return pixel_box(u, v, half, (size, size))
+
+
 def _posed_depth(field: DepthField, pose: Pose, geom: SensorGeometry,
                  thickness: float) -> tuple[DepthMap, bool]:
-    x = surface_axis(geom)
-    y = x[:, None]  # rows broadcast against the columns to the full frame
+    """The posed object's depth map, and whether its contact is non-empty and
+    clear of the frame's border. Only the pixel box of the field's reach is
+    evaluated; every other pixel is 0."""
+    size = geom.crop_size
     inv = pose.inverse()
+    rows, cols = _reach_box(field.reach, inv, geom)
+    axis = surface_axis(geom)
+    x, y = axis[cols], axis[rows, None]  # rows broadcast against the columns
     # In-plane motion: transform surface coordinates back into object frame.
     ox = inv.rotation[0, 0] * x + inv.rotation[0, 1] * y + inv.translation[0]
     oy = inv.rotation[1, 0] * x + inv.rotation[1, 1] * y + inv.translation[1]
-    depth = np.clip(field(ox, oy), 0.0, thickness)
-    contact = depth > 0
+    window = np.clip(field(ox, oy), 0.0, thickness)
+    contact = window > 0
     in_field = bool(contact.any()) and not (
-        contact[0, :].any() or contact[-1, :].any()
-        or contact[:, 0].any() or contact[:, -1].any())
+        (rows.start == 0 and contact[0].any())
+        or (rows.stop == size and contact[-1].any())
+        or (cols.start == 0 and contact[:, 0].any())
+        or (cols.stop == size and contact[:, -1].any()))
+    depth = np.zeros((size, size))
+    depth[rows, cols] = window
     return DepthMap(_seal(depth)), in_field
 
 

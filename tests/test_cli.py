@@ -1296,3 +1296,50 @@ def test_reconstruct_survives_one_mutation(small_press_run, mutation):
 def test_track_survives_one_mutation(small_press_run, small_sequence_run, mutation):
     run_mutated("track", small_sequence_run, small_press_run[1], mutation,
                 RUN_CHOICES | CALIB_CHOICES, ["track_report.json"])
+
+
+# Every RunConfig key, on a 32 px crop with noise, for the simulate mutations.
+SIMULATE_CONFIG = ({f.name: f.default for f in fields(RunConfig)}
+                   | {"crop_size": 32, "noise_sigma": 1.0})
+OBJECT_FRAMES = 2
+OBJECT_OUTPUTS = ["manifest.json", "reference.pgm",
+                  *[f"frame_{i:03d}.{ext}" for i in range(OBJECT_FRAMES)
+                    for ext in ("pgm", "dtd")]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sim.OBJECT_KINDS),
+       key=st.sampled_from(sorted(SIMULATE_CONFIG)),
+       mutation=st.tuples(st.just("delete"), st.none())
+       | st.tuples(st.just("set"), st.sampled_from([None, True, "x", [], {}, 0.5, 3,
+                                                    -1, 1e308, 10 ** 400])))
+@example(kind="hex_nut", key="crop_size", mutation=("set", 3))
+@example(kind="ball_array", key="field_mm", mutation=("set", 1e308))
+def test_simulate_object_survives_one_config_mutation(kind, key, mutation):
+    """`simulate --object` with one config key deleted, of another JSON type,
+    or set to -1, 1e308 or 10**400. Warnings are errors. Either it exits 0
+    with every output and an empty stderr, or it exits 1 with one stderr line
+    naming the config file and writes nothing."""
+    op, value = mutation
+    config = dict(SIMULATE_CONFIG)
+    if op == "delete":
+        del config[key]
+    else:
+        config[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "c.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", "--config", str(path), "--object", kind,
+                             "--frames", str(OBJECT_FRAMES), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            assert [name for name in OBJECT_OUTPUTS if not (out / name).is_file()] == []
+        else:
+            assert code == 1
+            assert len(lines) == 1
+            assert lines[0].startswith(f"tacsense simulate: {path}: ")
+            assert not out.exists()

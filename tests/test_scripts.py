@@ -1,5 +1,6 @@
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,13 @@ def test_bench_record_writes_one_record_per_tree(tmp_path):
     assert entry["heldout_runs"][0]["correct"]
     assert entry["runs"][0]["correct"] and entry["layers"]["correct"]
     assert "calib.detect_contact_circle.ms" in entry["layers"]["metrics"]
+    # Several traced runs, and each layer's median over them.
+    traced = entry["traced_runs"]
+    assert len(traced) == record["settings"]["traced_runs"] >= 3
+    assert all(run["correct"] for run in traced)
+    assert entry["layers"]["attempted"] == sum(run["attempted"] for run in traced)
+    for name, value in entry["layers"]["metrics"].items():
+        assert value == statistics.median(run["metrics"][name] for run in traced)
     assert entry["runs"][0]["figures"]["regression_mae_mm"] > 0
     assert record["units"]["regression_mae_mm"] == "mm"
 
@@ -123,6 +131,20 @@ def test_bench_compare_prints_accuracy_old_to_new():
         ["regression_mae_mm", "seeded"], ["regression_mae_mm", "held-out"]]
     assert calib[0].split()[2:] == ["median", "0.004877", "->", "0.004877,", "worst",
                                     "0.02229", "->", "0.02229", "mm"]
+
+
+def test_bench_compare_splits_setup_into_import_and_body():
+    """Under each workload's setup_s, its two parts' medians, old -> new."""
+    done = run_script("bench_compare.py", str(ROOT / "BENCH_26.json"))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    starts = [i for i, line in enumerate(lines) if line.split()[:1] == ["setup_s"]]
+    assert len(starts) == 3
+    parts = [[line.split() for line in lines[i + 2:i + 4]] for i in starts]
+    assert parts[1] == [["import_s", "0.6513", "->", "0.5868", "s", "-9.9%"],
+                        ["setup_body_s", "0.8632", "->", "0.8205", "s", "-4.9%"]]
+    assert [[part[0] for part in split] for split in parts] == [
+        ["import_s", "setup_body_s"]] * 3
 
 
 def test_bench_compare_flags_a_change_outside_the_bound():

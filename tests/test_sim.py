@@ -19,6 +19,21 @@ def full_frame_sphere(geom, radius, d_max, center):
     return np.maximum(d_max - radius + np.sqrt(np.maximum(radius ** 2 - r2, 0.0)), 0.0)
 
 
+def full_frame_posed_depth(field, pose, geom, thickness):
+    """_posed_depth's field evaluation, clip and contact test on every pixel."""
+    x = surface_axis(geom)
+    y = x[:, None]
+    inv = pose.inverse()
+    ox = inv.rotation[0, 0] * x + inv.rotation[0, 1] * y + inv.translation[0]
+    oy = inv.rotation[1, 0] * x + inv.rotation[1, 1] * y + inv.translation[1]
+    depth = np.clip(field(ox, oy), 0.0, thickness)
+    contact = depth > 0
+    in_field = bool(contact.any()) and not (
+        contact[0, :].any() or contact[-1, :].any()
+        or contact[:, 0].any() or contact[:, -1].any())
+    return depth, in_field
+
+
 def full_frame_render(depth, model, illum, noise_sigma=0.0, rng=None):
     """render_tactile's optical law and rng.normal noise on every pixel."""
     img = illum.gains * model.intensity(depth)
@@ -267,6 +282,103 @@ class TestIllumination:
             ref = sim.reference_image(optical, illum)
             stds[scheme] = image_mean_std(ref)[1]
         assert stds["s4"] >= 3.0 * stds["standard"]
+
+
+# Each object kind's factory parameters, drawn over sizes up to ~3x the defaults.
+SIZES = st.floats(0.05, 20.0)
+FIELD_PARAMS = {
+    "slab": st.fixed_dictionaries({"depth": st.floats(0.01, 3.0),
+                                   "half_size": SIZES}),
+    "ball_array": st.tuples(st.floats(0.1, 6.0), st.floats(1e-3, 1.0)).flatmap(
+        lambda rf: st.fixed_dictionaries({
+            "ball_radius": st.just(rf[0]), "d_max": st.just(rf[0] * rf[1]),
+            "spacing": st.floats(-10.0, 10.0), "n": st.integers(0, 4)})),
+    "star": st.fixed_dictionaries({"outer": SIZES, "inner": SIZES,
+                                   "depth": st.floats(0.01, 3.0),
+                                   "points": st.integers(1, 8)}),
+    "hex_nut": st.fixed_dictionaries({"across_flats": SIZES,
+                                      "hole_radius": st.floats(0.0, 5.0),
+                                      "depth": st.floats(0.01, 3.0),
+                                      "rotation_deg": st.floats(-180.0, 180.0)}),
+    "set_screw": st.fixed_dictionaries({"diameter": SIZES,
+                                        "depth": st.floats(0.01, 5.0),
+                                        "tip_frac": st.floats(-0.5, 1.0).filter(bool)}),
+}
+KIND_PARAMS = st.sampled_from(sim.OBJECT_KINDS).flatmap(
+    lambda kind: st.tuples(st.just(kind), FIELD_PARAMS[kind]))
+# Signed lengths in mm from 0 through the field's border out to 1e308.
+LENGTHS = (st.just(0.0) | st.floats(-15.0, 15.0)
+           | st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 308.0)).map(
+               lambda se: se[0] * 10.0 ** se[1]))
+
+
+def tilted(turn_deg, tilt_deg, spin_deg, translation):
+    """Pose.rot_z(turn) after a tilt about x after Pose.rot_z(spin)."""
+    t = math.radians(tilt_deg)
+    tilt = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(t), -math.sin(t)],
+                     [0.0, math.sin(t), math.cos(t)]])
+    rotation = (Pose.rot_z(turn_deg).rotation @ tilt
+                @ Pose.rot_z(spin_deg).rotation)
+    return Pose(rotation, np.asarray(translation, dtype=np.float64))
+
+
+POSES = (st.builds(Pose.rot_z, st.floats(-360.0, 360.0),
+                   st.tuples(LENGTHS, LENGTHS, LENGTHS))
+         | st.builds(tilted, st.floats(-360.0, 360.0), st.floats(-180.0, 180.0),
+                     st.floats(-360.0, 360.0), st.tuples(LENGTHS, LENGTHS, LENGTHS)))
+
+
+class TestPosedDepth:
+    """Fields are evaluated in the pixel box of their posed reach; the full
+    frame is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(geom=st.sampled_from([SensorGeometry(),
+                                 SensorGeometry(crop_size=61, field_mm=5.0)]),
+           kind_params=KIND_PARAMS, pose=POSES)
+    @example(geom=SensorGeometry(), kind_params=("hex_nut", {}),
+             pose=Pose.rot_z(5.0))
+    @example(geom=SensorGeometry(), kind_params=("slab", {"half_size": 4.0}),
+             pose=Pose.rot_z(0.0, translation=(11.0, 0.0, 0.0)))
+    @example(geom=SensorGeometry(), kind_params=("star", {}),
+             pose=Pose.rot_z(30.0, translation=(-1e308, 1e308, 0.0)))
+    @example(geom=SensorGeometry(), kind_params=("ball_array", {}),
+             pose=tilted(10.0, 90.0, 20.0, (1.0, -2.0, 1e308)))
+    @example(geom=SensorGeometry(), kind_params=("set_screw", {}),
+             pose=tilted(0.0, 89.99, 0.0, (1.0, 2.0, 3.0)))
+    def test_matches_the_full_frame(self, geom, kind_params, pose):
+        kind, params = kind_params
+        field = sim.object_depth_field(kind, **params)
+        # A field evaluated far off the frame may overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            depth, in_field = sim._posed_depth(field, pose, geom, 2.0)
+            expected, expected_in_field = full_frame_posed_depth(field, pose, geom, 2.0)
+        # Bit for bit, so that -0.0 differs from 0.0.
+        assert (depth.data.view(np.int64) == expected.view(np.int64)).all()
+        assert in_field == expected_in_field
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind_params=KIND_PARAMS)
+    def test_zero_just_outside_the_reach(self, kind_params):
+        kind, params = kind_params
+        field = sim.object_depth_field(kind, **params)
+        angle = np.linspace(0.0, 2.0 * math.pi, 3601)
+        radius = field.reach * (1.0 + 1e-9) + np.array([1e-12, 1e-3, 1.0])[:, None]
+        assert np.all(field(radius * np.cos(angle), radius * np.sin(angle)) == 0.0)
+
+    @pytest.mark.parametrize("kind", sim.OBJECT_KINDS)
+    def test_default_reach_is_tight(self, kind):
+        """Each default object touches the 1% band inside its reach."""
+        field = sim.object_depth_field(kind)
+        angle = np.linspace(0.0, 2.0 * math.pi, 3601)
+        radius = field.reach * np.linspace(0.99, 1.0, 11)[:, None]
+        assert np.any(field(radius * np.cos(angle), radius * np.sin(angle)) > 0)
+
+    @pytest.mark.parametrize("d_max", [1.6, 0.0, -0.1, math.nan])
+    def test_ball_array_refuses_a_press_deeper_than_the_ball(self, d_max):
+        with pytest.raises(ValueError, match=re.escape(
+                f"press depth {d_max} must be in (0, ball radius 1.5]")):
+            sim.ball_array_field(ball_radius=1.5, d_max=d_max)
 
 
 class TestSynthObjects:
