@@ -8,6 +8,7 @@ Either one is stored as a JSON calibration file.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -346,20 +347,33 @@ def calibrate_single(diff: DifferenceImage, ball_radius: float,
     return build_mapping_list(diff, truth, circle)
 
 
-def calibrate_regression(diffs: list[DifferenceImage], ball_radius: float,
+def calibrate_regression(diffs: Iterable[DifferenceImage], ball_radius: float,
                          geom: SensorGeometry, scheme: str,
                          rng: np.random.Generator) -> RegressionModel:
-    """Radial regression model from ball presses under an illumination scheme."""
+    """Radial regression model from ball presses under an illumination scheme.
+
+    Each press's contact circle is found as its difference arrives, which
+    draws nothing from `rng`; once `diffs` is exhausted, each press's truth
+    is built and its samples drawn, in press order. A press that fails is
+    named by its index, and the first failure in that order is raised.
+    """
     # The corner-cluster scheme darkens away from its corner, so the radial
     # model is centred there instead of at the image centre.
     if scheme == "s4":
         center = (geom.crop_size - 1.0, 0.0)
     else:
         center = (geom.crop_size / 2.0, geom.crop_size / 2.0)
-    samples = []
-    for i, diff in enumerate(diffs):
+    found = []  # (difference, its circle or the error finding it)
+    for diff in diffs:
         try:
-            circle = detect_contact_circle(diff)
+            found.append((diff, detect_contact_circle(diff)))
+        except (SensorError, ValueError) as exc:  # raised below, in press order
+            found.append((diff, exc))
+    samples = []
+    for i, (diff, circle) in enumerate(found):
+        try:
+            if not isinstance(circle, ContactCircle):
+                raise circle
             truth = analytic_ball_depth(circle, ball_radius, geom)
             samples.append(collect_samples(diff, truth, circle, center, rng))
         except SensorError as exc:

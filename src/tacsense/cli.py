@@ -344,29 +344,31 @@ def run_evaluation(cfg: RunConfig, schemes=sim.SCHEMES) -> dict:
             rig = sim.BallPressRig(geom, model, illum, cfg.noise_sigma,
                                    np.random.default_rng(cfg.seed))
             cell["reference_std"] = image_mean_std(rig.reference)[1]
-
-            def press_diff(ball_radius, placement, avg=1):
-                img, depth, _, _ = rig.press(ball_radius, placement, avg)
-                return recon.difference(rig.reference, img), depth
-
             avg = cfg.frames_per_press
-            single_diff, _ = press_diff(CALIB_BALL_RADIUS, "center", avg)
-            single_model = calibrate_single(single_diff, CALIB_BALL_RADIUS, geom)
-            reg_diffs = [press_diff(CALIB_BALL_RADIUS, "random", avg)[0]
-                         for _ in range(REGRESSION_CALIB_PRESSES)]
-            reg_model = calibrate_regression(reg_diffs, CALIB_BALL_RADIUS, geom,
-                                             scheme, rig.rng)
+            img, _, _, _ = rig.press(CALIB_BALL_RADIUS, "center", avg)
+            single_model = calibrate_single(recon.difference(rig.reference, img),
+                                            CALIB_BALL_RADIUS, geom)
+            # Each press renders on a worker while the one before is handled.
+            with contextlib.closing(rig.presses(
+                    CALIB_BALL_RADIUS, "random", REGRESSION_CALIB_PRESSES,
+                    avg)) as presses:
+                reg_model = calibrate_regression(
+                    (recon.difference(rig.reference, img) for img, *_ in presses),
+                    CALIB_BALL_RADIUS, geom, scheme, rig.rng)
             pipelines = {key: recon.PipelineConfig(model=m, geom=geom,
                                                    sigma=cfg.gaussian_sigma,
                                                    depth_clamp=model.thickness)
                          for key, m in (("single_mae", single_model),
                                         ("regression_mae", reg_model))}
             maes = {key: [] for key in pipelines}
-            for _ in range(TEST_PRESSES):
-                diff, truth = press_diff(TEST_BALL_RADIUS, "random")
-                for key, pipeline in pipelines.items():
-                    error = recon.depth_from_difference(diff, pipeline).data - truth.data
-                    maes[key].append(float(np.abs(error, out=error).mean()))
+            with contextlib.closing(rig.presses(TEST_BALL_RADIUS, "random",
+                                                TEST_PRESSES)) as presses:
+                for img, truth, _, _ in presses:
+                    diff = recon.difference(rig.reference, img)
+                    for key, pipeline in pipelines.items():
+                        error = (recon.depth_from_difference(diff, pipeline).data
+                                 - truth.data)
+                        maes[key].append(float(np.abs(error, out=error).mean()))
             cell.update({key: float(np.mean(errors)) for key, errors in maes.items()})
         except SensorError as exc:
             cell["error"] = f"{type(exc).__name__}: {exc}"

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -244,6 +245,26 @@ class BallPressRig:
                                    thickness=thickness)
         return self._render(depth, count), depth, center, d_max
 
+    def presses(self, ball_radius: float, placement: str, n: int, count: int = 1
+                ) -> Iterator[tuple[GrayImage, DepthMap, tuple[float, float], float]]:
+        """Yield, in order, what `n` calls of `press` would return.
+
+        Press k + 1 renders on one worker thread while the caller handles
+        press k, never more than one ahead; numpy's generator releases the
+        GIL while it draws the noise. While the generator is open, only the
+        worker draws from `rng`. Exhausting or closing it joins the worker;
+        closed early, it has also drawn the press rendered ahead.
+        """
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            def submit():
+                return worker.submit(self.press, ball_radius, placement, count)
+
+            ahead = submit() if n > 0 else None
+            for k in range(n):
+                result = ahead.result()
+                ahead = submit() if k + 1 < n else None
+                yield result
+
 
 def reference_image(model: OpticalModel, illum: IlluminationField) -> GrayImage:
     """Noise-free frame with no contact anywhere."""
@@ -326,18 +347,25 @@ def hex_nut_field(across_flats: float = 8.0, hole_radius: float = 2.0,
 
 def set_screw_field(diameter: float = 4.0, depth: float = 3.0,
                     tip_frac: float = 0.3) -> DepthField:
-    """Cylindrical screw tip with a conical chamfer; depth may exceed the layer."""
+    """Cylindrical screw tip with a conical chamfer; depth may exceed the layer.
+
+    `tip_frac`, the chamfer's share of the radius, lies in (0, 1].
+    """
+    # `not` refuses NaN too; 0 would divide the cone's ramp by zero.
+    if not 0 < tip_frac <= 1:
+        raise ValueError(f"tip fraction {tip_frac} must be in (0, 1]")
     radius = diameter / 2.0
 
     def f(x, y):
         r = np.hypot(x, y)
         core = np.where(r <= radius * (1.0 - tip_frac), depth, 0.0)
-        ramp = depth * (radius - r) / (radius * tip_frac)
-        cone = np.where((r > radius * (1.0 - tip_frac)) & (r <= radius),
-                        np.maximum(ramp, 0.0), 0.0)
+        in_cone = (r > radius * (1.0 - tip_frac)) & (r <= radius)
+        # The ramp lies in [0, depth] in the cone, so it is divided there only:
+        # elsewhere a tiny tip_frac would overflow it.
+        cone = np.divide(depth * (radius - r), radius * tip_frac,
+                         out=np.zeros_like(r), where=in_cone)
         return core + cone
-    # The core reaches past the rim only if tip_frac < 0.
-    return DepthField(f, max(radius, radius * (1.0 - tip_frac)))
+    return DepthField(f, radius)
 
 
 _OBJECT_FIELDS = {

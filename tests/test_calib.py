@@ -370,6 +370,31 @@ class TestCalibrateRegression:
         assert str(exc.value) == (f"press 1: no pixel reaches threshold "
                                   f"{calib.CONTACT_THRESHOLD}")
 
+    def test_first_failure_in_press_order_is_raised(self, geom, optical,
+                                                    standard_illum,
+                                                    standard_reference):
+        """Press 0's truth fails after press 1's circle did: press 0 is named."""
+        diff, _ = press_difference(geom, optical, standard_illum, standard_reference,
+                                   4.0, 1.0)
+        blank = DifferenceImage(np.zeros_like(diff.pixels))
+        with pytest.raises(GeometryError, match=r"^press 0: contact radius .* not "
+                                                r"smaller than ball radius 0\.5$"):
+            calib.calibrate_regression(iter([diff, blank]), 0.5, geom, "standard",
+                                       np.random.default_rng(0))
+
+    def test_a_generator_gives_the_model_of_a_list(self, geom, optical,
+                                                   standard_illum,
+                                                   standard_reference):
+        diffs = [press_difference(geom, optical, standard_illum, standard_reference,
+                                  4.0, d_max, center=(x, -x))[0]
+                 for d_max, x in ((0.8, -3.0), (1.2, 0.0), (1.6, 4.0))]
+        a, b = np.random.default_rng(1), np.random.default_rng(1)
+        from_list = calib.calibrate_regression(diffs, 4.0, geom, "standard", a)
+        from_generator = calib.calibrate_regression((d for d in diffs), 4.0, geom,
+                                                    "standard", b)
+        assert from_generator == from_list
+        assert a.bit_generator.state == b.bit_generator.state
+
 
 class TestFitRegression:
     def test_exact_linear_data_recovered(self):

@@ -6,6 +6,7 @@ import re
 import shutil
 import sys
 import tempfile
+import threading
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tacsense import calib, cli, fileio, sim
 from tacsense.cli import RunConfig
-from tacsense.core import GrayImage, PointCloud, SensorGeometry
+from tacsense.core import DepthMap, GrayImage, PointCloud, SensorError, SensorGeometry
 from tacsense.pose import Pose
 
 
@@ -334,7 +335,65 @@ class TestReconstruct:
         assert np.abs(depth.data - truth.data).mean() <= 0.05
 
 
+def serial_presses(rig, ball_radius, placement, n, count=1):
+    """sim.BallPressRig.presses without the worker: `press` n times in turn."""
+    return (rig.press(ball_radius, placement, count) for _ in range(n))
+
+
+def patch_render_call(monkeypatch, k, replace):
+    """Send sim.render_tactile's k-th call (from 1) to `replace`; the list
+    returned gets threading.active_count() at every call."""
+    render, calls, threads = sim.render_tactile, [0], []
+
+    def patched(depth, *args, **kwargs):
+        calls[0] += 1
+        threads.append(threading.active_count())
+        if calls[0] == k:
+            return replace(render, depth, *args, **kwargs)
+        return render(depth, *args, **kwargs)
+    monkeypatch.setattr(sim, "render_tactile", patched)
+    return threads
+
+
+def render_fails(render, depth, *args, **kwargs):
+    raise SensorError("render failed")
+
+
+def render_no_contact(render, depth, *args, **kwargs):
+    return render(DepthMap(np.zeros_like(depth.data)), *args, **kwargs)
+
+
 class TestEvaluate:
+    # A scheme renders its reference (8 frames when noisy), the single press,
+    # then 30 regression and 20 test presses.
+    @pytest.mark.parametrize("noise_sigma, call, replace, error", [
+        (1.0, 8 + 1 + 6, render_fails, "SensorError: render failed"),
+        (1.0, 8 + 1 + 30 + 6, render_fails, "SensorError: render failed"),
+        (0.0, 1 + 1 + 8, render_no_contact,
+         f"NoContactError: press 7: no pixel reaches threshold "
+         f"{calib.CONTACT_THRESHOLD}"),
+    ])
+    def test_a_failed_press_reads_as_in_serial_and_leaves_no_thread(
+            self, monkeypatch, noise_sigma, call, replace, error):
+        cfg = RunConfig(crop_size=120, raw_width=120, raw_height=120,
+                        noise_sigma=noise_sigma)
+        alone = cli.run_evaluation(cfg, schemes=("s2",))["schemes"]["s2"]
+        assert "error" not in alone
+        threads = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(sim.BallPressRig, "presses", serial_presses)
+            patch_render_call(patch, call, replace)
+            serial = cli.run_evaluation(cfg, schemes=("standard", "s2"))
+        seen = patch_render_call(monkeypatch, call, replace)
+        report = cli.run_evaluation(cfg, schemes=("standard", "s2"))
+        assert threading.active_count() == threads
+        assert max(seen) == threads + 1  # one worker, and only one
+        assert report == serial
+        cell = report["schemes"]["standard"]
+        assert set(cell) == {"reference_std", "error"}
+        assert cell["error"] == error
+        assert report["schemes"]["s2"] == alone
+
     def test_report_structure_and_determinism(self):
         cfg = RunConfig(seed=3)
         a = cli.run_evaluation(cfg, schemes=("standard",))

@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +210,51 @@ class TestBallPressRig:
         with pytest.raises(ValueError, match="unknown placement 'corner'"):
             rig.press(4.0, "corner")
 
+    @pytest.mark.parametrize("noise_sigma, count", [(0.0, 1), (1.0, 1), (1.0, 2)])
+    def test_presses_match_press(self, geom, optical, standard_illum,
+                                 noise_sigma, count):
+        rig, twin = (sim.BallPressRig(geom, optical, standard_illum, noise_sigma,
+                                      np.random.default_rng(7)) for _ in range(2))
+        expected = [twin.press(4.0, "random", count) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads take turns far more often
+        try:
+            got = list(rig.presses(4.0, "random", 4, count))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == len(expected)
+        for (image, depth, center, d_max), want in zip(got, expected):
+            assert image.pixels.dtype == want[0].pixels.dtype
+            assert image.pixels.tobytes() == want[0].pixels.tobytes()
+            assert depth.data.tobytes() == want[1].data.tobytes()
+            assert (center, d_max) == want[2:]
+        assert rig.rng.bit_generator.state == twin.rng.bit_generator.state
+
+    @pytest.mark.parametrize("stop", [0, 2, 4])
+    def test_closing_presses_early_joins_the_worker(self, geom, optical,
+                                                    standard_illum, stop):
+        threads = threading.active_count()
+        rig, twin = (sim.BallPressRig(geom, optical, standard_illum, 1.0,
+                                      np.random.default_rng(7)) for _ in range(2))
+        presses = rig.presses(4.0, "random", 5)
+        for k, _ in enumerate(presses):
+            assert threading.active_count() == threads + 1
+            if k == stop:
+                break
+        presses.close()
+        assert threading.active_count() == threads
+        # The press rendered ahead, if any, has drawn from the generator too.
+        for _ in range(min(stop + 2, 5)):
+            twin.press(4.0, "random")
+        assert rig.rng.bit_generator.state == twin.rng.bit_generator.state
+
+    def test_no_presses_start_no_worker(self, geom, optical, uniform_illum):
+        rig = sim.BallPressRig(geom, optical, uniform_illum, 0.0,
+                               np.random.default_rng(0))
+        threads = threading.active_count()
+        assert list(rig.presses(4.0, "random", 0)) == []
+        assert threading.active_count() == threads
+
 
 class TestIllumination:
     def test_max_gain_is_one(self):
@@ -302,7 +350,7 @@ FIELD_PARAMS = {
                                       "rotation_deg": st.floats(-180.0, 180.0)}),
     "set_screw": st.fixed_dictionaries({"diameter": SIZES,
                                         "depth": st.floats(0.01, 5.0),
-                                        "tip_frac": st.floats(-0.5, 1.0).filter(bool)}),
+                                        "tip_frac": st.floats(0.0, 1.0, exclude_min=True)}),
 }
 KIND_PARAMS = st.sampled_from(sim.OBJECT_KINDS).flatmap(
     lambda kind: st.tuples(st.just(kind), FIELD_PARAMS[kind]))
@@ -396,6 +444,19 @@ class TestSynthObjects:
     def test_set_screw_clamped_to_layer(self, geom):
         depth = sim.synth_object_depth("set_screw", geom, thickness=2.0, depth=5.0)
         assert depth.data.max() == 2.0
+
+    @pytest.mark.parametrize("tip_frac", [0.0, -0.1, 1.5, math.nan])
+    def test_set_screw_refuses_a_tip_fraction_outside_0_1(self, tip_frac):
+        with pytest.raises(ValueError, match=re.escape(
+                f"tip fraction {tip_frac} must be in (0, 1]")):
+            sim.set_screw_field(tip_frac=tip_frac)
+
+    @pytest.mark.parametrize("tip_frac", [5e-324, 1e-9, 0.3, 1.0])
+    def test_set_screw_with_a_valid_tip_fraction_warns_nothing(self, geom, tip_frac):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            depth = sim.synth_object_depth("set_screw", geom, tip_frac=tip_frac)
+        assert depth.data.max() > 0
 
     def test_unknown_kind_rejected(self, geom):
         with pytest.raises(ValueError):
