@@ -351,7 +351,7 @@ def set_screw_field(diameter: float = 4.0, depth: float = 3.0,
 
     `tip_frac`, the chamfer's share of the radius, lies in (0, 1].
     """
-    # `not` refuses NaN too; 0 would divide the cone's ramp by zero.
+    # `not` refuses NaN too.
     if not 0 < tip_frac <= 1:
         raise ValueError(f"tip fraction {tip_frac} must be in (0, 1]")
     radius = diameter / 2.0
