@@ -291,15 +291,20 @@ def staged_output(out_dir: Path):
 
     If it fails, the file tree is left as it was: none of the block's files
     appear in `out_dir`, and the directories created for them, `out_dir` and
-    its missing parents, are removed again.
+    its missing parents, are removed again. A file whose name is taken by a
+    directory in `out_dir` is refused before any file moves.
     """
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
     try:
         yield stage
-        for path in stage.iterdir():
-            os.replace(path, out_dir / path.name)
+        names = [path.name for path in stage.iterdir()]
+        for name in names:  # os.replace cannot put a file over a directory
+            if (out_dir / name).is_dir() and not (out_dir / name).is_symlink():
+                raise SensorError(f"{out_dir / name}: is a directory")
+        for name in names:
+            os.replace(stage / name, out_dir / name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
         for directory in created:  # deepest first

@@ -321,7 +321,7 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path) -> dict:
-    """A strict JSON file holding one object: NaN, Infinity and numbers that
+    """A strict UTF-8 JSON file holding one object: NaN, Infinity and numbers that
     overflow a float (1e999) are refused."""
     def finite(text: str) -> float:
         if not math.isfinite(value := float(text)):
@@ -329,10 +329,14 @@ def read_json(path) -> dict:
         return value
 
     try:
-        payload = json.loads(Path(path).read_text(), parse_float=finite,
-                             parse_constant=finite)
+        payload = json.loads(Path(path).read_text(encoding="utf-8"),
+                             parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object, "
                           f"got {type(payload).__name__}")

@@ -127,6 +127,24 @@ def uniform_illumination(crop_size: int) -> IlluminationField:
     return IlluminationField(gains=_seal(np.ones((crop_size, crop_size))))
 
 
+# A reach of this many pixels or more gives the whole frame.
+_MAX_HALF_PX = 1e6
+
+
+def _reach_box(reach: float, origin, geom: SensorGeometry) -> tuple[slice, slice]:
+    """(rows, cols) of every pixel within `reach` mm of `origin` = (x, y) mm,
+    from `pixel_box`; the whole frame for a reach of _MAX_HALF_PX or more."""
+    size, pitch = geom.crop_size, geom.pixel_pitch
+    half = max(reach, 0.0) / pitch
+    if not half < _MAX_HALF_PX:
+        return slice(0, size), slice(0, size)
+    # Python floats overflow to +-inf with no warning; a centre over half + 8 px
+    # outside the frame leaves the box empty.
+    u, v = (min(max(float(c) / pitch + size / 2.0, -half - 8.0), size + half + 8.0)
+            for c in origin)
+    return pixel_box(u, v, half, (size, size))
+
+
 def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
                        center: tuple[float, float] = (0.0, 0.0),
                        thickness: float | None = None) -> DepthMap:
@@ -144,15 +162,11 @@ def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
     half = geom.field_mm / 2.0
     if not (-half <= center[0] <= half and -half <= center[1] <= half):
         raise ValueError(f"press center {center} outside sensing field")
-    pitch = geom.pixel_pitch
-    contact_px = math.sqrt(2.0 * radius * d_max - d_max ** 2) / pitch
-    size = geom.crop_size
-    rows, cols = pixel_box(center[0] / pitch + size / 2.0,
-                           center[1] / pitch + size / 2.0, contact_px, (size, size))
+    rows, cols = _reach_box(math.sqrt(2.0 * radius * d_max - d_max ** 2), center, geom)
     axis = surface_axis(geom)
     r2 = (axis[cols] - center[0]) ** 2 + ((axis[rows] - center[1]) ** 2)[:, None]
     cap = d_max - radius + np.sqrt(np.maximum(radius ** 2 - r2, 0.0))
-    depth = np.zeros((size, size))
+    depth = np.zeros((geom.crop_size,) * 2)
     depth[rows, cols] = np.maximum(cap, 0.0)
     return DepthMap(_seal(depth))
 
@@ -413,36 +427,6 @@ class SceneFrame:
     in_field: bool
 
 
-# An in-plane map that shrinks some direction by more than this (a tilt past
-# ~89.94 degrees) gives the whole frame, as does a box reaching farther than
-# _MAX_HALF_PX from its centre. Within both, the rounding of the map, of its
-# inverse and of a field's test of its reach stays under 1e-3 px, well inside
-# pixel_box's 2 px margin.
-_MIN_STRETCH = 1e-3
-_MAX_HALF_PX = 1e9
-
-
-def _reach_box(reach: float, inv: Pose, geom: SensorGeometry) -> tuple[slice, slice]:
-    """(rows, cols) of every pixel whose object coordinates under `inv`,
-    a @ (x, y) + b, can lie within `reach` mm of the object's origin: the
-    whole frame if a is near-singular, and never an error."""
-    size, pitch = geom.crop_size, geom.pixel_pitch
-    a, b = inv.rotation[:2, :2], inv.translation[:2]
-    stretch = float(np.linalg.svd(a, compute_uv=False)[-1])
-    # The box holds the disc of radius reach / stretch about a^-1 (-b).
-    half = max(reach, 0.0) / stretch / pitch
-    if not (stretch > _MIN_STRETCH and half < _MAX_HALF_PX):
-        return slice(0, size), slice(0, size)
-    # Solving for b / scale keeps the solution finite; scaled back, a centre
-    # past the largest float is +-inf, which the clip below takes off the frame.
-    scale = max(abs(float(b[0])), abs(float(b[1])), 1.0)
-    with np.errstate(over="ignore"):
-        centre = np.linalg.inv(a) @ (b / -scale) * scale / pitch + size / 2.0
-    # A centre over half + 8 px outside the frame leaves the box empty.
-    u, v = (min(max(float(c), -half - 8.0), size + half + 8.0) for c in centre)
-    return pixel_box(u, v, half, (size, size))
-
-
 def _posed_depth(field: DepthField, pose: Pose, geom: SensorGeometry,
                  thickness: float) -> tuple[DepthMap, bool]:
     """The posed object's depth map, and whether its contact is non-empty and
@@ -450,7 +434,13 @@ def _posed_depth(field: DepthField, pose: Pose, geom: SensorGeometry,
     evaluated; every other pixel is 0."""
     size = geom.crop_size
     inv = pose.inverse()
-    rows, cols = _reach_box(field.reach, inv, geom)
+    # A rotation whose last row is (0, 0, +-1) exactly, as every product of
+    # Pose.rot_z turns, maps the object's (x, y) from the pixel's by its in-plane
+    # block alone, whatever the translation's z. Orthonormal to 1e-9, that block
+    # keeps the reach disc about translation[:2] to ~1e-9 of its radius: under
+    # 1e-2 px below _MAX_HALF_PX. Any other pose gets the whole frame.
+    rows, cols = _reach_box(math.inf if pose.rotation[2, :2].any() else field.reach,
+                            pose.translation[:2], geom)
     axis = surface_axis(geom)
     x, y = axis[cols], axis[rows, None]  # rows broadcast against the columns
     # In-plane motion: transform surface coordinates back into object frame.

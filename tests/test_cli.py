@@ -1021,6 +1021,50 @@ class TestMain:
         assert cli.main(["simulate", "--out", str(out), "--presses", "1"]) == 0
         assert (out / "manifest.json").exists()
 
+    def test_a_directory_in_the_way_leaves_the_output_as_it_was(
+            self, small_press_run, tmp_path, capsys):
+        run_dir, calib_path = small_press_run
+        out = tmp_path / "out"
+        (out / "depth_000.dtd").mkdir(parents=True)
+        (out / "depth_000.dtd" / "inner.txt").write_text("inner")
+        (out / "cloud_000.ply").write_text("kept")
+
+        def tree():
+            return {p.relative_to(tmp_path): p.is_dir() or p.read_bytes()
+                    for p in tmp_path.rglob("*")}
+
+        before = tree()
+        code = cli.main(["reconstruct", "--run", str(run_dir), "--calib",
+                         str(calib_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"tacsense reconstruct: {out / 'depth_000.dtd'}: is a directory\n")
+        assert tree() == before
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "not UTF-8 at byte 0"),
+        (b'{"seed": 1, "note": "caf\xe9"}', "not UTF-8 at byte 24"),
+        (b"[" * 200_000, "JSON nested too deeply"),
+    ], ids=["utf16_bom", "latin1_byte", "deep_nesting"])
+    @pytest.mark.parametrize("role", ["config", "manifest", "calib"])
+    def test_undecodable_json_exit_one_naming_the_file(
+            self, small_press_run, tmp_path, capsys, role, content, message):
+        run_dir, calib_path = small_press_run
+        if role == "manifest":
+            run_dir = shutil.copytree(run_dir, tmp_path / "run")
+            bad = run_dir / "manifest.json"
+        else:
+            bad = tmp_path / f"{role}.json"
+        if role == "calib":
+            calib_path = bad
+        bad.write_bytes(content)
+        config_args = ["--config", str(bad)] if role == "config" else []
+        code = cli.main(["reconstruct", *config_args, "--run", str(run_dir),
+                         "--calib", str(calib_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"tacsense reconstruct: {bad}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestFlags:
     """Each command takes only the flags it reads; argparse refuses the rest."""

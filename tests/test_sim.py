@@ -87,6 +87,8 @@ class TestWindowedPress:
            radius=st.floats(0.01, 8.0), frac=st.floats(1e-3, 1.0))
     @example(geom=SensorGeometry(), fx=1.0, fy=-1.0, radius=4.0, frac=1.0)
     @example(geom=SensorGeometry(), fx=-1.0, fy=0.0, radius=6.0, frac=0.5)
+    @example(geom=SensorGeometry(crop_size=61, field_mm=5.0), fx=-1.0, fy=-1.0,
+             radius=8.0, frac=1.0)
     def test_sphere_matches_full_frame(self, geom, fx, fy, radius, frac):
         center = (fx * geom.field_mm / 2.0, fy * geom.field_mm / 2.0)
         d_max = frac * radius
@@ -394,6 +396,13 @@ class TestPosedDepth:
              pose=tilted(10.0, 90.0, 20.0, (1.0, -2.0, 1e308)))
     @example(geom=SensorGeometry(), kind_params=("set_screw", {}),
              pose=tilted(0.0, 89.99, 0.0, (1.0, 2.0, 3.0)))
+    @example(geom=SensorGeometry(), kind_params=("hex_nut", {}),
+             pose=Pose.rot_z(17.0).compose(Pose.rot_z(-43.0)).compose(
+                 Pose.rot_z(101.0, translation=(3.0, -2.5, 7.0))))
+    @example(geom=SensorGeometry(), kind_params=("star", {}),
+             pose=Pose(np.diag([1.0, -1.0, -1.0]), np.array([2.0, -1.0, 0.5])))
+    @example(geom=SensorGeometry(), kind_params=("hex_nut", {}),
+             pose=tilted(0.0, 1e-7, 0.0, (0.0, 0.0, 3e9)))
     def test_matches_the_full_frame(self, geom, kind_params, pose):
         kind, params = kind_params
         field = sim.object_depth_field(kind, **params)
