@@ -401,6 +401,8 @@ class TestPosedDepth:
                  Pose.rot_z(101.0, translation=(3.0, -2.5, 7.0))))
     @example(geom=SensorGeometry(), kind_params=("star", {}),
              pose=Pose(np.diag([1.0, -1.0, -1.0]), np.array([2.0, -1.0, 0.5])))
+    # R[2, 2] is exactly 1 here, but the tilt carries the translation's z
+    # ~5 mm across the plane.
     @example(geom=SensorGeometry(), kind_params=("hex_nut", {}),
              pose=tilted(0.0, 1e-7, 0.0, (0.0, 0.0, 3e9)))
     def test_matches_the_full_frame(self, geom, kind_params, pose):
