@@ -9,7 +9,8 @@ hex-nut sequence and two noisy frames of each other object kind),
 ``calibrate`` (single on the s4 presses, regression on the random ones),
 ``reconstruct`` of both press runs, ``track`` of the hex-nut sequence,
 ``reconstruct`` of that sequence and ``track --model-cloud`` against its
-first PLY cloud, and ``evaluate`` at noise 0 and 1 on a 240 px crop.
+first PLY cloud, then against that cloud's contact points rewritten as an
+ASCII PLY, and ``evaluate`` at noise 0 and 1 on a 240 px crop.
 
 The file holds the SHA-256 of every output file but ``timings.json``, the
 headline numbers (the study's MAEs, each press reconstruction's depth MAE
@@ -39,7 +40,19 @@ from tacsense.core import Pose
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (argv of tacsense, with {tmp} for the scenario directory), in order.
+
+def write_ascii_model(tmp: Path) -> None:
+    """The contact points (z < 0) of recon/nut/cloud_000.ply as nut_ascii.ply,
+    in `format ascii 1.0` with each value written by repr."""
+    points = fileio.read_ply(tmp / "recon/nut/cloud_000.ply").points
+    rows = [" ".join(map(repr, p)) + "\n" for p in points[points[:, 2] < 0].tolist()]
+    header = (f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n"
+              "property float x\nproperty float y\nproperty float z\nend_header\n")
+    (tmp / "nut_ascii.ply").write_text(header + "".join(rows))
+
+
+# (argv of tacsense, with {tmp} for the scenario directory, or a step that
+# writes an input into that directory), in order.
 SCENARIOS = [
     ["simulate", "--out", "{tmp}/runs/random", "--presses", "3",
      "--placement", "random", "--noise", "1", "--seed", "1"],
@@ -71,6 +84,10 @@ SCENARIOS = [
     ["track", "--run", "{tmp}/runs/nut",
      "--calib", "{tmp}/calib/regression/calibration.json",
      "--model-cloud", "{tmp}/recon/nut/cloud_000.ply", "--out", "{tmp}/track/nut_ply"],
+    write_ascii_model,
+    ["track", "--run", "{tmp}/runs/nut",
+     "--calib", "{tmp}/calib/regression/calibration.json",
+     "--model-cloud", "{tmp}/nut_ascii.ply", "--out", "{tmp}/track/nut_ascii"],
     ["evaluate", "--out", "{tmp}/eval/noise0", "--seed", "5",
      "--config", "{tmp}/small.json"],
     ["evaluate", "--out", "{tmp}/eval/noise1", "--seed", "5", "--noise", "1",
@@ -83,6 +100,9 @@ def run_scenarios(tmp: Path) -> None:
     for name, values in CONFIGS.items():
         (tmp / name).write_text(json.dumps(values))
     for argv in SCENARIOS:
+        if callable(argv):
+            argv(tmp)
+            continue
         argv = [arg.format(tmp=tmp) for arg in argv]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -102,16 +122,22 @@ def depth_mae(run: Path, recon: Path) -> float:
 
 def track_error_deg(run: Path, report: Path) -> float:
     """Largest error of the tracked rotation relative to frame 0, modulo the
-    hex nut's symmetry."""
+    hex nut's symmetry; the report's own worst `angle_err_deg` must equal it."""
     def angle(values):
         v = np.asarray(values, dtype=np.float64)
         return Pose(v[:9].reshape(3, 3), v[9:12]).z_angle_deg()
 
     truth = [angle(f["pose"]) for f in fileio.read_json(run / "manifest.json")["frames"]]
-    tracked = [angle(f["pose"]) for f in fileio.read_json(report)["frames"]]
+    frames = fileio.read_json(report)["frames"]
+    tracked = [angle(f["pose"]) for f in frames]
     symmetry = sim.OBJECT_SYMMETRY_DEG["hex_nut"]
-    return max(abs((est - (true - truth[0]) + symmetry / 2.0) % symmetry - symmetry / 2.0)
-               for est, true in zip(tracked, truth))
+    worst = max(abs((est - (true - truth[0]) + symmetry / 2.0) % symmetry - symmetry / 2.0)
+                for est, true in zip(tracked, truth))
+    reported = max(f["angle_err_deg"] for f in frames)
+    if reported != worst:
+        raise SystemExit(f"fingerprint: {report}: worst angle_err_deg {reported}, "
+                         f"scored here {worst}")
+    return worst
 
 
 def headline(tmp: Path) -> dict:
@@ -138,7 +164,7 @@ def fingerprint() -> dict:
                  hashlib.sha256(path.read_bytes()).hexdigest()
                  for path in sorted(tmp.rglob("*"))
                  if path.is_file() and path.name != "timings.json"
-                 and path.name not in CONFIGS}
+                 and path.parent != tmp}  # the inputs this script writes
         numbers = headline(tmp)
     return {"format": "tacsense-fingerprint-v1",
             "versions": {"python": platform.python_version(),

@@ -178,7 +178,8 @@ def _pose_from_list(values: list[float]) -> Pose:
 
 # The keys each kind of run adds to those every run manifest needs.
 _KIND_FIELDS = {"presses": {"ball_radius_mm": "number > 0 whose square is finite",
-                            "scheme": sim.SCHEMES}, "sequence": {}}
+                            "scheme": sim.SCHEMES},
+                "sequence": {"object": sim.OBJECT_KINDS}}
 _MANIFEST_FIELDS = {
     "format": (RUN_FORMAT,), "frames": "list", "reference": "path inside the run",
     "kind": tuple(_KIND_FIELDS), "geometry": "object", "optical": "object",
@@ -425,14 +426,23 @@ def cmd_track(cfg: RunConfig, run_dir: Path, calib_path: Path, out_dir: Path,
                           f"need at least 3")
     reports = track_pose(clouds, model_cloud)
     # An empty frame's rmse is infinite, which JSON cannot hold: it is null.
-    payload = {"format": "tacsense-track-v1",
-               "frames": [{"pose": _pose_to_list(r.pose),
-                           "rmse": r.rmse if math.isfinite(r.rmse) else None,
-                           "iterations": r.iterations, "plane_steps": r.plane_steps,
-                           "svd_steps": r.svd_steps, "converged": r.converged,
-                           "stop": r.stop,
-                           "inlier_fraction": r.inlier_fraction}
-                          for r in reports]}
+    frames = [{"pose": _pose_to_list(r.pose),
+               "rmse": r.rmse if math.isfinite(r.rmse) else None,
+               "iterations": r.iterations, "plane_steps": r.plane_steps,
+               "svd_steps": r.svd_steps, "converged": r.converged, "stop": r.stop,
+               "inlier_fraction": r.inlier_fraction} for r in reports]
+    if run.manifest["kind"] == "sequence":
+        # Error against the true pose relative to frame 0's, where the model
+        # sits; the angle modulo the object's symmetry, none if axisymmetric.
+        truth = [_pose_from_list(f["pose"]) for f in run.manifest["frames"]]
+        start, s = truth[0], sim.OBJECT_SYMMETRY_DEG[run.manifest["object"]]
+        for frame, r, true in zip(frames, reports, truth):
+            turn = r.pose.z_angle_deg() - (true.z_angle_deg() - start.z_angle_deg())
+            shift = r.pose.translation - true.compose(start.inverse()).translation
+            frame["angle_err_deg"] = (None if s is None
+                                      else abs((turn + s / 2) % s - s / 2))
+            frame["shift_err_mm"] = float(np.linalg.norm(shift))
+    payload = {"format": "tacsense-track-v1", "frames": frames}
     fileio.write_json(out_dir / "track_report.json", payload)
     return payload
 

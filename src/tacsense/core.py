@@ -113,10 +113,11 @@ class GrayImage(_Raster):
 
     @classmethod
     def from_float(cls, arr: np.ndarray) -> "GrayImage":
-        """Round and clamp a float array into [0, 255]."""
-        out = np.round(arr)
-        np.clip(out, 0, 255, out=out)
-        return cls(_seal(out.astype(np.uint8)))
+        """Round and clamp a float array into [0, 255], in place: the array
+        must be fresh, one that no one else holds."""
+        np.round(arr, out=arr)
+        np.clip(arr, 0, 255, out=arr)
+        return cls(_seal(arr.astype(np.uint8)))
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,14 @@ def _reach_box(reach: float, origin, geom: SensorGeometry) -> tuple[slice, slice
     return pixel_box(u, v, half, (size, size))
 
 
+def _check_press_depth(radius: float, d_max: float) -> None:
+    """Refuse a ball whose square overflows, and a press deeper than the ball."""
+    if not math.isfinite(radius * radius):
+        raise ValueError(f"ball radius {radius} must be a number whose square is finite")
+    if not 0 < d_max <= radius:  # refuses NaN too
+        raise ValueError(f"press depth {d_max} must be in (0, ball radius {radius}]")
+
+
 def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
                        center: tuple[float, float] = (0.0, 0.0),
                        thickness: float | None = None) -> DepthMap:
@@ -155,8 +163,7 @@ def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
     evaluated only in the circle's bounding box (plus a margin); every pixel
     outside it is 0 in the formula too.
     """
-    if d_max <= 0 or d_max > radius:
-        raise ValueError(f"press depth {d_max} must be in (0, ball radius {radius}]")
+    _check_press_depth(radius, d_max)
     if thickness is not None and d_max > thickness:
         raise ValueError(f"press depth {d_max} exceeds layer thickness {thickness}")
     half = geom.field_mm / 2.0
@@ -187,27 +194,21 @@ def render_tactile(depth: DepthMap, model: OpticalModel, illum: IlluminationFiel
         raise ValueError("depth exceeds the layer thickness of the optical model")
     if noise_sigma > 0 and rng is None:
         raise ValueError(f"noise_sigma {noise_sigma} needs a seeded rng")
-    box = window = None
-    if peak > 0:
-        box = mask_box(depth.data != 0)
-        window = illum.gains[box] * model.intensity(depth.data[box])
+    # With no contact the box is empty, and so is every step on its window.
+    box = mask_box(depth.data != 0) if peak > 0 else (slice(0, 0),) * 2
+    window = illum.gains[box] * model.intensity(depth.data[box])
     flat = illum.flat_frame(model)
     if noise_sigma > 0:
         # rng.normal(0, noise_sigma)'s values and stream position, drawn
         # without its per-sample loc/scale arithmetic.
         img = rng.standard_normal(flat.shape)
         img *= noise_sigma
-        if box is not None:
-            window += img[box]
+        window += img[box]
         img += flat
     else:
         img = flat.copy()
-    if box is not None:
-        img[box] = window
-    # GrayImage.from_float, rounding in place.
-    np.round(img, out=img)
-    np.clip(img, 0, 255, out=img)
-    return GrayImage(_seal(img.astype(np.uint8)))
+    img[box] = window
+    return GrayImage.from_float(img)
 
 
 @dataclass
@@ -309,9 +310,7 @@ def slab_field(depth: float = 0.5, half_size: float = 6.0) -> DepthField:
 
 def ball_array_field(ball_radius: float = 1.5, d_max: float = 0.8,
                      spacing: float = 5.0, n: int = 3) -> DepthField:
-    # A deeper press would leave d_max - ball_radius > 0 on every pixel.
-    if not 0 < d_max <= ball_radius:
-        raise ValueError(f"press depth {d_max} must be in (0, ball radius {ball_radius}]")
+    _check_press_depth(ball_radius, d_max)
     offsets = (np.arange(n) - (n - 1) / 2.0) * spacing
     # The farthest ball centre's distance plus a cap's contact radius.
     reach = (float(np.abs(offsets).max(initial=0.0)) * math.sqrt(2.0)

@@ -183,7 +183,7 @@ class TestRunConfig:
         with pytest.raises(fileio.FormatError) as from_config:
             RunConfig(**{key: value})
         manifest = {"format": cli.RUN_FORMAT, "frames": [{"image": "f.pgm"}],
-                    "reference": "r.pgm", "kind": "sequence",
+                    "reference": "r.pgm", "kind": "sequence", "object": "hex_nut",
                     "geometry": asdict(SensorGeometry()),
                     "optical": asdict(sim.OpticalModel())}
         manifest[section][key] = value
@@ -425,16 +425,24 @@ class TestEvaluate:
 
 
 class TestTrack:
-    def test_static_sequence_tracks_identity(self, single_calib, tmp_path):
+    @pytest.mark.parametrize("kind, n_frames", [("hex_nut", 3), ("set_screw", 2)])
+    def test_static_sequence_tracks_identity(self, single_calib, tmp_path, kind,
+                                             n_frames):
         seq = tmp_path / "seq"
         seq.mkdir()
-        cli.cmd_simulate(RunConfig(), seq, object_kind="hex_nut",
-                         n_frames=3, step_deg=0.0)
+        cli.cmd_simulate(RunConfig(), seq, object_kind=kind,
+                         n_frames=n_frames, step_deg=0.0)
         out = tmp_path / "track"
         out.mkdir()
         payload = cli.cmd_track(RunConfig(), seq, single_calib, out)
-        assert len(payload["frames"]) == 3
+        assert len(payload["frames"]) == n_frames
         for frame in payload["frames"]:
+            # The set screw is axisymmetric: no turn of it can be told apart.
+            if kind == "set_screw":
+                assert frame["angle_err_deg"] is None
+            else:
+                assert frame["angle_err_deg"] <= 1e-4
+            assert frame["shift_err_mm"] <= 1e-4
             assert frame["converged"] and frame["stop"] in ("settled", "score_rose")
             assert frame["inlier_fraction"] == 1.0
             assert frame["plane_steps"] + frame["svd_steps"] == frame["iterations"]
@@ -488,7 +496,9 @@ class TestTrack:
         truth = [pose_from_list(f["pose"]).z_angle_deg() for f in manifest["frames"]]
         for frame, true in zip(payload["frames"], truth):
             tracked = pose_from_list(frame["pose"]).z_angle_deg()
-            assert abs((tracked - (true - truth[0]) + 30.0) % 60.0 - 30.0) <= 0.1
+            error = abs((tracked - (true - truth[0]) + 30.0) % 60.0 - 30.0)
+            assert error <= 0.1
+            assert frame["angle_err_deg"] == error
 
 
 class TestMain:
@@ -724,19 +734,25 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["reconstruct", "track"])
     @pytest.mark.parametrize("edit, message", [
-        (lambda f: f[0].update(pose="x"),
+        (lambda m: m["frames"][0].update(pose="x"),
          "frames[0].pose: expected numbers, got str 'x'"),
-        (lambda f: f[1].pop("pose"), "frames[1].pose: missing"),
-        (lambda f: f[1].update(pose=f[1]["pose"][:11]),
+        (lambda m: m["frames"][1].pop("pose"), "frames[1].pose: missing"),
+        (lambda m: m["frames"][1].update(pose=m["frames"][1]["pose"][:11]),
          "frames[1].pose: expected 12 numbers, got 11"),
-        (lambda f: f[0].update(pose=[2.0, *f[0]["pose"][1:]]),
+        (lambda m: m["frames"][0].update(pose=[2.0, *m["frames"][0]["pose"][1:]]),
          "frames[0].pose: rotation is not orthonormal"),
-        (lambda f: f[0].update(pose=[-1.0, *f[0]["pose"][1:]]),
+        (lambda m: m["frames"][0].update(pose=[-1.0, *m["frames"][0]["pose"][1:]]),
          "frames[0].pose: rotation determinant is not +1"),
-        (lambda f: f[1].update(pose=[1e200] * 12),
+        (lambda m: m["frames"][1].update(pose=[1e200] * 12),
          "frames[1].pose: rotation is not orthonormal"),
-        (lambda f: f[1].update(pose=[*f[1]["pose"][:11], "0"]),
+        (lambda m: m["frames"][1].update(pose=[*m["frames"][1]["pose"][:11], "0"]),
          "frames[1].pose: expected numbers, got list"),
+        # The object picks the symmetry that track scores the angle modulo.
+        (lambda m: m.pop("object"), "object: missing"),
+        (lambda m: m.update(object=["x"]), "object: expected one of ('slab', "
+         "'ball_array', 'star', 'hex_nut', 'set_screw'), got list ['x']"),
+        (lambda m: m.update(object="banana"), "object: expected one of ('slab', "
+         "'ball_array', 'star', 'hex_nut', 'set_screw'), got str 'banana'"),
     ])
     def test_broken_sequence_pose_exit_one(self, single_calib, tmp_path, capsys,
                                            command, edit, message):
@@ -745,7 +761,7 @@ class TestMain:
                          "--frames", "2"]) == 0
         manifest_path = run_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        edit(manifest["frames"])
+        edit(manifest)
         manifest_path.write_text(json.dumps(manifest))
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -951,6 +967,9 @@ class TestMain:
         assert not any(f["converged"] for f in payload["frames"])
         assert [f["stop"] for f in payload["frames"]] == ["no_points", "no_points"]
         assert all(f["plane_steps"] == f["svd_steps"] == 0 for f in payload["frames"])
+        # A ball-press run has no true poses to score against.
+        assert not any({"angle_err_deg", "shift_err_mm"} & set(f)
+                       for f in payload["frames"])
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_output_as_it_was(self, tmp_path, capsys,

@@ -70,11 +70,19 @@ class TestSpherePressDepth:
         assert depth.data[290, u] == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.8730, abs=2e-3)
 
-    def test_too_deep_raises(self, geom):
-        with pytest.raises(ValueError):
-            sim.sphere_press_depth(geom, 4.0, 4.5)
-        with pytest.raises(ValueError):
-            sim.sphere_press_depth(geom, 4.0, 2.5, thickness=2.0)
+    @pytest.mark.parametrize("radius, d_max, thickness, message", [
+        (4.0, 4.5, None, "press depth 4.5 must be in (0, ball radius 4.0]"),
+        (4.0, 2.5, 2.0, "press depth 2.5 exceeds layer thickness 2.0"),
+        (4.0, math.nan, None, "press depth nan must be in (0, ball radius 4.0]"),
+        (math.nan, 1.0, None, "ball radius nan must be a number whose square is finite"),
+        (math.inf, 1.0, None, "ball radius inf must be a number whose square is finite"),
+        (1e200, 1.0, None, "ball radius 1e+200 must be a number whose square is finite"),
+    ])
+    def test_too_deep_raises(self, geom, radius, d_max, thickness, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sim.sphere_press_depth(geom, radius, d_max, thickness=thickness)
 
 
 class TestWindowedPress:
