@@ -24,7 +24,8 @@ own over the held-out runs, so that a gain bought with accuracy shows,
 although no gated metric measures it. Last, per workload, it prints every
 per-layer metric of the two records' traced runs (``layers``) as old -> new,
 so that a gain can be placed in the layer that made it; a metric one record
-lacks reads ``-``.
+lacks reads ``-``. At the end it prints each command's best CLI wall time
+(``cli_wall_s``) as old -> new, where both records hold it.
 """
 
 from __future__ import annotations
@@ -133,6 +134,14 @@ def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
         for name in dict.fromkeys([*layers[0], *layers[1]]):
             a, b = (f"{m[name]:.4g}" if name in m else "-" for m in layers)
             lines.append(f"    {name:<36} {a} -> {b} {units.get(name, '')}")
+    walls = [record.get("cli_wall_s", {}) for record in (before, after)]
+    names = [name for name in walls[0] if name in walls[1]]
+    if names:
+        lines.append(f"tacsense wall time, best of {payload['settings']['cli_runs']} "
+                     f"fresh processes:")
+    for name in names:
+        a, b = walls[0][name], walls[1][name]
+        lines.append(f"  {name:<20} {a:.3f} -> {b:.3f} s  {(b - a) / a:+.1%}")
     return lines
 
 

@@ -13,7 +13,9 @@ seed to the next. Each ``--heldout`` seed then runs the same way on the
 held-out input stream (``perfbench/run.py --heldout``). Then each workload
 runs ``TRACED_RUNS`` times traced on the first seed, the trees again taking
 turns to run first, so that a change of the host's speed during the record
-reaches both trees' per-layer figures alike.
+reaches both trees' per-layer figures alike. Last, each command of
+``CLI_COMMANDS`` runs ``CLI_RUNS`` times per tree as ``tacsense`` in a fresh
+process, the trees again taking turns to run first.
 
 The file holds one record per tree: its commit (and whether the checkout
 had uncommitted changes), ``nproc``, the Python, numpy and scipy versions,
@@ -22,20 +24,28 @@ seeds, every run's metrics, figures and failure counts (held-out runs
 apart, outside the medians), every traced run (``traced_runs``) and, in
 ``layers``, the median of each of their metrics and figures, with their
 failure counts summed. ``units`` gives the unit of each metric and figure.
+Each record's ``cli_wall_s`` holds each command's best wall time, import
+included, and ``cli_runs_s`` every one of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_RUNS = 3  # per tree and workload; their median rejects one outlier
+CLI_RUNS = 3  # per tree and command; the best is recorded
+# The tacsense commands timed whole: name -> arguments before --out.
+CLI_COMMANDS = {"evaluate --noise 0": ("evaluate", "--noise", "0"),
+                "evaluate --noise 1": ("evaluate", "--noise", "1")}
 
 
 def parse_args(argv=None):
@@ -114,6 +124,22 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
     return result, env
 
 
+def time_cli(tree: Path, argv: tuple[str, ...], out: Path) -> float:
+    """Wall seconds of ``tacsense <argv> --out <out>`` from `tree`'s source in
+    a fresh process, with one BLAS thread as in perfbench."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")
+    command = [sys.executable, "-m", "tacsense.cli", *argv, "--out", str(out)]
+    start = time.perf_counter()
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    if done.returncode != 0:
+        raise SystemExit(f"bench_record: tacsense {' '.join(argv)} in {tree} exited "
+                         f"{done.returncode}:\n{done.stderr[-2000:]}")
+    return seconds
+
+
 def flat(result: dict, units: dict) -> dict:
     """One run's record; `units` gathers the unit of each metric and figure."""
     record = {"correct": result["correct"], "attempted": result["attempted"],
@@ -147,7 +173,8 @@ def main(argv=None) -> int:
                  for label, source in args.trees]
         records = {label: {"label": label, "commit": commit, "uncommitted": dirty,
                            "workloads": {w: {"runs": [], "heldout_runs": []}
-                                         for w in workloads}}
+                                         for w in workloads},
+                           "cli_runs_s": {name: [] for name in CLI_COMMANDS}}
                    for label, _, commit, dirty in trees}
         pairs = ([(seed, False) for seed in args.seeds]
                  + [(seed, True) for seed in args.heldout])
@@ -177,7 +204,16 @@ def main(argv=None) -> int:
             for label, runs in traced.items():
                 entry = records[label]["workloads"][workload]
                 entry.update(traced_runs=runs, layers=medians(runs))
+        for i in range(CLI_RUNS):
+            for name, argv in CLI_COMMANDS.items():
+                for label, tree, _, _ in (trees if i % 2 == 0 else trees[::-1]):
+                    out = Path(tempfile.mkdtemp(dir=scratch)) / "out"
+                    seconds = time_cli(tree, argv, out)
+                    records[label]["cli_runs_s"][name].append(seconds)
+                    print(f"{label} tacsense {name}: {seconds:.3f} s", flush=True)
     for record in records.values():
+        record["cli_wall_s"] = {name: min(times)
+                                for name, times in record["cli_runs_s"].items()}
         for workload, entry in record["workloads"].items():
             entry["median"] = {
                 name: statistics.median(run["metrics"][name] for run in entry["runs"])
@@ -188,6 +224,7 @@ def main(argv=None) -> int:
                "settings": {"seeds": args.seeds, "heldout_seeds": args.heldout,
                             "seconds": args.seconds,
                             "trace_seed": args.seeds[0], "traced_runs": TRACED_RUNS,
+                            "cli_runs": CLI_RUNS,
                             "workloads": workloads},
                "units": units, "records": list(records.values())}
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -84,12 +84,14 @@ class IlluminationField:
             raise ValueError("illumination field must be normalized to max 1")
         object.__setattr__(self, "gains", _freeze(g))
 
-    def flat_frame(self, model: OpticalModel) -> np.ndarray:
-        """Read-only noise-free intensity with no contact, built once per model."""
-        frame = self._flat_frames.get(model)
+    def flat_frame(self, model: OpticalModel, rounded: bool = False) -> np.ndarray:
+        """Read-only noise-free intensity with no contact, built once per model;
+        `rounded`, its uint8 pixels, which a noiseless render starts from."""
+        frame = self._flat_frames.get((model, rounded))
         if frame is None:
-            frame = _seal(self.gains * model.intensity(0.0))
-            self._flat_frames[model] = frame
+            frame = (GrayImage.from_float(self.flat_frame(model).copy()).pixels
+                     if rounded else _seal(self.gains * model.intensity(0.0)))
+            self._flat_frames[model, rounded] = frame
         return frame
 
 
@@ -153,6 +155,18 @@ def _check_press_depth(radius: float, d_max: float) -> None:
         raise ValueError(f"press depth {d_max} must be in (0, ball radius {radius}]")
 
 
+def _check_sphere_press(geom: SensorGeometry, radius: float, d_max: float,
+                        center: tuple[float, float], thickness: float | None) -> None:
+    """sphere_press_depth's refusals: _check_press_depth's, a press deeper
+    than the layer, and a centre outside the sensing field."""
+    _check_press_depth(radius, d_max)
+    if thickness is not None and d_max > thickness:
+        raise ValueError(f"press depth {d_max} exceeds layer thickness {thickness}")
+    half = geom.field_mm / 2.0
+    if not (-half <= center[0] <= half and -half <= center[1] <= half):
+        raise ValueError(f"press center {center} outside sensing field")
+
+
 def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
                        center: tuple[float, float] = (0.0, 0.0),
                        thickness: float | None = None) -> DepthMap:
@@ -163,12 +177,7 @@ def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
     evaluated only in the circle's bounding box (plus a margin); every pixel
     outside it is 0 in the formula too.
     """
-    _check_press_depth(radius, d_max)
-    if thickness is not None and d_max > thickness:
-        raise ValueError(f"press depth {d_max} exceeds layer thickness {thickness}")
-    half = geom.field_mm / 2.0
-    if not (-half <= center[0] <= half and -half <= center[1] <= half):
-        raise ValueError(f"press center {center} outside sensing field")
+    _check_sphere_press(geom, radius, d_max, center, thickness)
     rows, cols = _reach_box(math.sqrt(2.0 * radius * d_max - d_max ** 2), center, geom)
     axis = surface_axis(geom)
     r2 = (axis[cols] - center[0]) ** 2 + ((axis[rows] - center[1]) ** 2)[:, None]
@@ -180,33 +189,46 @@ def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
 
 def render_tactile(depth: DepthMap, model: OpticalModel, illum: IlluminationField,
                    noise_sigma: float = 0.0,
-                   rng: np.random.Generator | None = None) -> GrayImage:
+                   rng: np.random.Generator | None = None,
+                   noise: np.ndarray | None = None) -> GrayImage:
     """Render a tactile frame: illumination-scaled reflectance plus noise.
 
-    Noise is drawn from `rng`, which noise_sigma > 0 requires. The optical
-    law is evaluated only in the bounding box of the non-zero depth; the
-    rest of the frame is the illumination's cached flat frame.
+    The noise is noise_sigma times a standard-normal frame of the field's
+    shape: `noise`, one drawn already, or else one drawn from `rng`, never
+    both. noise_sigma > 0 needs one of them. The optical law is evaluated
+    only in the bounding box of the non-zero depth; the rest of the frame is
+    the illumination's cached flat frame, rounded once when noiseless.
     """
-    if depth.data.shape != illum.gains.shape:
+    shape = illum.gains.shape
+    if depth.data.shape != shape:
         raise ValueError("depth map and illumination field dimensions differ")
     peak = depth.data.max()
     if peak > model.thickness + 1e-12:
         raise ValueError("depth exceeds the layer thickness of the optical model")
-    if noise_sigma > 0 and rng is None:
+    if noise is not None and rng is not None:
+        raise ValueError("give a noise frame or an rng, not both")
+    if noise is not None and noise.shape != shape:
+        raise ValueError(f"noise frame shape {noise.shape} differs from the "
+                         f"field's {shape}")
+    if noise_sigma > 0 and noise is None and rng is None:
         raise ValueError(f"noise_sigma {noise_sigma} needs a seeded rng")
     # With no contact the box is empty, and so is every step on its window.
     box = mask_box(depth.data != 0) if peak > 0 else (slice(0, 0),) * 2
     window = illum.gains[box] * model.intensity(depth.data[box])
-    flat = illum.flat_frame(model)
-    if noise_sigma > 0:
+    if not noise_sigma > 0:
+        # Rounding and clipping act pixel by pixel, so only the box needs them.
+        pixels = illum.flat_frame(model, rounded=True).copy()
+        pixels[box] = GrayImage.from_float(window).pixels
+        return GrayImage(_seal(pixels))
+    if noise is None:
         # rng.normal(0, noise_sigma)'s values and stream position, drawn
         # without its per-sample loc/scale arithmetic.
-        img = rng.standard_normal(flat.shape)
+        img = rng.standard_normal(shape)
         img *= noise_sigma
-        window += img[box]
-        img += flat
     else:
-        img = flat.copy()
+        img = noise * noise_sigma
+    window += img[box]
+    img += illum.flat_frame(model)
     img[box] = window
     return GrayImage.from_float(img)
 
@@ -216,6 +238,8 @@ class BallPressRig:
     """Random ball presses on one simulated sensor, all drawn from `rng`.
 
     The no-contact `reference`, 8 frames averaged when noisy, is drawn first.
+    A press is made in two steps: `_draw` takes every value it draws from
+    `rng`, and `_make` builds and renders the press from them.
     """
 
     geom: SensorGeometry
@@ -226,23 +250,30 @@ class BallPressRig:
 
     def __post_init__(self):
         zeros = DepthMap(_seal(np.zeros_like(self.illum.gains)))
-        self.reference = self._render(zeros, 8 if self.noise_sigma > 0 else 1)
+        # Each frame is drawn as it is rendered: one is held at a time.
+        self.reference = self._render(zeros, self._noise(8))
 
-    def _render(self, depth: DepthMap, count: int) -> GrayImage:
-        """Mean of `count` (at least one) noisy renders of `depth`."""
-        frames = [render_tactile(depth, self.model, self.illum,
-                                 noise_sigma=self.noise_sigma, rng=self.rng)
-                  for _ in range(max(1, count))]
+    def _noise(self, count: int) -> Iterator[np.ndarray]:
+        """Lazily, `count` (at least one) standard-normal frames from `rng`;
+        none when noiseless."""
+        if self.noise_sigma > 0:
+            for _ in range(max(1, count)):
+                yield self.rng.standard_normal(self.illum.gains.shape)
+
+    def _render(self, depth: DepthMap, noise: Iterable[np.ndarray]) -> GrayImage:
+        """Mean of the renders of `depth`, one per noise frame, or its one
+        noiseless render when `noise` is empty."""
+        frames = [render_tactile(depth, self.model, self.illum, self.noise_sigma,
+                                 noise=frame) for frame in noise]
+        frames = frames or [render_tactile(depth, self.model, self.illum)]
         # The mean of one uint8 frame rounds back to that frame.
         return frames[0] if len(frames) == 1 else average_frames(frames)
 
-    def press(self, ball_radius: float, placement: str, count: int = 1
-              ) -> tuple[GrayImage, DepthMap, tuple[float, float], float]:
-        """(image, true depth, centre, press depth) of a random press, in mm.
-
-        `placement` is "center" (centre within 1 mm of the middle) or
-        "random" (anywhere the contact circle fits in the field).
-        """
+    def _draw(self, ball_radius: float, placement: str, count: int
+              ) -> tuple[float, tuple[float, float], list[np.ndarray]]:
+        """(press depth, centre, noise frames): every draw of one press from
+        `rng`, in `press`'s order. A press that sphere_press_depth would
+        refuse is refused before any noise is drawn."""
         if placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {placement!r}; "
                              f"expected one of {PLACEMENTS}")
@@ -256,29 +287,49 @@ class BallPressRig:
             a = np.sqrt(2 * ball_radius * d_max - d_max ** 2)
             lim = max(1.0, self.geom.field_mm / 2.0 - a - 1.0)
             center = tuple(self.rng.uniform(-lim, lim, size=2))
+        _check_sphere_press(self.geom, ball_radius, d_max, center, thickness)
+        return d_max, center, list(self._noise(count))
+
+    def _make(self, ball_radius: float, drawn
+              ) -> tuple[GrayImage, DepthMap, tuple[float, float], float]:
+        """`press`'s result from `_draw`'s; it draws nothing from `rng`."""
+        d_max, center, noise = drawn
         depth = sphere_press_depth(self.geom, ball_radius, d_max, center=center,
-                                   thickness=thickness)
-        return self._render(depth, count), depth, center, d_max
+                                   thickness=self.model.thickness)
+        return self._render(depth, noise), depth, center, d_max
+
+    def press(self, ball_radius: float, placement: str, count: int = 1
+              ) -> tuple[GrayImage, DepthMap, tuple[float, float], float]:
+        """(image, true depth, centre, press depth) of a random press, in mm.
+
+        `placement` is "center" (centre within 1 mm of the middle) or
+        "random" (anywhere the contact circle fits in the field).
+        """
+        return self._make(ball_radius, self._draw(ball_radius, placement, count))
 
     def presses(self, ball_radius: float, placement: str, n: int, count: int = 1
                 ) -> Iterator[tuple[GrayImage, DepthMap, tuple[float, float], float]]:
         """Yield, in order, what `n` calls of `press` would return.
 
-        Press k + 1 renders on one worker thread while the caller handles
-        press k, never more than one ahead; numpy's generator releases the
-        GIL while it draws the noise. While the generator is open, only the
-        worker draws from `rng`. Exhausting or closing it joins the worker;
-        closed early, it has also drawn the press rendered ahead.
+        One worker thread makes press k + 1's draws (`_draw`) while the
+        caller renders press k (`_make`) and handles it, never more than one
+        ahead; numpy's generator releases the GIL while it draws the noise.
+        While the generator is open, only the worker draws from `rng`, and
+        only the caller renders. Exhausting or closing it joins the worker;
+        closed early, it has also made the draws of the press after the last
+        one yielded.
         """
         with ThreadPoolExecutor(max_workers=1) as worker:
             def submit():
-                return worker.submit(self.press, ball_radius, placement, count)
+                return worker.submit(self._draw, ball_radius, placement, count)
 
             ahead = submit() if n > 0 else None
             for k in range(n):
-                result = ahead.result()
+                drawn = ahead.result()
                 ahead = submit() if k + 1 < n else None
-                yield result
+                # Drop the rendered noise frames before the caller's turn.
+                made, drawn = self._make(ball_radius, drawn), None
+                yield made
 
 
 def reference_image(model: OpticalModel, illum: IlluminationField) -> GrayImage:

@@ -31,6 +31,12 @@ def test_bench_record_writes_one_record_per_tree(tmp_path):
     (tree,) = record["records"]
     assert tree["label"] == "checkout" and tree["nproc"] >= 1
     assert {"python", "numpy", "scipy", "commit", "uncommitted"} <= set(tree)
+    # Each command's every fresh-process wall time, and the best of them.
+    commands = ["evaluate --noise 0", "evaluate --noise 1"]
+    assert list(tree["cli_runs_s"]) == list(tree["cli_wall_s"]) == commands
+    for name in commands:
+        assert len(tree["cli_runs_s"][name]) == record["settings"]["cli_runs"] >= 3
+        assert tree["cli_wall_s"][name] == min(tree["cli_runs_s"][name]) > 0
     entry = tree["workloads"]["calib_eval"]
     assert set(entry["median"]) == {"frames_per_s_norm", "depth_mae_mm",
                                     "peak_rss_mb", "setup_s"}
@@ -127,6 +133,31 @@ def test_bench_compare_splits_setup_into_import_and_body():
                         ["setup_body_s", "0.8632", "->", "0.8205", "s", "-4.9%"]]
     assert [[part[0] for part in split] for split in parts] == [
         ["import_s", "setup_body_s"]] * 3
+
+
+def test_bench_compare_prints_cli_wall_times_last(tmp_path):
+    """Each command both records timed, old -> new; none when one record
+    lacks them, as every record before the timings did."""
+    payload = json.loads((ROOT / "BENCH_21.json").read_text())
+    payload["settings"]["cli_runs"] = 3
+    for record, walls in zip(payload["records"], ({"evaluate --noise 0": 4.0,
+                                                   "evaluate --noise 1": 5.0},
+                                                  {"evaluate --noise 0": 3.0,
+                                                   "evaluate --noise 1": 5.5})):
+        record["cli_wall_s"] = walls
+    record = tmp_path / "BENCH_21.json"
+    record.write_text(json.dumps(payload))
+    done = run_script("bench_compare.py", str(record))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-3:] == [
+        "tacsense wall time, best of 3 fresh processes:",
+        "  evaluate --noise 0   4.000 -> 3.000 s  -25.0%",
+        "  evaluate --noise 1   5.000 -> 5.500 s  +10.0%"]
+    del payload["records"][0]["cli_wall_s"]
+    record.write_text(json.dumps(payload))
+    done = run_script("bench_compare.py", str(record))
+    assert done.returncode == 0, done.stderr
+    assert "wall time" not in done.stdout
 
 
 def test_bench_compare_flags_a_change_outside_the_bound():

@@ -212,6 +212,45 @@ class TestRenderTactile:
         with pytest.raises(ValueError, match="seeded rng"):
             sim.render_tactile(zeros, optical, small, noise_sigma=1.0)
 
+    @pytest.mark.parametrize("center", [(0.0, 0.0), None])
+    @pytest.mark.parametrize("noise_sigma", [0.7, 3.0])
+    def test_noise_frame_matches_rng_render(self, geom, optical, standard_illum,
+                                            center, noise_sigma):
+        """A standard-normal frame drawn beforehand renders bit for bit as the
+        rng would, and the rng ends where rendering from it leaves it."""
+        depth = (sim.sphere_press_depth(geom, 4.0, 1.5, center=center) if center
+                 else DepthMap(np.zeros((geom.crop_size,) * 2)))
+        rng, drawn = np.random.default_rng(9), np.random.default_rng(9)
+        want = sim.render_tactile(depth, optical, standard_illum, noise_sigma, rng)
+        noise = drawn.standard_normal(standard_illum.gains.shape)
+        kept = noise.copy()
+        got = sim.render_tactile(depth, optical, standard_illum, noise_sigma,
+                                 noise=noise)
+        assert got.pixels.tobytes() == want.pixels.tobytes()
+        assert drawn.bit_generator.state == rng.bit_generator.state
+        assert np.array_equal(noise, kept)  # the caller's frame is left as it was
+
+    def test_noise_frame_of_wrong_shape_refused(self, optical):
+        zeros = DepthMap(np.zeros((8, 8)))
+        small = sim.IlluminationField(np.ones((8, 8)))
+        with pytest.raises(ValueError, match=re.escape(
+                "noise frame shape (8, 9) differs from the field's (8, 8)")):
+            sim.render_tactile(zeros, optical, small, 1.0, noise=np.zeros((8, 9)))
+        with pytest.raises(ValueError, match="a noise frame or an rng, not both"):
+            sim.render_tactile(zeros, optical, small, 1.0, np.random.default_rng(0),
+                               noise=np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("center", [(0.3, -0.2), (10.0, -10.0), None])
+    def test_noiseless_box_render_matches_full_frame(self, geom, optical,
+                                                     standard_illum, center):
+        """Centred, at the field's corner, and with no contact at all."""
+        depth = (sim.sphere_press_depth(geom, 4.0, 1.8, center=center) if center
+                 else DepthMap(np.zeros((geom.crop_size,) * 2)))
+        got = sim.render_tactile(depth, optical, standard_illum)
+        want = full_frame_render(depth.data, optical, standard_illum)
+        assert got.pixels.tobytes() == want.tobytes()
+        assert not standard_illum.flat_frame(optical, rounded=True).flags.writeable
+
 
 class TestBallPressRig:
     def test_unknown_placement_refused(self, geom, optical, uniform_illum):
@@ -220,16 +259,17 @@ class TestBallPressRig:
         with pytest.raises(ValueError, match="unknown placement 'corner'"):
             rig.press(4.0, "corner")
 
+    @pytest.mark.parametrize("placement", sim.PLACEMENTS)
     @pytest.mark.parametrize("noise_sigma, count", [(0.0, 1), (1.0, 1), (1.0, 2)])
     def test_presses_match_press(self, geom, optical, standard_illum,
-                                 noise_sigma, count):
+                                 noise_sigma, count, placement):
         rig, twin = (sim.BallPressRig(geom, optical, standard_illum, noise_sigma,
                                       np.random.default_rng(7)) for _ in range(2))
-        expected = [twin.press(4.0, "random", count) for _ in range(4)]
+        expected = [twin.press(4.0, placement, count) for _ in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the two threads take turns far more often
         try:
-            got = list(rig.presses(4.0, "random", 4, count))
+            got = list(rig.presses(4.0, placement, 4, count))
         finally:
             sys.setswitchinterval(interval)
         assert len(got) == len(expected)
@@ -257,6 +297,64 @@ class TestBallPressRig:
         for _ in range(min(stop + 2, 5)):
             twin.press(4.0, "random")
         assert rig.rng.bit_generator.state == twin.rng.bit_generator.state
+
+    @pytest.mark.parametrize("placement", sim.PLACEMENTS)
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0])
+    def test_refused_press_through_presses(self, geom, optical, standard_illum,
+                                           radius, placement):
+        """presses raises press's own error, joins its worker, and leaves the
+        generator where press does: past the press's depth and centre."""
+        threads = threading.active_count()
+        rig, twin = (sim.BallPressRig(geom, optical, standard_illum, 1.0,
+                                      np.random.default_rng(3)) for _ in range(2))
+        with pytest.raises(ValueError) as serial:
+            twin.press(radius, placement)
+        with pytest.raises(ValueError, match=re.escape(str(serial.value))):
+            list(rig.presses(radius, placement, 3))
+        assert threading.active_count() == threads
+        assert rig.rng.bit_generator.state == twin.rng.bit_generator.state
+        past = np.random.default_rng(3)
+        for _ in range(8):  # the reference's frames
+            past.standard_normal(standard_illum.gains.shape)
+        past.uniform(size=3)  # the press's depth and centre, and no noise
+        assert twin.rng.bit_generator.state == past.bit_generator.state
+
+    @pytest.mark.parametrize("noise_sigma, count", [(0.0, 1), (1.0, 2)])
+    def test_worker_only_draws_and_caller_only_renders(
+            self, geom, optical, standard_illum, monkeypatch, noise_sigma, count):
+        calls = []
+
+        class RecordingRng:
+            """The rig's generator, noting the thread of every draw."""
+
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+                self._rng = rng
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    calls.append(("draw", threading.current_thread()))
+                    return getattr(self._rng, name)(*args, **kwargs)
+                return draw
+
+        def render(*args, **kwargs):
+            calls.append(("render", threading.current_thread()))
+            return render_tactile(*args, **kwargs)
+
+        rig = sim.BallPressRig(geom, optical, standard_illum, noise_sigma,
+                               np.random.default_rng(7))
+        render_tactile = sim.render_tactile
+        monkeypatch.setattr(sim, "render_tactile", render)
+        rig.rng = RecordingRng(rig.rng)
+        caller = threading.current_thread()
+        presses = list(rig.presses(4.0, "random", 3, count))
+        assert len(presses) == 3
+        draws = {thread for kind, thread in calls if kind == "draw"}
+        renders = [thread for kind, thread in calls if kind == "render"]
+        # Per press, one uniform draw, one of the centre, then the noise frames.
+        assert len(calls) - len(renders) == 3 * (2 + (count if noise_sigma else 0))
+        assert len(draws) == 1 and caller not in draws
+        assert renders == [caller] * (3 * (count if noise_sigma else 1))
 
     def test_no_presses_start_no_worker(self, geom, optical, uniform_illum):
         rig = sim.BallPressRig(geom, optical, uniform_illum, 0.0,
