@@ -139,9 +139,10 @@ def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
     if names:
         lines.append(f"tacsense wall time, best of {payload['settings']['cli_runs']} "
                      f"fresh processes:")
+    width = max([20, *map(len, names)])
     for name in names:
         a, b = walls[0][name], walls[1][name]
-        lines.append(f"  {name:<20} {a:.3f} -> {b:.3f} s  {(b - a) / a:+.1%}")
+        lines.append(f"  {name:<{width}} {a:.3f} -> {b:.3f} s  {(b - a) / a:+.1%}")
     return lines
 
 

@@ -15,7 +15,8 @@ runs ``TRACED_RUNS`` times traced on the first seed, the trees again taking
 turns to run first, so that a change of the host's speed during the record
 reaches both trees' per-layer figures alike. Last, each command of
 ``CLI_COMMANDS`` runs ``CLI_RUNS`` times per tree as ``tacsense`` in a fresh
-process, the trees again taking turns to run first.
+process, the trees again taking turns to run first. ``calibrate`` reads a
+run of ``CALIB_RUN`` that each tree's own ``simulate`` makes first, untimed.
 
 The file holds one record per tree: its commit (and whether the checkout
 had uncommitted changes), ``nproc``, the Python, numpy and scipy versions,
@@ -43,9 +44,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_RUNS = 3  # per tree and workload; their median rejects one outlier
 CLI_RUNS = 3  # per tree and command; the best is recorded
-# The tacsense commands timed whole: name -> arguments before --out.
-CLI_COMMANDS = {"evaluate --noise 0": ("evaluate", "--noise", "0"),
-                "evaluate --noise 1": ("evaluate", "--noise", "1")}
+# The tacsense commands timed whole: name -> arguments, where "{out}" stands
+# for a fresh output directory and "{run}" for the tree's run of CALIB_RUN.
+CLI_COMMANDS = {"--help": ("--help",),
+                "calibrate --method regression": ("calibrate", "--method", "regression",
+                                                  "--run", "{run}", "--out", "{out}"),
+                "evaluate --noise 0": ("evaluate", "--noise", "0", "--out", "{out}"),
+                "evaluate --noise 1": ("evaluate", "--noise", "1", "--out", "{out}")}
+CALIB_RUN = ("simulate", "--presses", "30", "--placement", "random", "--noise", "1",
+             "--out", "{run}")
 
 
 def parse_args(argv=None):
@@ -124,13 +131,15 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
     return result, env
 
 
-def time_cli(tree: Path, argv: tuple[str, ...], out: Path) -> float:
-    """Wall seconds of ``tacsense <argv> --out <out>`` from `tree`'s source in
-    a fresh process, with one BLAS thread as in perfbench."""
+def time_cli(tree: Path, argv: tuple[str, ...], **paths: Path) -> float:
+    """Wall seconds of ``tacsense <argv>`` from `tree`'s source in a fresh
+    process, with one BLAS thread as in perfbench; `paths` fill the argv's
+    "{out}" and "{run}"."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
-    command = [sys.executable, "-m", "tacsense.cli", *argv, "--out", str(out)]
+    argv = tuple(arg.format(**paths) for arg in argv)
+    command = [sys.executable, "-m", "tacsense.cli", *argv]
     start = time.perf_counter()
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     seconds = time.perf_counter() - start
@@ -204,11 +213,15 @@ def main(argv=None) -> int:
             for label, runs in traced.items():
                 entry = records[label]["workloads"][workload]
                 entry.update(traced_runs=runs, layers=medians(runs))
+        calib_runs = {label: Path(tempfile.mkdtemp(dir=scratch)) / "run"
+                      for label, *_ in trees}
+        for label, tree, _, _ in trees:
+            time_cli(tree, CALIB_RUN, run=calib_runs[label])  # untimed
         for i in range(CLI_RUNS):
             for name, argv in CLI_COMMANDS.items():
                 for label, tree, _, _ in (trees if i % 2 == 0 else trees[::-1]):
                     out = Path(tempfile.mkdtemp(dir=scratch)) / "out"
-                    seconds = time_cli(tree, argv, out)
+                    seconds = time_cli(tree, argv, out=out, run=calib_runs[label])
                     records[label]["cli_runs_s"][name].append(seconds)
                     print(f"{label} tacsense {name}: {seconds:.3f} s", flush=True)
     for record in records.values():

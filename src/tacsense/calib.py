@@ -31,6 +31,7 @@ from .core import (
     pixel_to_surface,
 )
 from .fileio import FormatError, check_fields, read_json, write_json
+from .recon import contact_window
 from .sim import sphere_press_depth
 
 CALIB_FORMAT = "tacsense-calib-v1"
@@ -195,12 +196,25 @@ def _refine_radius(delta: np.ndarray, cu: float, cv: float,
 def detect_contact_circle(diff: DifferenceImage) -> ContactCircle:
     """Fit a circle to the boundary of the contact blob (>= CONTACT_THRESHOLD).
 
+    The blob is searched for only inside `recon.contact_window(diff)`, the
+    contact that reconstruction maps; pixels outside it count as no contact,
+    so where the window ends inside the frame its edge is blob boundary.
+    NoContactError is raised when no pixel of the frame reaches the
+    threshold, or when none inside the window does, as in a frame with no
+    window.
+
     The center comes from an algebraic circle fit of the contour; the
     radius is then refined to the zero crossing of the radial profile so it
     tracks the true contact edge rather than the threshold contour.
     """
-    mask = diff.pixels >= CONTACT_THRESHOLD
+    window = contact_window(diff)
+    mask = np.zeros(diff.pixels.shape, dtype=bool)
+    if window is not None:
+        mask[window] = diff.pixels[window] >= CONTACT_THRESHOLD
     if not mask.any():
+        if (diff.pixels >= CONTACT_THRESHOLD).any():
+            raise NoContactError(f"pixels reach threshold {CONTACT_THRESHOLD} only "
+                                 f"outside the contact window")
         raise NoContactError(f"no pixel reaches threshold {CONTACT_THRESHOLD}")
     # Salt noise can clear the threshold in isolated pixels; keep only the
     # largest connected blob. Every blob lies in the mask's box, so labelling
@@ -236,6 +250,9 @@ def analytic_ball_depth(circle: ContactCircle, ball_radius: float,
         raise GeometryError(
             f"contact radius {a_mm:.3f} mm not smaller than ball radius {ball_radius}")
     d_max = ball_radius - math.sqrt(ball_radius ** 2 - a_mm ** 2)
+    if d_max <= 0:
+        raise GeometryError(f"contact radius {a_mm:.3f} mm gives a press depth of 0 "
+                            f"on ball radius {ball_radius}")
     center = pixel_to_surface(geom, circle.center_u, circle.center_v)
     return sphere_press_depth(geom, ball_radius, d_max, center=center)
 
@@ -376,7 +393,7 @@ def calibrate_regression(diffs: Iterable[DifferenceImage], ball_radius: float,
                 raise circle
             truth = analytic_ball_depth(circle, ball_radius, geom)
             samples.append(collect_samples(diff, truth, circle, center, rng))
-        except SensorError as exc:
+        except (SensorError, ValueError) as exc:
             raise type(exc)(f"press {i}: {exc}") from exc
     deltas, depths, radii = map(np.concatenate, zip(*samples))
     return fit_regression(deltas, depths, radii, center)

@@ -77,8 +77,9 @@ class TestDetectContactCircle:
 
     def test_blank_image_raises_no_contact(self, geom):
         blank = DifferenceImage(np.zeros((64, 64), dtype=np.uint8))
-        with pytest.raises(NoContactError):
+        with pytest.raises(NoContactError) as exc:
             calib.detect_contact_circle(blank)
+        assert str(exc.value) == f"no pixel reaches threshold {calib.CONTACT_THRESHOLD}"
 
     def test_tiny_blob_raises_insufficient(self):
         d = np.zeros((64, 64), dtype=np.uint8)
@@ -107,9 +108,12 @@ class TestDetectContactCircle:
         assert c1.center_v - c0.center_v == pytest.approx(0.0, abs=0.5)
 
 
-def full_frame_circle(delta, threshold=calib.CONTACT_THRESHOLD):
-    """(centre u, centre v, radius) of detect_contact_circle, computed on every pixel."""
-    labels, _ = ndimage.label(delta >= threshold)
+def full_frame_circle(delta, threshold=calib.CONTACT_THRESHOLD, window=...):
+    """(centre u, centre v, radius) of detect_contact_circle, computed on every
+    pixel; pixels outside `window`, a (rows, cols) pair of slices, are no contact."""
+    inside = np.zeros(delta.shape, dtype=bool)
+    inside[window] = True
+    labels, _ = ndimage.label((delta >= threshold) & inside)
     mask = labels == np.bincount(labels.ravel())[1:].argmax() + 1
     vs, us = np.nonzero(mask & ~ndimage.binary_erosion(mask, border_value=1))
     cu, cv, r0 = calib.fit_circle_kasa(us, vs)
@@ -171,6 +175,93 @@ def radial_image(shape, cu, cv, profile):
     """uint8 image whose value depends only on the distance to (cu, cv)."""
     vv, uu = np.mgrid[0:shape[0], 0:shape[1]]
     return np.clip(np.round(profile(np.hypot(uu - cu, vv - cv))), 0, 255).astype(np.uint8)
+
+
+class TestContactWindowRule:
+    """The blob is searched for only inside recon.contact_window.
+
+    A noise floor of 70 gates blocks at 1.25 * 70 = 87.5, so a 4x4 block of
+    pixels at the threshold (sum 80) is not contact.
+    """
+
+    NOISE_FLOOR = 70
+
+    def test_faint_wide_patch_loses_to_a_deep_press(self):
+        press = radial_image((240, 240), 61.3, 58.7,
+                             lambda r: np.clip(3.0 * (30 - r), 0, 90))
+        patched = press.copy()
+        patched[130:230, 10:230] = calib.CONTACT_THRESHOLD  # 22,000 px against ~2,500
+        diff = DifferenceImage(patched, self.NOISE_FLOOR)
+        assert recon.contact_window(diff) == (slice(24, 96), slice(24, 96))
+        circle = calib.detect_contact_circle(diff)
+        expected = full_frame_circle(press)
+        assert (circle.center_u, circle.center_v, circle.radius) == expected
+        assert circle.center_u == pytest.approx(61.3, abs=0.5)
+        assert circle.center_v == pytest.approx(58.7, abs=0.5)
+
+    def test_no_window_with_pixels_at_the_threshold_raises_no_contact(self):
+        faint = radial_image((64, 64), 32, 32, lambda r: np.where(r < 12, 5, 0))
+        diff = DifferenceImage(faint, self.NOISE_FLOOR)
+        assert recon.contact_window(diff) is None
+        with pytest.raises(NoContactError) as exc:
+            calib.detect_contact_circle(diff)
+        assert str(exc.value) == (f"pixels reach threshold {calib.CONTACT_THRESHOLD} "
+                                  f"only outside the contact window")
+
+    def test_window_edge_inside_the_frame_is_blob_boundary(self):
+        # A deep core of radius 20 in a faint shoulder out to 45 px: the window,
+        # the core's blocks plus an 8 px halo, cuts the shoulder on all four sides.
+        shoulder = radial_image((240, 240), 101.3, 117.6,
+                                lambda r: np.where(r < 20, 60, np.where(r < 45, 5, 0)))
+        diff = DifferenceImage(shoulder, self.NOISE_FLOOR)
+        window = recon.contact_window(diff)
+        assert window == (slice(88, 148), slice(72, 132))
+        outside = shoulder >= calib.CONTACT_THRESHOLD
+        outside[window] = False
+        assert outside.any()
+        circle = calib.detect_contact_circle(diff)
+        expected = full_frame_circle(shoulder, window=window)
+        assert (circle.center_u, circle.center_v, circle.radius) == expected
+        assert expected != full_frame_circle(shoulder)
+
+
+class TestFlipRelation:
+    """Flipping a press's frames about an axis mirrors its contact circle and
+    leaves its single-press calibration as it was.
+
+    The 580 px crop is a multiple of recon.BLOCK, so a flip maps the blocks of
+    the noise floor and of contact_window's gate onto blocks.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(ball_radius=st.sampled_from([4.0, 5.0]), d_max=st.floats(0.6, 1.6),
+           u=st.floats(-8.0, 8.0), v=st.floats(-8.0, 8.0),
+           noise_sigma=st.sampled_from([0.0, 1.0]), axis=st.sampled_from([0, 1]),
+           seed=st.integers(0, 2 ** 16))
+    def test_flip_mirrors_the_circle(self, geom, optical, standard_illum,
+                                     standard_reference, ball_radius, d_max, u, v,
+                                     noise_sigma, axis, seed):
+        assert geom.crop_size % recon.BLOCK == 0
+        depth = sim.sphere_press_depth(geom, ball_radius, d_max, center=(u, v),
+                                       thickness=optical.thickness)
+        image = sim.render_tactile(depth, optical, standard_illum,
+                                   noise_sigma=noise_sigma,
+                                   rng=np.random.default_rng(seed))
+        diff = recon.difference(standard_reference, image)
+        flipped = recon.difference(gray(np.flip(standard_reference.pixels, axis)),
+                                   gray(np.flip(image.pixels, axis)))
+        circle = calib.detect_contact_circle(diff)
+        mirror = calib.detect_contact_circle(flipped)
+        last = geom.crop_size - 1
+        u_want, v_want = ((circle.center_u, last - circle.center_v) if axis == 0
+                          else (last - circle.center_u, circle.center_v))
+        assert mirror.center_u == pytest.approx(u_want, abs=1e-6)
+        assert mirror.center_v == pytest.approx(v_want, abs=1e-6)
+        assert mirror.radius == pytest.approx(circle.radius, abs=1e-6)
+        assert mirror.radius_source == circle.radius_source
+        np.testing.assert_allclose(
+            calib.calibrate_single(flipped, ball_radius, geom).depths,
+            calib.calibrate_single(diff, ball_radius, geom).depths, rtol=0, atol=1e-9)
 
 
 class TestRadiusSource:
@@ -249,6 +340,13 @@ class TestAnalyticBallDepth:
         circle = calib.ContactCircle(290.0, 290.0, 4.5 / geom.pixel_pitch)
         with pytest.raises(GeometryError):
             calib.analytic_ball_depth(circle, 4.0, geom)
+
+    def test_press_depth_that_rounds_to_zero_rejected(self, geom):
+        circle = calib.ContactCircle(290.0, 290.0, 100.0)
+        with pytest.raises(GeometryError) as exc:
+            calib.analytic_ball_depth(circle, 1e150, geom)
+        assert str(exc.value) == (f"contact radius {100.0 * geom.pixel_pitch:.3f} mm "
+                                  f"gives a press depth of 0 on ball radius 1e+150")
 
     def test_round_trip_through_simulator(self, geom, optical, uniform_illum,
                                           flat_reference):
@@ -381,6 +479,18 @@ class TestCalibrateRegression:
                                                 r"smaller than ball radius 0\.5$"):
             calib.calibrate_regression(iter([diff, blank]), 0.5, geom, "standard",
                                        np.random.default_rng(0))
+
+    def test_a_value_error_is_named_by_its_press(self, geom, optical, standard_illum,
+                                                 standard_reference):
+        diff, _ = press_difference(geom, optical, standard_illum, standard_reference,
+                                   4.0, 1.0)
+        small = DifferenceImage(radial_image((64, 64), 32, 32,
+                                             lambda r: np.clip(3.0 * (20 - r), 0, 90)))
+        with pytest.raises(ValueError) as exc:
+            calib.calibrate_regression([diff, small], 4.0, geom, "standard",
+                                       np.random.default_rng(0))
+        assert str(exc.value) == ("press 1: difference image and truth depth map "
+                                  "are not aligned")
 
     def test_a_generator_gives_the_model_of_a_list(self, geom, optical,
                                                    standard_illum,

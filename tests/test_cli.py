@@ -288,6 +288,23 @@ class TestCalibrate:
         payload = json.loads(out.read_text())
         assert (payload["center_u"], payload["center_v"]) == (579.0, 0.0)
 
+    @pytest.mark.parametrize("method, prefix", [("single", ""),
+                                                ("regression", "press 0: ")],
+                             ids=["single", "regression"])
+    def test_press_depth_that_rounds_to_zero_exits_one(self, tmp_path, capsys,
+                                                       method, prefix):
+        run_dir = tmp_path / "r"
+        assert cli.main(["simulate", "--out", str(run_dir), "--presses", "3",
+                         "--placement", "random", "--noise", "1", "--seed", "2"]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        fileio.write_json(run_dir / "manifest.json", manifest | {"ball_radius_mm": 1e150})
+        capsys.readouterr()
+        assert cli.main(["calibrate", "--run", str(run_dir), "--method", method,
+                         "--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == (
+            f"tacsense calibrate: {run_dir / 'manifest.json'}: {prefix}contact radius "
+            f"3.125 mm gives a press depth of 0 on ball radius 1e+150\n")
+
     def test_wrong_format_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"format": "something-else"}))

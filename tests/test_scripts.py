@@ -32,7 +32,8 @@ def test_bench_record_writes_one_record_per_tree(tmp_path):
     assert tree["label"] == "checkout" and tree["nproc"] >= 1
     assert {"python", "numpy", "scipy", "commit", "uncommitted"} <= set(tree)
     # Each command's every fresh-process wall time, and the best of them.
-    commands = ["evaluate --noise 0", "evaluate --noise 1"]
+    commands = ["--help", "calibrate --method regression", "evaluate --noise 0",
+                "evaluate --noise 1"]
     assert list(tree["cli_runs_s"]) == list(tree["cli_wall_s"]) == commands
     for name in commands:
         assert len(tree["cli_runs_s"][name]) == record["settings"]["cli_runs"] >= 3
@@ -153,6 +154,15 @@ def test_bench_compare_prints_cli_wall_times_last(tmp_path):
         "tacsense wall time, best of 3 fresh processes:",
         "  evaluate --noise 0   4.000 -> 3.000 s  -25.0%",
         "  evaluate --noise 1   5.000 -> 5.500 s  +10.0%"]
+    # A name longer than 20 characters widens the column.
+    for entry, seconds in zip(payload["records"], (0.6, 0.5)):
+        entry["cli_wall_s"]["calibrate --method regression"] = seconds
+    record.write_text(json.dumps(payload))
+    done = run_script("bench_compare.py", str(record))
+    assert done.stdout.splitlines()[-3:] == [
+        "  evaluate --noise 0            4.000 -> 3.000 s  -25.0%",
+        "  evaluate --noise 1            5.000 -> 5.500 s  +10.0%",
+        "  calibrate --method regression 0.600 -> 0.500 s  -16.7%"]
     del payload["records"][0]["cli_wall_s"]
     record.write_text(json.dumps(payload))
     done = run_script("bench_compare.py", str(record))
