@@ -15,8 +15,9 @@ runs ``TRACED_RUNS`` times traced on the first seed, the trees again taking
 turns to run first, so that a change of the host's speed during the record
 reaches both trees' per-layer figures alike. Last, each command of
 ``CLI_COMMANDS`` runs ``CLI_RUNS`` times per tree as ``tacsense`` in a fresh
-process, the trees again taking turns to run first. ``calibrate`` reads a
-run of ``CALIB_RUN`` that each tree's own ``simulate`` makes first, untimed.
+process, the trees again taking turns to run first. The commands read the
+inputs of ``CLI_INPUTS``, which each tree's own ``simulate`` and
+``calibrate`` make first, untimed.
 
 The file holds one record per tree: its commit (and whether the checkout
 had uncommitted changes), ``nproc``, the Python, numpy and scipy versions,
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,15 +46,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_RUNS = 3  # per tree and workload; their median rejects one outlier
 CLI_RUNS = 3  # per tree and command; the best is recorded
+# The inputs of the timed commands, made in this order: name -> arguments,
+# where "{<name>}" stands for the input's directory in the tree's scratch.
+CLI_INPUTS = {"run": ("simulate", "--presses", "30", "--placement", "random",
+                      "--noise", "1", "--out", "{run}"),
+              "calib": ("calibrate", "--run", "{run}", "--out", "{calib}"),
+              "sequence": ("simulate", "--object", "hex_nut", "--out", "{sequence}")}
 # The tacsense commands timed whole: name -> arguments, where "{out}" stands
-# for a fresh output directory and "{run}" for the tree's run of CALIB_RUN.
+# for a fresh output directory and each other field for an input above.
 CLI_COMMANDS = {"--help": ("--help",),
+                "simulate --object hex_nut": ("simulate", "--object", "hex_nut",
+                                              "--out", "{out}"),
                 "calibrate --method regression": ("calibrate", "--method", "regression",
                                                   "--run", "{run}", "--out", "{out}"),
+                "reconstruct": ("reconstruct", "--run", "{sequence}",
+                                "--calib", "{calib}/calibration.json", "--out", "{out}"),
+                "track": ("track", "--run", "{sequence}",
+                          "--calib", "{calib}/calibration.json", "--out", "{out}"),
                 "evaluate --noise 0": ("evaluate", "--noise", "0", "--out", "{out}"),
                 "evaluate --noise 1": ("evaluate", "--noise", "1", "--out", "{out}")}
-CALIB_RUN = ("simulate", "--presses", "30", "--placement", "random", "--noise", "1",
-             "--out", "{run}")
 
 
 def parse_args(argv=None):
@@ -134,7 +146,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
 def time_cli(tree: Path, argv: tuple[str, ...], **paths: Path) -> float:
     """Wall seconds of ``tacsense <argv>`` from `tree`'s source in a fresh
     process, with one BLAS thread as in perfbench; `paths` fill the argv's
-    "{out}" and "{run}"."""
+    fields, such as "{out}"."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
@@ -213,15 +225,17 @@ def main(argv=None) -> int:
             for label, runs in traced.items():
                 entry = records[label]["workloads"][workload]
                 entry.update(traced_runs=runs, layers=medians(runs))
-        calib_runs = {label: Path(tempfile.mkdtemp(dir=scratch)) / "run"
-                      for label, *_ in trees}
+        inputs = {label: {name: Path(tempfile.mkdtemp(dir=scratch)) / name
+                          for name in CLI_INPUTS} for label, *_ in trees}
         for label, tree, _, _ in trees:
-            time_cli(tree, CALIB_RUN, run=calib_runs[label])  # untimed
+            for argv in CLI_INPUTS.values():
+                time_cli(tree, argv, **inputs[label])  # untimed
         for i in range(CLI_RUNS):
             for name, argv in CLI_COMMANDS.items():
                 for label, tree, _, _ in (trees if i % 2 == 0 else trees[::-1]):
-                    out = Path(tempfile.mkdtemp(dir=scratch)) / "out"
-                    seconds = time_cli(tree, argv, out=out, run=calib_runs[label])
+                    out = Path(tempfile.mkdtemp(dir=scratch))
+                    seconds = time_cli(tree, argv, out=out / "out", **inputs[label])
+                    shutil.rmtree(out)  # a reconstruct writes ~60 MB
                     records[label]["cli_runs_s"][name].append(seconds)
                     print(f"{label} tacsense {name}: {seconds:.3f} s", flush=True)
     for record in records.values():

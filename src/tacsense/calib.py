@@ -249,6 +249,8 @@ def analytic_ball_depth(circle: ContactCircle, ball_radius: float,
     if a_mm >= ball_radius:
         raise GeometryError(
             f"contact radius {a_mm:.3f} mm not smaller than ball radius {ball_radius}")
+    # Not the stable a^2 / (R + sqrt(R^2 - a^2)): on a 1e150 mm ball its 4.9e-150 mm
+    # passes, and sphere_press_depth's cap cancels that to an all-zero truth map.
     d_max = ball_radius - math.sqrt(ball_radius ** 2 - a_mm ** 2)
     if d_max <= 0:
         raise GeometryError(f"contact radius {a_mm:.3f} mm gives a press depth of 0 "

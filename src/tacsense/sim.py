@@ -155,16 +155,15 @@ def _check_press_depth(radius: float, d_max: float) -> None:
         raise ValueError(f"press depth {d_max} must be in (0, ball radius {radius}]")
 
 
-def _check_sphere_press(geom: SensorGeometry, radius: float, d_max: float,
-                        center: tuple[float, float], thickness: float | None) -> None:
-    """sphere_press_depth's refusals: _check_press_depth's, a press deeper
-    than the layer, and a centre outside the sensing field."""
-    _check_press_depth(radius, d_max)
-    if thickness is not None and d_max > thickness:
-        raise ValueError(f"press depth {d_max} exceeds layer thickness {thickness}")
-    half = geom.field_mm / 2.0
-    if not (-half <= center[0] <= half and -half <= center[1] <= half):
-        raise ValueError(f"press center {center} outside sensing field")
+def contact_radius(radius: float, d_max: float) -> float:
+    """Radius in mm of the contact circle of a ball `radius` mm pressed `d_max` deep."""
+    return math.sqrt(2.0 * radius * d_max - d_max ** 2)
+
+
+def _cap(r2, radius: float, d_max: float):
+    """Depth of the ball's spherical cap at squared distance `r2` from its axis:
+    d_max - radius + sqrt(radius^2 - r2) inside the contact circle, 0 outside."""
+    return np.maximum(d_max - radius + np.sqrt(np.maximum(radius ** 2 - r2, 0.0)), 0.0)
 
 
 def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
@@ -172,18 +171,22 @@ def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
                        thickness: float | None = None) -> DepthMap:
     """Spherical-cap indentation depth field of a rigid ball press.
 
-    D(r) = d_max - radius + sqrt(radius^2 - r^2) inside the contact circle
-    of radius sqrt(2 * radius * d_max - d_max^2), zero outside. The cap is
-    evaluated only in the circle's bounding box (plus a margin); every pixel
-    outside it is 0 in the formula too.
+    `_cap` is evaluated only in the box of its contact circle plus a margin,
+    outside which it is 0 too. Refuses what _check_press_depth refuses, a
+    press deeper than the layer and a centre outside the sensing field.
     """
-    _check_sphere_press(geom, radius, d_max, center, thickness)
-    rows, cols = _reach_box(math.sqrt(2.0 * radius * d_max - d_max ** 2), center, geom)
+    _check_press_depth(radius, d_max)
+    if thickness is not None and d_max > thickness:
+        raise ValueError(f"press depth {d_max} exceeds layer thickness {thickness}")
+    half = geom.field_mm / 2.0
+    if not (-half <= center[0] <= half and -half <= center[1] <= half):
+        raise ValueError(f"press center {tuple(map(float, center))} outside "
+                         f"sensing field")
+    rows, cols = _reach_box(contact_radius(radius, d_max), center, geom)
     axis = surface_axis(geom)
     r2 = (axis[cols] - center[0]) ** 2 + ((axis[rows] - center[1]) ** 2)[:, None]
-    cap = d_max - radius + np.sqrt(np.maximum(radius ** 2 - r2, 0.0))
     depth = np.zeros((geom.crop_size,) * 2)
-    depth[rows, cols] = np.maximum(cap, 0.0)
+    depth[rows, cols] = _cap(r2, radius, d_max)
     return DepthMap(_seal(depth))
 
 
@@ -272,22 +275,19 @@ class BallPressRig:
     def _draw(self, ball_radius: float, placement: str, count: int
               ) -> tuple[float, tuple[float, float], list[np.ndarray]]:
         """(press depth, centre, noise frames): every draw of one press from
-        `rng`, in `press`'s order. A press that sphere_press_depth would
-        refuse is refused before any noise is drawn."""
+        `rng`, in `press`'s order. The depth lies in the layer and the centre in
+        the field, so only _check_press_depth may refuse it, before any noise."""
         if placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {placement!r}; "
                              f"expected one of {PLACEMENTS}")
-        thickness = self.model.thickness
-        d_max = float(self.rng.uniform(0.25, 0.95) * thickness)
+        d_max = float(self.rng.uniform(0.25, 0.95) * self.model.thickness)
         d_max = min(d_max, ball_radius)
-        if placement == "center":
-            center = tuple(self.rng.uniform(-1.0, 1.0, size=2))
-        else:
-            # Keep the contact circle comfortably inside the sensing field.
-            a = np.sqrt(2 * ball_radius * d_max - d_max ** 2)
-            lim = max(1.0, self.geom.field_mm / 2.0 - a - 1.0)
-            center = tuple(self.rng.uniform(-lim, lim, size=2))
-        _check_sphere_press(self.geom, ball_radius, d_max, center, thickness)
+        half = self.geom.field_mm / 2.0
+        # "random" keeps the contact circle well inside; no centre leaves the field.
+        lim = min(1.0 if placement == "center"
+                  else max(1.0, half - contact_radius(ball_radius, d_max) - 1.0), half)
+        center = tuple(self.rng.uniform(-lim, lim, size=2))
+        _check_press_depth(ball_radius, d_max)
         return d_max, center, list(self._noise(count))
 
     def _make(self, ball_radius: float, drawn
@@ -365,16 +365,14 @@ def ball_array_field(ball_radius: float = 1.5, d_max: float = 0.8,
     offsets = (np.arange(n) - (n - 1) / 2.0) * spacing
     # The farthest ball centre's distance plus a cap's contact radius.
     reach = (float(np.abs(offsets).max(initial=0.0)) * math.sqrt(2.0)
-             + math.sqrt(d_max * (2.0 * ball_radius - d_max)))
+             + contact_radius(ball_radius, d_max))
 
     def f(x, y):
         depth = np.zeros_like(x)
         for ox in offsets:
             for oy in offsets:
-                r2 = (x - ox) ** 2 + (y - oy) ** 2
-                cap = d_max - ball_radius + np.sqrt(
-                    np.maximum(ball_radius ** 2 - r2, 0.0))
-                depth = np.maximum(depth, np.maximum(cap, 0.0))
+                depth = np.maximum(depth, _cap((x - ox) ** 2 + (y - oy) ** 2,
+                                               ball_radius, d_max))
         return depth
     return DepthField(f, reach)
 

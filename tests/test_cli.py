@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tacsense import calib, cli, fileio, sim
 from tacsense.cli import RunConfig
@@ -232,6 +232,20 @@ class TestSimulate:
             b = (again / frame["image"]).read_bytes()
             assert a == b
 
+    @pytest.mark.parametrize("field_mm", [1.0, 1.5])
+    @pytest.mark.parametrize("placement", sim.PLACEMENTS)
+    def test_field_narrower_than_2_mm_holds_every_centre(self, tmp_path, capsys,
+                                                          field_mm, placement):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"field_mm": field_mm, "crop_size": 64}))
+        assert cli.main(["simulate", "--config", str(config), "--presses", "8",
+                         "--placement", placement, "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        centers = [frame["center_mm"] for frame in manifest["frames"]]
+        assert len(centers) == 8
+        assert all(abs(c) <= field_mm / 2.0 for center in centers for c in center)
+
     def test_sequence_run_records_poses(self, tmp_path):
         out = tmp_path / "seq"
         out.mkdir()
@@ -427,6 +441,16 @@ class TestEvaluate:
         assert report["schemes"] == {"s4": {"error": (
             "FormatError: config: led_sigma: 8.0 is too small: the LED light "
             "underflows to 0 on the 240 px field")}}
+
+    @pytest.mark.parametrize("field_mm", [1.0, 1.5])
+    def test_field_narrower_than_2_mm_exits_zero(self, tmp_path, capsys, field_mm):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"field_mm": field_mm, "crop_size": 64}))
+        assert cli.main(["evaluate", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
+        assert list(report["schemes"]) == list(sim.SCHEMES)
 
     def test_table_has_one_column_per_scheme(self):
         report = {"schemes": {
@@ -1437,30 +1461,31 @@ def test_track_survives_one_mutation(small_press_run, small_sequence_run, mutati
                 RUN_CHOICES | CALIB_CHOICES, ["track_report.json"])
 
 
-# Every RunConfig key, on a 32 px crop with noise, for the simulate mutations.
+# Every RunConfig key, on a 32 px crop with noise and 8 presses, for the
+# simulate mutations; evaluate's take a 64 px crop, on which its every stage runs.
 SIMULATE_CONFIG = ({f.name: f.default for f in fields(RunConfig)}
-                   | {"crop_size": 32, "noise_sigma": 1.0})
+                   | {"crop_size": 32, "noise_sigma": 1.0, "presses": 8})
+EVALUATE_CONFIG = SIMULATE_CONFIG | {"crop_size": 64}
+# One config key deleted, of another JSON type, or set to -1, 1e308 or 10**400.
+CONFIG_MUTATIONS = (st.tuples(st.just("delete"), st.none())
+                    | st.tuples(st.just("set"), st.sampled_from(
+                        [None, True, "x", [], {}, 0.5, 3, -1, 1e308, 10 ** 400])))
+# A count of 10**400 is a valid request for a run that never ends.
+COUNT_KEYS = ("presses", "frames_per_press")
 OBJECT_FRAMES = 2
 OBJECT_OUTPUTS = ["manifest.json", "reference.pgm",
                   *[f"frame_{i:03d}.{ext}" for i in range(OBJECT_FRAMES)
                     for ext in ("pgm", "dtd")]]
 
 
-@settings(max_examples=100, deadline=None)
-@given(kind=st.sampled_from(sim.OBJECT_KINDS),
-       key=st.sampled_from(sorted(SIMULATE_CONFIG)),
-       mutation=st.tuples(st.just("delete"), st.none())
-       | st.tuples(st.just("set"), st.sampled_from([None, True, "x", [], {}, 0.5, 3,
-                                                    -1, 1e308, 10 ** 400])))
-@example(kind="hex_nut", key="crop_size", mutation=("set", 3))
-@example(kind="ball_array", key="field_mm", mutation=("set", 1e308))
-def test_simulate_object_survives_one_config_mutation(kind, key, mutation):
-    """`simulate --object` with one config key deleted, of another JSON type,
-    or set to -1, 1e308 or 10**400. Warnings are errors. Either it exits 0
-    with every output and an empty stderr, or it exits 1 with one stderr line
-    naming the config file and writes nothing."""
+def run_config_mutated(argv: list[str], config: dict, key: str, mutation,
+                       check_outputs) -> None:
+    """`tacsense <argv>` with `config`'s `key` deleted or set, as `mutation`
+    says. Warnings are errors. Either it exits 0 with an empty stderr and
+    `check_outputs(out)` passes, or it exits 1 with one stderr line naming
+    the config file and writes nothing."""
     op, value = mutation
-    config = dict(SIMULATE_CONFIG)
+    config = dict(config)
     if op == "delete":
         del config[key]
     else:
@@ -1469,16 +1494,68 @@ def test_simulate_object_survives_one_config_mutation(kind, key, mutation):
         path, out = Path(tmp) / "c.json", Path(tmp) / "out"
         path.write_text(json.dumps(config))
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        with (contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()),
+              warnings.catch_warnings()):
             warnings.simplefilter("error")
-            code = cli.main(["simulate", "--config", str(path), "--object", kind,
-                             "--frames", str(OBJECT_FRAMES), "--out", str(out)])
+            code = cli.main([*argv, "--config", str(path), "--out", str(out)])
         lines = err.getvalue().splitlines()
         if code == 0:
             assert lines == []
-            assert [name for name in OBJECT_OUTPUTS if not (out / name).is_file()] == []
+            check_outputs(out)
         else:
             assert code == 1
             assert len(lines) == 1
-            assert lines[0].startswith(f"tacsense simulate: {path}: ")
+            assert lines[0].startswith(f"tacsense {argv[0]}: {path}: ")
             assert not out.exists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sim.OBJECT_KINDS),
+       key=st.sampled_from(sorted(SIMULATE_CONFIG)), mutation=CONFIG_MUTATIONS)
+@example(kind="hex_nut", key="crop_size", mutation=("set", 3))
+@example(kind="ball_array", key="field_mm", mutation=("set", 1e308))
+def test_simulate_object_survives_one_config_mutation(kind, key, mutation):
+    """`simulate --object` with one config key mutated (run_config_mutated)."""
+    def check_outputs(out):
+        assert [name for name in OBJECT_OUTPUTS if not (out / name).is_file()] == []
+
+    run_config_mutated(["simulate", "--object", kind, "--frames", str(OBJECT_FRAMES)],
+                       SIMULATE_CONFIG, key, mutation, check_outputs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(sorted(SIMULATE_CONFIG)), mutation=CONFIG_MUTATIONS)
+@example(key="field_mm", mutation=("set", 0.5))
+@example(key="field_mm", mutation=("set", 1.0))
+@example(key="field_mm", mutation=("set", 1.5))
+@example(key="placement", mutation=("set", "random"))
+def test_simulate_presses_survives_one_config_mutation(key, mutation):
+    """`simulate` of ball presses with one config key mutated
+    (run_config_mutated); every press it writes is centred in the field."""
+    assume(not (key in COUNT_KEYS and mutation[1] == 10 ** 400))
+
+    def check_outputs(out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (out / "reference.pgm").is_file()
+        half = manifest["geometry"]["field_mm"] / 2.0
+        for frame in manifest["frames"]:
+            assert (out / frame["image"]).is_file() and (out / frame["truth"]).is_file()
+            assert all(abs(c) <= half for c in frame["center_mm"])
+
+    run_config_mutated(["simulate"], SIMULATE_CONFIG, key, mutation, check_outputs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(sorted(EVALUATE_CONFIG)), mutation=CONFIG_MUTATIONS)
+@example(key="field_mm", mutation=("set", 1.0))
+@example(key="field_mm", mutation=("set", 1.5))
+def test_evaluate_survives_one_config_mutation(key, mutation):
+    """`evaluate` with one config key mutated (run_config_mutated); its report
+    holds one cell per scheme."""
+    assume(not (key in COUNT_KEYS and mutation[1] == 10 ** 400))
+
+    def check_outputs(out):
+        report = json.loads((out / "eval_report.json").read_text())
+        assert list(report["schemes"]) == list(sim.SCHEMES)
+
+    run_config_mutated(["evaluate"], EVALUATE_CONFIG, key, mutation, check_outputs)

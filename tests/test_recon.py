@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.ndimage import correlate1d
 
@@ -332,6 +332,86 @@ def framed_regions(draw):
                     slice(c0, draw(st.integers(c0 + 1, w))))
 
 
+def press_frames(optical, center, ball_radius, d_max, noise_sigma, seed):
+    """(reference, contact) frames of a ball press on a 240 px crop under the
+    standard scheme, each with its own noise."""
+    geom = SensorGeometry(crop_size=240)
+    illum = sim.make_illumination("standard", geom.crop_size,
+                                  led_sigma=sim.DEFAULT_LED_SIGMA)
+    rng = np.random.default_rng(seed)
+    depth = sim.sphere_press_depth(geom, ball_radius, d_max, center)
+    return (sim.render_tactile(DepthMap(np.zeros_like(depth.data)), optical, illum,
+                               noise_sigma, rng),
+            sim.render_tactile(depth, optical, illum, noise_sigma, rng))
+
+
+def depth_chain(reference, contact, config, symmetry=lambda a: a):
+    """depth_from_difference of the difference of both frames, each first
+    transformed by `symmetry`."""
+    diff = recon.difference(GrayImage(symmetry(reference.pixels)),
+                            GrayImage(symmetry(contact.pixels)))
+    return recon.depth_from_difference(diff, config).data
+
+
+PRESSES = dict(ball_radius=st.sampled_from([4.0, 5.0]), d_max=st.floats(0.6, 1.6),
+               noise_sigma=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2 ** 16))
+# Flips keep the order of the denoise's two separable passes; a quarter turn
+# or a transpose swaps it, which may move a float32 depth by an ulp.
+FLIPS = {"rows": lambda a: a[::-1], "columns": lambda a: a[:, ::-1],
+         "both": lambda a: a[::-1, ::-1]}
+TURNS = {"quarter turn": np.rot90, "three quarter turns": lambda a: np.rot90(a, 3),
+         "transpose": np.transpose}
+
+
+class TestSymmetryRelations:
+    """The depth chain commutes with the symmetries of a square frame whose
+    side is a multiple of recon.BLOCK, which map the blocks of the noise
+    floor and of the contact gate onto blocks."""
+
+    @pytest.fixture(scope="class")
+    def config(self, optical):
+        return recon.PipelineConfig(model=make_lookup_model(optical),
+                                    geom=SensorGeometry(crop_size=240))
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from([*FLIPS, *TURNS]), u=st.floats(-12.0, 12.0),
+           v=st.floats(-12.0, 12.0), **PRESSES)
+    def test_flips_commute_exactly_and_turns_to_an_ulp(
+            self, optical, config, name, u, v, ball_radius, d_max, noise_sigma, seed):
+        frames = press_frames(optical, (u, v), ball_radius, d_max, noise_sigma, seed)
+        symmetry = FLIPS.get(name) or TURNS[name]
+        want = symmetry(depth_chain(*frames, config))
+        got = depth_chain(*frames, config, symmetry)
+        if name in FLIPS:
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1.2e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shift=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+           u=st.floats(-4.0, 4.0), v=st.floats(-4.0, 4.0), **PRESSES)
+    def test_rolls_by_blocks_commute_exactly(self, optical, config, shift, u, v,
+                                             ball_radius, d_max, noise_sigma, seed):
+        """Where the contact window, widened by the denoise's reach, is clear
+        of the border before and after the roll, and rolls with the frame."""
+        frames = press_frames(optical, (u, v), ball_radius, d_max, noise_sigma, seed)
+        px = tuple(recon.BLOCK * k for k in shift)
+
+        def roll(a):
+            return np.roll(a, px, axis=(0, 1))
+
+        windows = [recon.contact_window(recon.difference(*(GrayImage(f(x.pixels))
+                                                           for x in frames)))
+                   for f in (lambda a: a, roll)]
+        reach, n = recon.DENOISE_TAPS - 1, config.geom.crop_size
+        assume(all(w is not None and all(s.start >= reach and s.stop + reach <= n
+                                         for s in w) for w in windows))
+        assume(windows[1] == tuple(slice(s.start + k, s.stop + k)
+                                   for s, k in zip(windows[0], px)))
+        assert (depth_chain(*frames, config, roll).tobytes()
+                == roll(depth_chain(*frames, config)).tobytes())
+
+
 class TestModelDepth:
     """Each model maps the array it is given; full frames are the reference."""
 
@@ -543,8 +623,8 @@ class TestRimPointCloud:
         # the normal of z = -depth points from the surface toward it.
         ball = np.array([*center, radius - d_max])
         toward = (ball - cloud.points) / radius
-        contact_radius = math.sqrt(2.0 * radius * d_max - d_max ** 2)
-        inner = np.hypot(*(cloud.points[:, :2] - center).T) < 0.95 * contact_radius
+        inner = (np.hypot(*(cloud.points[:, :2] - center).T)
+                 < 0.95 * sim.contact_radius(radius, d_max))
         assert inner.sum() > 1000
         cos = np.sum(cloud.normals[inner] * toward[inner], axis=1)
         assert np.degrees(np.arccos(np.minimum(cos, 1.0))).max() <= 0.02

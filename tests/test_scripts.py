@@ -32,8 +32,8 @@ def test_bench_record_writes_one_record_per_tree(tmp_path):
     assert tree["label"] == "checkout" and tree["nproc"] >= 1
     assert {"python", "numpy", "scipy", "commit", "uncommitted"} <= set(tree)
     # Each command's every fresh-process wall time, and the best of them.
-    commands = ["--help", "calibrate --method regression", "evaluate --noise 0",
-                "evaluate --noise 1"]
+    commands = ["--help", "simulate --object hex_nut", "calibrate --method regression",
+                "reconstruct", "track", "evaluate --noise 0", "evaluate --noise 1"]
     assert list(tree["cli_runs_s"]) == list(tree["cli_wall_s"]) == commands
     for name in commands:
         assert len(tree["cli_runs_s"][name]) == record["settings"]["cli_runs"] >= 3

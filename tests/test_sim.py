@@ -84,6 +84,12 @@ class TestSpherePressDepth:
             with pytest.raises(ValueError, match=re.escape(message)):
                 sim.sphere_press_depth(geom, radius, d_max, thickness=thickness)
 
+    def test_centre_outside_the_field_named_in_plain_numbers(self, geom):
+        with pytest.raises(ValueError, match=re.escape(
+                "press center (12.5, -0.25) outside sensing field")):
+            sim.sphere_press_depth(geom, 4.0, 1.0,
+                                   center=(np.float64(12.5), np.float64(-0.25)))
+
 
 class TestWindowedPress:
     """The press and its render are computed in windows; full frames are the reference."""
@@ -250,6 +256,33 @@ class TestRenderTactile:
         want = full_frame_render(depth.data, optical, standard_illum)
         assert got.pixels.tobytes() == want.tobytes()
         assert not standard_illum.flat_frame(optical, rounded=True).flags.writeable
+
+
+class TestRotationRelation:
+    """render_tactile commutes with rot90 under the schemes whose LED ring a
+    quarter turn maps onto itself (standard and s2; s4's cluster is not
+    symmetric), given the turned depth and the turned noise frame."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scheme=st.sampled_from(["standard", "s2"]), turns=st.integers(1, 3),
+           fx=st.floats(-1.0, 1.0), fy=st.floats(-1.0, 1.0),
+           radius=st.floats(0.5, 8.0), frac=st.floats(1e-3, 1.0),
+           noise_sigma=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2 ** 16))
+    def test_render_commutes_with_rot90(self, optical, scheme, turns, fx, fy,
+                                        radius, frac, noise_sigma, seed):
+        geom = SensorGeometry(crop_size=240)
+        illum = sim.make_illumination(scheme, geom.crop_size,
+                                      led_sigma=sim.DEFAULT_LED_SIGMA)
+        center = (fx * geom.field_mm / 2.0, fy * geom.field_mm / 2.0)
+        depth = sim.sphere_press_depth(geom, radius,
+                                       frac * min(radius, optical.thickness), center)
+        noise = (np.random.default_rng(seed).standard_normal(illum.gains.shape)
+                 if noise_sigma > 0 else None)
+        image = sim.render_tactile(depth, optical, illum, noise_sigma, noise=noise)
+        turned = sim.render_tactile(
+            DepthMap(np.rot90(depth.data, turns)), optical, illum, noise_sigma,
+            noise=None if noise is None else np.rot90(noise, turns))
+        assert np.array_equal(turned.pixels, np.rot90(image.pixels, turns))
 
 
 class TestBallPressRig:
@@ -521,6 +554,22 @@ class TestPosedDepth:
         # Bit for bit, so that -0.0 differs from 0.0.
         assert (depth.data.view(np.int64) == expected.view(np.int64)).all()
         assert in_field == expected_in_field
+
+    @settings(max_examples=400, deadline=None)
+    @given(geom=st.sampled_from([SensorGeometry(), SensorGeometry(crop_size=240)]),
+           fx=st.floats(-1.0, 1.0), fy=st.floats(-1.0, 1.0),
+           radius=st.floats(0.01, 8.0), frac=st.floats(1e-3, 1.0))
+    def test_one_ball_array_is_a_sphere_press(self, geom, fx, fy, radius, frac):
+        """A one-ball ball_array_field posed at c is sphere_press_depth at c,
+        and both are that field on the whole frame, bit for bit."""
+        center = (fx * geom.field_mm / 2.0, fy * geom.field_mm / 2.0)
+        field = sim.ball_array_field(radius, frac * radius, n=1)
+        pose = Pose.rot_z(0.0, translation=(*center, 0.0))
+        posed, _ = sim._posed_depth(field, pose, geom, math.inf)
+        press = sim.sphere_press_depth(geom, radius, frac * radius, center=center)
+        whole, _ = full_frame_posed_depth(field, pose, geom, math.inf)
+        assert (posed.data.view(np.int64) == press.data.view(np.int64)).all()
+        assert (press.data.view(np.int64) == whole.view(np.int64)).all()
 
     @settings(max_examples=100, deadline=None)
     @given(kind_params=KIND_PARAMS)
