@@ -21,7 +21,11 @@ out, as they are of the record's medians.
 Then it prints each accuracy figure of ``ACCURACY`` as old -> new: its median
 and its worst (largest) value over the seeded runs, and on a line of their
 own over the held-out runs, so that a gain bought with accuracy shows,
-although no gated metric measures it. Last, per workload, it prints every
+although no gated metric measures it. Under live_track it prints the
+tracking tail pass of both records (``tail``, see ``bench_record.py``) over
+the seeds both ran: the median, p90 and max of the worst error per seed,
+old -> new, how many seeds kept their error to the bit, and every seed whose
+error rose past ``TAIL_LIMIT_DEG``. Last, per workload, it prints every
 per-layer metric of the two records' traced runs (``layers``) as old -> new,
 so that a gain can be placed in the layer that made it; a metric one record
 lacks reads ``-``. At the end it prints each command's best CLI wall time
@@ -41,6 +45,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # the simulator's truth.
 ACCURACY = {"live_track": ("track_err_deg_max",),
             "calib_eval": ("single_mae_mm", "regression_mae_mm")}
+# The tracking bound of the pose tests; the tail report names every seed
+# whose worst error rose past it.
+TAIL_LIMIT_DEG = 0.1
 # The figures printed under an end-to-end metric: (label, figure).
 PARTS = {"frames_per_s_norm": (("raw frames_per_s", "frames_per_s"),),
          "setup_s": (("import_s", "import_s"), ("setup_body_s", "setup_body_s"))}
@@ -91,6 +98,30 @@ def accuracy(entries: tuple[dict, dict], workload: str, units: dict) -> list[str
     return ["  accuracy over the runs:", *lines] if lines else []
 
 
+def tail(entries: tuple[dict, dict]) -> list[str]:
+    """The tracking tail pass, old -> new, over the seeds both records ran."""
+    worst = [{run["seed"]: run["track_err_deg_max"] for run in entry.get("tail", [])}
+             for entry in entries]
+    seeds = [seed for seed in worst[0] if seed in worst[1]]
+    if not seeds:
+        return []
+    old, new = ([w[seed] for seed in seeds] for w in worst)
+
+    def summary(values):
+        p90 = (statistics.quantiles(values, n=10, method="inclusive")[-1]
+               if len(values) > 1 else values[0])
+        return statistics.median(values), p90, max(values)
+
+    (a_med, a_p90, a_max), (b_med, b_p90, b_max) = summary(old), summary(new)
+    rose = [f"{seed} ({a:.4g} -> {b:.4g})" for seed, a, b in zip(seeds, old, new)
+            if b > a and b > TAIL_LIMIT_DEG]
+    return [f"  tracking tail, worst error per held-out seed over {len(seeds)} seeds:",
+            f"    median {a_med:.4g} -> {b_med:.4g}, p90 {a_p90:.4g} -> {b_p90:.4g}, "
+            f"max {a_max:.4g} -> {b_max:.4g} deg",
+            f"    identical on {sum(a == b for a, b in zip(old, new))} of {len(seeds)} "
+            f"seeds; rose past {TAIL_LIMIT_DEG} deg: {', '.join(rose) or 'none'}"]
+
+
 def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
     """The report's lines; SystemExit if a record label is missing."""
     records = {record["label"]: record for record in payload["records"]}
@@ -128,6 +159,7 @@ def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
                     lines.append(f"  {'  ' + label:<18} {a:.4g} -> {b:.4g} "
                                  f"{units.get(figure, '')}  {(b - a) / a:+.1%}")
         lines += accuracy((entry, after["workloads"][workload]), workload, units)
+        lines += tail((entry, after["workloads"][workload]))
         layers = [record["workloads"][workload].get("layers", {}).get("metrics", {})
                   for record in (before, after)]
         lines.append(f"  traced layers, seed {payload['settings'].get('trace_seed')}:")

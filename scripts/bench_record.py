@@ -17,7 +17,10 @@ reaches both trees' per-layer figures alike. Last, each command of
 ``CLI_COMMANDS`` runs ``CLI_RUNS`` times per tree as ``tacsense`` in a fresh
 process, the trees again taking turns to run first. The commands read the
 inputs of ``CLI_INPUTS``, which each tree's own ``simulate`` and
-``calibrate`` make first, untimed.
+``calibrate`` make first, untimed. When live_track is among the workloads,
+each tree then runs live_track's loop untimed, through its own
+``perfbench/workloads.py``, over the held-out input stream of each seed of
+``TAIL_SEEDS``, ``TAIL_FRAMES`` frames a seed: the tracking tail pass.
 
 The file holds one record per tree: its commit (and whether the checkout
 had uncommitted changes), ``nproc``, the Python, numpy and scipy versions,
@@ -27,7 +30,8 @@ apart, outside the medians), every traced run (``traced_runs``) and, in
 ``layers``, the median of each of their metrics and figures, with their
 failure counts summed. ``units`` gives the unit of each metric and figure.
 Each record's ``cli_wall_s`` holds each command's best wall time, import
-included, and ``cli_runs_s`` every one of them.
+included, and ``cli_runs_s`` every one of them. The tail pass gives
+live_track's ``tail``: the worst tracking error of each of its seeds.
 """
 
 from __future__ import annotations
@@ -65,6 +69,28 @@ CLI_COMMANDS = {"--help": ("--help",),
                           "--calib", "{calib}/calibration.json", "--out", "{out}"),
                 "evaluate --noise 0": ("evaluate", "--noise", "0", "--out", "{out}"),
                 "evaluate --noise 1": ("evaluate", "--noise", "1", "--out", "{out}")}
+# The tracking tail pass: live_track's held-out seeds and frames per seed (two
+# passes over its sequence). A gain bought with accuracy shows on this tail
+# first, and a pose that any change moves shows as a changed seed.
+TAIL_SEEDS = tuple(range(701, 801))
+TAIL_FRAMES = 48
+# Run from a tree's root with its src/ and perfbench/ on the import path:
+# prints {seed: worst tracking error in degrees} for the seeds in argv.
+TAIL_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+from run import input_seeds
+from workloads import WORKLOADS, Tally
+workload, frames, worst = WORKLOADS["live_track"], int(sys.argv[1]), {}
+for seed in map(int, sys.argv[2:]):
+    tally = Tally()
+    with tempfile.TemporaryDirectory() as work:
+        state = workload.setup(input_seeds(seed, True), Path(work))
+        for k in range(frames):
+            workload.check(state, k, workload.op(state, k), tally)
+    worst[seed] = max(tally.values["track_err_deg"])
+print(json.dumps(worst))
+"""
 
 
 def parse_args(argv=None):
@@ -161,6 +187,22 @@ def time_cli(tree: Path, argv: tuple[str, ...], **paths: Path) -> float:
     return seconds
 
 
+def track_tail(tree: Path, seeds) -> list[dict]:
+    """The tail pass of `tree`: per seed, the worst tracking error in degrees
+    over TAIL_FRAMES frames of live_track's held-out input, untimed."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"),
+                                                       str(tree / "perfbench")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")
+    argv = [sys.executable, "-c", TAIL_PROBE, str(TAIL_FRAMES), *map(str, seeds)]
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"bench_record: the tail pass in {tree} exited "
+                         f"{done.returncode}:\n{done.stderr[-2000:]}")
+    worst = json.loads(done.stdout)
+    return [{"seed": seed, "track_err_deg_max": worst[str(seed)]} for seed in seeds]
+
+
 def flat(result: dict, units: dict) -> dict:
     """One run's record; `units` gathers the unit of each metric and figure."""
     record = {"correct": result["correct"], "attempted": result["attempted"],
@@ -214,6 +256,13 @@ def main(argv=None) -> int:
                           + ", ".join(f"{k} {v['value']:.6g}"
                                       for k, v in result["metrics"].items()),
                           flush=True)
+        if "live_track" in workloads:
+            for label, tree, _, _ in trees:
+                tail = track_tail(tree, TAIL_SEEDS)
+                records[label]["workloads"]["live_track"]["tail"] = tail
+                print(f"{label} live_track tail: worst "
+                      f"{max(s['track_err_deg_max'] for s in tail):.4g} deg over "
+                      f"{len(tail)} held-out seeds", flush=True)
         for workload in workloads:
             traced = {label: [] for label, *_ in trees}
             for i in range(TRACED_RUNS):
@@ -252,6 +301,7 @@ def main(argv=None) -> int:
                             "seconds": args.seconds,
                             "trace_seed": args.seeds[0], "traced_runs": TRACED_RUNS,
                             "cli_runs": CLI_RUNS,
+                            "tail_seeds": list(TAIL_SEEDS), "tail_frames": TAIL_FRAMES,
                             "workloads": workloads},
                "units": units, "records": list(records.values())}
     args.out_dir.mkdir(parents=True, exist_ok=True)

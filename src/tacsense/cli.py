@@ -7,6 +7,7 @@ import contextlib
 import functools
 import math
 import os
+import reprlib
 import shutil
 import sys
 import tempfile
@@ -38,15 +39,20 @@ METHODS = ("single", "regression")
 # say otherwise.
 SEQUENCE_FRAMES = 12
 SEQUENCE_STEP_DEG = 5.0
+# The largest press count and frames averaged per press a config may ask for.
+# A press holds all of its noise frames at once, and the evaluation study's
+# worker the next press's too; 16 frames is twice the reference's 8.
+MAX_COUNTS = {"presses": 1000, "frames_per_press": 16}
 
 
 @dataclass
 class RunConfig:
     """Reproducible experiment manifest; flags override file values.
 
-    Construction checks every field against `_CONFIG_FIELDS`, then builds the
-    geometry, optical model and LED field (the one `illumination` returns
-    again, from sim's cache), and raises FormatError naming the key.
+    Construction checks every field against `_CONFIG_FIELDS` and each count
+    against `MAX_COUNTS`, then builds the geometry, optical model and LED
+    field (the one `illumination` returns again, from sim's cache), and
+    raises FormatError naming the key.
     """
 
     seed: int = 0
@@ -70,6 +76,10 @@ class RunConfig:
 
     def __post_init__(self):
         fileio.check_fields("config", asdict(self), _CONFIG_FIELDS)
+        for key, most in MAX_COUNTS.items():
+            if getattr(self, key) > most:
+                raise fileio.FormatError(f"config: {key}: expected at most {most}, "
+                                         f"got int {reprlib.repr(getattr(self, key))}")
         for key, build in (("geometry", self.geometry), ("optical", self.optical),
                            ("led_sigma", self.illumination)):
             try:

@@ -19,6 +19,8 @@ from tacsense.pose import (
     track_pose,
 )
 
+import oracles
+
 
 def random_cloud(n=300, seed=0, scale=10.0):
     rng = np.random.default_rng(seed)
@@ -56,11 +58,11 @@ def plane_rms(pose, source, target):
 
 
 def assert_same_report(a, b):
-    """Two ICP reports agree byte for byte."""
+    """Two ICP reports agree byte for byte, field by field."""
     assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
     assert a.pose.translation.tobytes() == b.pose.translation.tobytes()
-    assert ((a.rmse, a.iterations, a.converged, a.inlier_fraction)
-            == (b.rmse, b.iterations, b.converged, b.inlier_fraction))
+    assert ((a.rmse, a.stop, a.plane_steps, a.svd_steps, a.inlier_fraction)
+            == (b.rmse, b.stop, b.plane_steps, b.svd_steps, b.inlier_fraction))
 
 
 def spy(fn, calls):
@@ -78,9 +80,9 @@ def small_motion(rng, max_deg, max_mm):
     return Pose(rot, rng.uniform(-max_mm, max_mm, 3))
 
 
-@pytest.fixture(scope="module")
-def hex_nut_rims(geom):
-    """Rim clouds of a 12-frame hex-nut rotation in 5-degree steps."""
+def noiseless_rims(geom, kind, poses):
+    """Rim clouds of the object `kind` rendered without noise at `poses`,
+    calibrated from one ball press on a uniform LED field."""
     optical = sim.OpticalModel()
     illum = sim.uniform_illumination(geom.crop_size)
     reference = sim.reference_image(optical, illum)
@@ -90,11 +92,17 @@ def hex_nut_rims(geom):
     model = calib.calibrate_single(diff, cli.CALIB_BALL_RADIUS, geom)
     pipeline = recon.PipelineConfig(model=model, geom=geom,
                                     depth_clamp=optical.thickness)
-    poses = [Pose.rot_z(5.0 * k) for k in range(12)]
-    frames = sim.render_sequence(sim.object_depth_field("hex_nut"), poses,
+    frames = sim.render_sequence(sim.object_depth_field(kind), poses,
                                  geom, optical, illum)
+    assert all(f.in_field for f in frames)
     return [recon.reconstruct_cloud(recon.difference(reference, f.image), pipeline)
             for f in frames]
+
+
+@pytest.fixture(scope="module")
+def hex_nut_rims(geom):
+    """Rim clouds of a 12-frame hex-nut rotation in 5-degree steps."""
+    return noiseless_rims(geom, "hex_nut", [Pose.rot_z(5.0 * k) for k in range(12)])
 
 
 def live_track_rims(seed, kind="hex_nut"):
@@ -558,6 +566,65 @@ class TestIcp:
             assert report.converged, k
             err = (report.pose.z_angle_deg() - 5.0 * k + 30.0) % 60.0 - 30.0
             assert abs(err) <= 0.1, k
+
+
+class TestIcpMatchesItsReference:
+    """`icp` composes raw arrays and gathers each pair once; `oracles.icp` is
+    the loop as it was, with a validated Pose per candidate. Their reports
+    agree bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 1000),
+           normals=st.sampled_from(["both", "target", "neither", "planar"]),
+           turn=st.floats(-3.0, 3.0), max_iter=st.sampled_from([2, 50]),
+           tol_mm=st.sampled_from([0.0, 1e-5]))
+    def test_reports_are_identical(self, seed, n, normals, turn, max_iter, tol_mm):
+        rng = np.random.default_rng(seed)
+        amplitude = 0.0 if normals == "planar" else rng.uniform(0.2, 2.0)
+        base = graph_surface(n, seed, amplitude).points
+        base_normals = graph_normals(base, amplitude)
+        # Offsets along the normal spread log-uniformly over four decades, so
+        # that the rejection threshold falls among the pair distances.
+        points = base + base_normals * 10.0 ** rng.uniform(-4.0, 0.0, (n, 1))
+        motion = small_motion(rng, 6.0, 0.3)
+        target_normals = None if normals == "neither" else base_normals @ motion.rotation.T
+        source = PointCloud(points, base_normals if normals == "both" else None)
+        target = PointCloud(motion.apply(base), target_normals)
+        init = Pose.rot_z(turn)
+        assert_same_report(icp(source, target, init, max_iter, tol_mm),
+                        oracles.icp(source, target, init, max_iter, tol_mm))
+
+    def test_rim_tracking_is_identical(self, hex_nut_rims):
+        model, now, then = hex_nut_rims[0], Pose.identity(), Pose.identity()
+        for cloud in hex_nut_rims:
+            new, old = icp(model, cloud, init=now), oracles.icp(model, cloud, init=then)
+            assert_same_report(new, old)
+            now, then = new.pose, old.pose
+
+
+class TestTrackingRelation:
+    """Turning a whole sequence about the sensor's axis leaves its
+    frame-to-frame motion as it was: a metamorphic relation of the chain
+    simulator -> depth -> rim cloud -> track_pose."""
+
+    @staticmethod
+    def frame_to_frame_deg(geom, turn_deg):
+        """The tracked turn between each two frames of a noiseless 8-frame
+        hex-nut sequence in 5-degree steps, turned as a whole by `turn_deg`."""
+        rims = noiseless_rims(geom, "hex_nut",
+                              [Pose.rot_z(turn_deg + 5.0 * k) for k in range(8)])
+        return np.diff([r.pose.z_angle_deg() for r in track_pose(rims, rims[0])])
+
+    @pytest.fixture(scope="class")
+    def unturned(self, geom):
+        return self.frame_to_frame_deg(geom, 0.0)
+
+    def test_unturned_sequence_steps_five_degrees(self, unturned):
+        assert np.abs(unturned - 5.0).max() <= 0.1
+
+    @pytest.mark.parametrize("turn_deg", [17.0, 90.0])
+    def test_turning_the_sequence_keeps_its_steps(self, geom, unturned, turn_deg):
+        assert np.abs(self.frame_to_frame_deg(geom, turn_deg) - unturned).max() <= 0.1
 
 
 class TestPlaneStep:

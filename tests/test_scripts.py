@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import statistics
@@ -55,6 +56,64 @@ def test_bench_record_writes_one_record_per_tree(tmp_path):
         assert value == statistics.median(run["metrics"][name] for run in traced)
     assert entry["runs"][0]["figures"]["regression_mae_mm"] > 0
     assert record["units"]["regression_mae_mm"] == "mm"
+
+
+def load_script(name):
+    """scripts/<name> imported as a module."""
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"),
+                                                  ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_runs_the_tracking_tail(tmp_path, monkeypatch):
+    """With live_track, each tree's record holds its tail pass: the worst
+    tracking error of each seed of TAIL_SEEDS, shrunk here to two, as the
+    tree's own workload tracks its held-out input."""
+    bench_record = load_script("bench_record.py")
+    assert bench_record.TAIL_SEEDS == tuple(range(701, 801))
+    monkeypatch.setattr(bench_record, "TAIL_SEEDS", (701, 759))
+    monkeypatch.setattr(bench_record, "TRACED_RUNS", 1)
+    monkeypatch.setattr(bench_record, "CLI_INPUTS", {})
+    monkeypatch.setattr(bench_record, "CLI_COMMANDS", {})
+    assert bench_record.main(["--pr", "0", "--workload", "live_track", "--seeds", "1",
+                              "--seconds", "0.5", "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert record["settings"]["tail_seeds"] == [701, 759]
+    assert record["settings"]["tail_frames"] == 48
+    (tree,) = record["records"]
+    tail = tree["workloads"]["live_track"]["tail"]
+    assert [run["seed"] for run in tail] == [701, 759]
+    # Every frame tracks within live_track's 2 degree check.
+    assert all(0 < run["track_err_deg_max"] <= 2.0 for run in tail)
+    assert tail == bench_record.track_tail(ROOT, (701, 759))
+
+
+def test_bench_compare_prints_the_tracking_tail(tmp_path):
+    """Median, p90 and max of the tail over the seeds both records ran, how
+    many kept their error, and each seed whose error rose past 0.1 degrees."""
+    payload = json.loads((ROOT / "BENCH_21.json").read_text())
+    old = {701: 0.05, 702: 0.09, 703: 0.12, 704: 0.04, 705: 0.06}
+    new = {701: 0.05, 702: 0.11, 703: 0.13, 704: 0.04, 706: 0.3}
+    for entry, worst in zip(payload["records"], (old, new)):
+        entry["workloads"]["live_track"]["tail"] = [
+            {"seed": seed, "track_err_deg_max": value} for seed, value in worst.items()]
+    record = tmp_path / "BENCH_21.json"
+    record.write_text(json.dumps(payload))
+    done = run_script("bench_compare.py", str(record))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    start = lines.index("  tracking tail, worst error per held-out seed over 4 seeds:")
+    assert lines[start + 1:start + 3] == [
+        "    median 0.07 -> 0.08, p90 0.111 -> 0.124, max 0.12 -> 0.13 deg",
+        "    identical on 2 of 4 seeds; rose past 0.1 deg: 702 (0.09 -> 0.11), "
+        "703 (0.12 -> 0.13)"]
+    assert lines[start + 3] == "  traced layers, seed 11:"
+    # No tail in one record, no tail lines.
+    del payload["records"][0]["workloads"]["live_track"]["tail"]
+    record.write_text(json.dumps(payload))
+    assert "tracking tail" not in run_script("bench_compare.py", str(record)).stdout
 
 
 def test_bench_compare_reads_the_committed_record():
