@@ -25,7 +25,9 @@ although no gated metric measures it. Under live_track it prints the
 tracking tail pass of both records (``tail``, see ``bench_record.py``) over
 the seeds both ran: the median, p90 and max of the worst error per seed,
 old -> new, how many seeds kept their error to the bit, and every seed whose
-error rose past ``TAIL_LIMIT_DEG``. Last, per workload, it prints every
+error rose past ``TAIL_LIMIT_DEG``; under calib_eval, its accuracy tail
+the same way: the regression MAE per held-out seed, naming every seed whose
+MAE lies above ``EVAL_TAIL_LIMIT_MM``. Last, per workload, it prints every
 per-layer metric of the two records' traced runs (``layers``) as old -> new,
 so that a gain can be placed in the layer that made it; a metric one record
 lacks reads ``-``. At the end it prints each command's best CLI wall time
@@ -48,6 +50,9 @@ ACCURACY = {"live_track": ("track_err_deg_max",),
 # The tracking bound of the pose tests; the tail report names every seed
 # whose worst error rose past it.
 TAIL_LIMIT_DEG = 0.1
+# Acceptance criterion 1's MAE bound at sigma 1; the calib_eval tail report
+# names every seed whose regression MAE lies above it.
+EVAL_TAIL_LIMIT_MM = 0.10
 # The figures printed under an end-to-end metric: (label, figure).
 PARTS = {"frames_per_s_norm": (("raw frames_per_s", "frames_per_s"),),
          "setup_s": (("import_s", "import_s"), ("setup_body_s", "setup_body_s"))}
@@ -98,9 +103,11 @@ def accuracy(entries: tuple[dict, dict], workload: str, units: dict) -> list[str
     return ["  accuracy over the runs:", *lines] if lines else []
 
 
-def tail(entries: tuple[dict, dict]) -> list[str]:
-    """The tracking tail pass, old -> new, over the seeds both records ran."""
-    worst = [{run["seed"]: run["track_err_deg_max"] for run in entry.get("tail", [])}
+def tail(entries: tuple[dict, dict], workload: str = "live_track") -> list[str]:
+    """The tail pass, old -> new, over the seeds both records ran: live_track's
+    worst tracking error per seed, or calib_eval's regression MAE per seed."""
+    key = "regression_mae_mm" if workload == "calib_eval" else "track_err_deg_max"
+    worst = [{run["seed"]: run[key] for run in entry.get("tail", [])}
              for entry in entries]
     seeds = [seed for seed in worst[0] if seed in worst[1]]
     if not seeds:
@@ -113,13 +120,21 @@ def tail(entries: tuple[dict, dict]) -> list[str]:
         return statistics.median(values), p90, max(values)
 
     (a_med, a_p90, a_max), (b_med, b_p90, b_max) = summary(old), summary(new)
-    rose = [f"{seed} ({a:.4g} -> {b:.4g})" for seed, a, b in zip(seeds, old, new)
-            if b > a and b > TAIL_LIMIT_DEG]
-    return [f"  tracking tail, worst error per held-out seed over {len(seeds)} seeds:",
+    if workload == "calib_eval":
+        title, unit = "regression MAE per held-out seed", "mm"
+        named = [f"{seed} ({a:.4g} -> {b:.4g})" for seed, a, b in zip(seeds, old, new)
+                 if b > EVAL_TAIL_LIMIT_MM]
+        last = f"above {EVAL_TAIL_LIMIT_MM} mm: {', '.join(named) or 'none'}"
+    else:
+        title, unit = "tracking tail, worst error per held-out seed", "deg"
+        named = [f"{seed} ({a:.4g} -> {b:.4g})" for seed, a, b in zip(seeds, old, new)
+                 if b > a and b > TAIL_LIMIT_DEG]
+        last = f"rose past {TAIL_LIMIT_DEG} deg: {', '.join(named) or 'none'}"
+    return [f"  {title} over {len(seeds)} seeds:",
             f"    median {a_med:.4g} -> {b_med:.4g}, p90 {a_p90:.4g} -> {b_p90:.4g}, "
-            f"max {a_max:.4g} -> {b_max:.4g} deg",
+            f"max {a_max:.4g} -> {b_max:.4g} {unit}",
             f"    identical on {sum(a == b for a, b in zip(old, new))} of {len(seeds)} "
-            f"seeds; rose past {TAIL_LIMIT_DEG} deg: {', '.join(rose) or 'none'}"]
+            f"seeds; {last}"]
 
 
 def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
@@ -159,7 +174,7 @@ def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
                     lines.append(f"  {'  ' + label:<18} {a:.4g} -> {b:.4g} "
                                  f"{units.get(figure, '')}  {(b - a) / a:+.1%}")
         lines += accuracy((entry, after["workloads"][workload]), workload, units)
-        lines += tail((entry, after["workloads"][workload]))
+        lines += tail((entry, after["workloads"][workload]), workload)
         layers = [record["workloads"][workload].get("layers", {}).get("metrics", {})
                   for record in (before, after)]
         lines.append(f"  traced layers, seed {payload['settings'].get('trace_seed')}:")

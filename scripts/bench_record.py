@@ -20,7 +20,9 @@ inputs of ``CLI_INPUTS``, which each tree's own ``simulate`` and
 ``calibrate`` make first, untimed. When live_track is among the workloads,
 each tree then runs live_track's loop untimed, through its own
 ``perfbench/workloads.py``, over the held-out input stream of each seed of
-``TAIL_SEEDS``, ``TAIL_FRAMES`` frames a seed: the tracking tail pass.
+``TAIL_SEEDS``, ``TAIL_FRAMES`` frames a seed: the tracking tail pass. When
+calib_eval is among them, each tree runs one study of calib_eval untimed on
+the held-out input of each seed of ``EVAL_TAIL_SEEDS``: its accuracy tail.
 
 The file holds one record per tree: its commit (and whether the checkout
 had uncommitted changes), ``nproc``, the Python, numpy and scipy versions,
@@ -31,7 +33,8 @@ apart, outside the medians), every traced run (``traced_runs``) and, in
 failure counts summed. ``units`` gives the unit of each metric and figure.
 Each record's ``cli_wall_s`` holds each command's best wall time, import
 included, and ``cli_runs_s`` every one of them. The tail pass gives
-live_track's ``tail``: the worst tracking error of each of its seeds.
+live_track's ``tail``: the worst tracking error of each of its seeds; the
+accuracy tail gives calib_eval's ``tail``: each seed's regression MAE.
 """
 
 from __future__ import annotations
@@ -74,21 +77,25 @@ CLI_COMMANDS = {"--help": ("--help",),
 # first, and a pose that any change moves shows as a changed seed.
 TAIL_SEEDS = tuple(range(701, 801))
 TAIL_FRAMES = 48
+# The accuracy tail pass of calib_eval: its held-out seeds, one study each,
+# whose regression MAE is recorded. A figure, not a gate.
+EVAL_TAIL_SEEDS = tuple(range(701, 801))
 # Run from a tree's root with its src/ and perfbench/ on the import path:
-# prints {seed: worst tracking error in degrees} for the seeds in argv.
+# prints {seed: largest value of a tallied figure} for the seeds in argv, over
+# a number of operations of a workload, each seed on its held-out input.
 TAIL_PROBE = """
 import json, sys, tempfile
 from pathlib import Path
 from run import input_seeds
 from workloads import WORKLOADS, Tally
-workload, frames, worst = WORKLOADS["live_track"], int(sys.argv[1]), {}
-for seed in map(int, sys.argv[2:]):
+workload, ops, key, worst = WORKLOADS[sys.argv[1]], int(sys.argv[2]), sys.argv[3], {}
+for seed in map(int, sys.argv[4:]):
     tally = Tally()
     with tempfile.TemporaryDirectory() as work:
         state = workload.setup(input_seeds(seed, True), Path(work))
-        for k in range(frames):
+        for k in range(ops):
             workload.check(state, k, workload.op(state, k), tally)
-    worst[seed] = max(tally.values["track_err_deg"])
+    worst[seed] = max(tally.values[key])
 print(json.dumps(worst))
 """
 
@@ -187,20 +194,33 @@ def time_cli(tree: Path, argv: tuple[str, ...], **paths: Path) -> float:
     return seconds
 
 
-def track_tail(tree: Path, seeds) -> list[dict]:
-    """The tail pass of `tree`: per seed, the worst tracking error in degrees
-    over TAIL_FRAMES frames of live_track's held-out input, untimed."""
+def probe_tail(tree: Path, workload: str, ops: int, key: str, seeds) -> dict:
+    """{seed: the largest `key` figure} of `workload`'s `ops` operations on
+    each seed's held-out input in `tree`, untimed."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"),
                                                        str(tree / "perfbench")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
-    argv = [sys.executable, "-c", TAIL_PROBE, str(TAIL_FRAMES), *map(str, seeds)]
+    argv = [sys.executable, "-c", TAIL_PROBE, workload, str(ops), key, *map(str, seeds)]
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"bench_record: the tail pass in {tree} exited "
+        raise SystemExit(f"bench_record: the {workload} tail pass in {tree} exited "
                          f"{done.returncode}:\n{done.stderr[-2000:]}")
-    worst = json.loads(done.stdout)
-    return [{"seed": seed, "track_err_deg_max": worst[str(seed)]} for seed in seeds]
+    return {int(seed): value for seed, value in json.loads(done.stdout).items()}
+
+
+def track_tail(tree: Path, seeds) -> list[dict]:
+    """The tail pass of `tree`: per seed, the worst tracking error in degrees
+    over TAIL_FRAMES frames of live_track's held-out input, untimed."""
+    worst = probe_tail(tree, "live_track", TAIL_FRAMES, "track_err_deg", seeds)
+    return [{"seed": seed, "track_err_deg_max": worst[seed]} for seed in seeds]
+
+
+def eval_tail(tree: Path, seeds) -> list[dict]:
+    """calib_eval's tail pass of `tree`: per seed, the regression MAE in mm of
+    one study on its held-out input, untimed."""
+    mae = probe_tail(tree, "calib_eval", 1, "regression_mae_mm", seeds)
+    return [{"seed": seed, "regression_mae_mm": mae[seed]} for seed in seeds]
 
 
 def flat(result: dict, units: dict) -> dict:
@@ -263,6 +283,13 @@ def main(argv=None) -> int:
                 print(f"{label} live_track tail: worst "
                       f"{max(s['track_err_deg_max'] for s in tail):.4g} deg over "
                       f"{len(tail)} held-out seeds", flush=True)
+        if "calib_eval" in workloads:
+            for label, tree, _, _ in trees:
+                tail = eval_tail(tree, EVAL_TAIL_SEEDS)
+                records[label]["workloads"]["calib_eval"]["tail"] = tail
+                print(f"{label} calib_eval tail: worst regression MAE "
+                      f"{max(s['regression_mae_mm'] for s in tail):.4g} mm over "
+                      f"{len(tail)} held-out seeds", flush=True)
         for workload in workloads:
             traced = {label: [] for label, *_ in trees}
             for i in range(TRACED_RUNS):
@@ -302,6 +329,7 @@ def main(argv=None) -> int:
                             "trace_seed": args.seeds[0], "traced_runs": TRACED_RUNS,
                             "cli_runs": CLI_RUNS,
                             "tail_seeds": list(TAIL_SEEDS), "tail_frames": TAIL_FRAMES,
+                            "eval_tail_seeds": list(EVAL_TAIL_SEEDS),
                             "workloads": workloads},
                "units": units, "records": list(records.values())}
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -39,9 +39,9 @@ METHODS = ("single", "regression")
 # say otherwise.
 SEQUENCE_FRAMES = 12
 SEQUENCE_STEP_DEG = 5.0
-# The largest press count and frames averaged per press a config may ask for.
-# A press holds all of its noise frames at once, and the evaluation study's
-# worker the next press's too; 16 frames is twice the reference's 8.
+# The largest press count (and --frames) and frames averaged per press a config
+# may ask for. A press holds all of its noise frames at once, and the
+# evaluation study's worker the next press's too; 16 is twice the reference's 8.
 MAX_COUNTS = {"presses": 1000, "frames_per_press": 16}
 
 
@@ -382,9 +382,8 @@ def run_evaluation(cfg: RunConfig, schemes=sim.SCHEMES) -> dict:
                 for img, truth, _, _ in presses:
                     diff = recon.difference(rig.reference, img)
                     for key, pipeline in pipelines.items():
-                        error = (recon.depth_from_difference(diff, pipeline).data
-                                 - truth.data)
-                        maes[key].append(float(np.abs(error, out=error).mean()))
+                        maes[key].append(recon.depth_mae(
+                            recon.depth_from_difference(diff, pipeline), truth))
             cell.update({key: float(np.mean(errors)) for key, errors in maes.items()})
         except SensorError as exc:
             cell["error"] = f"{type(exc).__name__}: {exc}"
@@ -516,8 +515,9 @@ def main(argv=None) -> int:
                      else ("frames", "step_deg")):
             if getattr(args, dest) is not None:
                 parser.error(f"argument --{dest.replace('_', '-')}: {rule} --object")
-        if args.frames is not None and args.frames < 0:
-            parser.error(f"argument --frames: {args.frames} must be >= 0")
+        if args.frames is not None and not 0 <= args.frames <= MAX_COUNTS["presses"]:
+            parser.error(f"argument --frames: {args.frames} must be in "
+                         f"[0, {MAX_COUNTS['presses']}]")
         last = max((SEQUENCE_FRAMES if args.frames is None else args.frames) - 1, 1)
         if args.step_deg is not None and not math.isfinite(args.step_deg * last):
             parser.error(f"argument --step-deg: {args.step_deg} must be finite, and "

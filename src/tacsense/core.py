@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,6 +12,7 @@ import numpy as np
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 ORTHONORMAL_TOL = 1e-9
 MAX_FRAME_SIDE = 4096  # px: over 5x the 800x600 frame; a crop^2 float64 array <= 128 MiB
+EMPTY_BOX = (slice(0, 0), slice(0, 0))  # (rows, cols) of no pixel
 
 
 class SensorError(Exception):
@@ -151,9 +152,11 @@ class DepthMap:
     float32 data stays float32 (depth from the mapping stage on, and depth
     read from a file); any other dtype becomes float64. The data is kept
     without a copy when nothing else can write to it (see `_freeze`).
+    `box`, set only by `from_box`, is a (rows, cols) outside which the map is 0.
     """
 
     data: np.ndarray
+    box: tuple[slice, slice] | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         d, lo = _finite_floats(self.data, "depth map contains non-finite values")
@@ -162,6 +165,28 @@ class DepthMap:
         if lo < 0:
             raise ValueError("depth map contains negative values")
         object.__setattr__(self, "data", _freeze(d))
+
+    @classmethod
+    def from_box(cls, shape: tuple, box: tuple[slice, slice], values) -> "DepthMap":
+        """A fresh read-only frame of `shape`, `values` in `box` and 0 elsewhere.
+        Only `values` is validated: the zeroed pages outside are never touched."""
+        if len(shape) != 2 or len(box) != 2 or any(
+                s.indices(n) != (s.start, s.stop, 1) for s, n in zip(box, shape)):
+            raise ValueError(f"box {box} does not fit a frame of shape {tuple(shape)}")
+        v = cls(values).data  # refused as a DepthMap would be; kept uncopied if sealed
+        if v.shape != tuple(s.stop - s.start for s in box):
+            raise ValueError(f"values of shape {v.shape} do not fill box {box}")
+        frame = np.zeros(shape, v.dtype)
+        frame[box] = v
+        depth = object.__new__(cls)
+        object.__setattr__(depth, "data", _seal(frame))
+        object.__setattr__(depth, "box", box)
+        return depth
+
+    @property
+    def support(self) -> tuple[slice, slice]:
+        """(rows, cols) outside which the map is 0: its box, or the whole frame."""
+        return self.box or (slice(0, self.height), slice(0, self.width))
 
     @property
     def width(self) -> int:

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.ndimage import correlate1d
 
 from .core import (
+    EMPTY_BOX,
     Cylinder,
     DepthMap,
     DifferenceImage,
@@ -157,13 +158,15 @@ def depth_from_difference(diff: DifferenceImage, config: PipelineConfig,
     pass's reach, DENOISE_TAPS - 1 px, is computed: outside that region the
     full-frame result is 0, and within it reflection at an edge inside the
     frame reads only the region's zero margin, as the full-frame pass reads
-    zeros beyond it. Stage ms go to `timings`, if given.
+    zeros beyond it. That region is the map's box, empty without contact.
+    Stage ms go to `timings`, if given.
     """
     window = contact_window(diff)
     if window is None:
         if timings is not None:
             timings.update(mapping_ms=0.0, smoothing_ms=0.0)
-        return DepthMap(_seal(np.zeros(diff.pixels.shape, np.float32)))
+        return DepthMap.from_box(diff.pixels.shape, EMPTY_BOX,
+                                 np.zeros((0, 0), np.float32))
     margin = DENOISE_TAPS - 1
     region = tuple(slice(max(s.start - margin, 0), min(s.stop + margin, n))
                    for s, n in zip(window, diff.pixels.shape))
@@ -173,9 +176,7 @@ def depth_from_difference(diff: DifferenceImage, config: PipelineConfig,
     mapped = timed(timings, "mapping_ms", map_depth, DifferenceImage(_seal(gated)),
                    config, region)
     smoothed = timed(timings, "smoothing_ms", gaussian_denoise, mapped, config)
-    depth = np.zeros(diff.pixels.shape, smoothed.data.dtype)
-    depth[region] = smoothed.data
-    return DepthMap(_seal(depth))
+    return DepthMap.from_box(diff.pixels.shape, region, smoothed.data)
 
 
 def reconstruct(reference: GrayImage, contact: GrayImage,
@@ -252,9 +253,11 @@ def depth_rim_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
     """
     d = _crop_depth(depth, geom)
     h, w = d.shape
-    # flat indices then divmod: 2-D np.nonzero is ~15x slower on a frame.
-    rim = rim_band(d)
-    rows, cols = np.divmod(rim[::_icp_step(len(rim))], w)
+    # Flat indices in the support, in the frame's order: 2-D np.nonzero is ~15x slower.
+    box = depth.support
+    rim = rim_band(d[box])
+    rows, cols = np.divmod(rim[::_icp_step(len(rim))], box[1].stop - box[1].start)
+    rows, cols = rows + box[0].start, cols + box[1].start
     axis = surface_axis(geom)
     points = np.column_stack([axis[cols], axis[rows], -d[rows, cols]])
     lo, hi = np.maximum(cols - 1, 0), np.minimum(cols + 1, w - 1)
@@ -264,6 +267,17 @@ def depth_rim_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
     normals = np.column_stack([dx, dy, np.ones_like(dx)])
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return PointCloud(_seal(points), _seal(normals))
+
+
+def depth_mae(depth: DepthMap, truth: DepthMap) -> float:
+    """Mean absolute difference of two maps of one shape over the whole frame,
+    read only in the union of their boxes (all of it if either has none)."""
+    if depth.data.shape != truth.data.shape:
+        raise ValueError("depth maps differ in shape")
+    box = tuple(slice(min(a.start, b.start), max(a.stop, b.stop))
+                for a, b in zip(depth.support, truth.support))
+    error = np.subtract(depth.data[box], truth.data[box], dtype=np.float64)
+    return float(np.abs(error, out=error).sum() / depth.data.size)
 
 
 def reconstruct_cloud(diff: DifferenceImage, config: PipelineConfig) -> PointCloud:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .core import (DepthMap, GrayImage, Pose, SensorGeometry, _freeze, _seal,
+from .core import (EMPTY_BOX, DepthMap, GrayImage, Pose, SensorGeometry, _freeze, _seal,
                    average_frames, mask_box, pixel_box, surface_axis)
 
 PLACEMENTS = ("center", "random")
@@ -185,9 +185,8 @@ def sphere_press_depth(geom: SensorGeometry, radius: float, d_max: float,
     rows, cols = _reach_box(contact_radius(radius, d_max), center, geom)
     axis = surface_axis(geom)
     r2 = (axis[cols] - center[0]) ** 2 + ((axis[rows] - center[1]) ** 2)[:, None]
-    depth = np.zeros((geom.crop_size,) * 2)
-    depth[rows, cols] = _cap(r2, radius, d_max)
-    return DepthMap(_seal(depth))
+    return DepthMap.from_box((geom.crop_size,) * 2, (rows, cols),
+                             _seal(_cap(r2, radius, d_max)))
 
 
 def render_tactile(depth: DepthMap, model: OpticalModel, illum: IlluminationField,
@@ -199,13 +198,15 @@ def render_tactile(depth: DepthMap, model: OpticalModel, illum: IlluminationFiel
     The noise is noise_sigma times a standard-normal frame of the field's
     shape: `noise`, one drawn already, or else one drawn from `rng`, never
     both. noise_sigma > 0 needs one of them. The optical law is evaluated
-    only in the bounding box of the non-zero depth; the rest of the frame is
-    the illumination's cached flat frame, rounded once when noiseless.
+    only in the bounding box of the non-zero depth, sought in the map's box;
+    the rest of the frame is the illumination's cached flat frame, rounded
+    once when noiseless.
     """
     shape = illum.gains.shape
     if depth.data.shape != shape:
         raise ValueError("depth map and illumination field dimensions differ")
-    peak = depth.data.max()
+    inner = depth.support
+    peak = depth.data[inner].max(initial=0)
     if peak > model.thickness + 1e-12:
         raise ValueError("depth exceeds the layer thickness of the optical model")
     if noise is not None and rng is not None:
@@ -216,7 +217,9 @@ def render_tactile(depth: DepthMap, model: OpticalModel, illum: IlluminationFiel
     if noise_sigma > 0 and noise is None and rng is None:
         raise ValueError(f"noise_sigma {noise_sigma} needs a seeded rng")
     # With no contact the box is empty, and so is every step on its window.
-    box = mask_box(depth.data != 0) if peak > 0 else (slice(0, 0),) * 2
+    box = (tuple(slice(s.start + t.start, s.start + t.stop) for s, t in
+                 zip(inner, mask_box(depth.data[inner] != 0)))
+           if peak > 0 else EMPTY_BOX)
     window = illum.gains[box] * model.intensity(depth.data[box])
     if not noise_sigma > 0:
         # Rounding and clipping act pixel by pixel, so only the box needs them.
@@ -252,7 +255,7 @@ class BallPressRig:
     rng: np.random.Generator
 
     def __post_init__(self):
-        zeros = DepthMap(_seal(np.zeros_like(self.illum.gains)))
+        zeros = DepthMap.from_box(self.illum.gains.shape, EMPTY_BOX, np.zeros((0, 0)))
         # Each frame is drawn as it is rendered: one is held at a time.
         self.reference = self._render(zeros, self._noise(8))
 
@@ -501,9 +504,7 @@ def _posed_depth(field: DepthField, pose: Pose, geom: SensorGeometry,
         or (rows.stop == size and contact[-1].any())
         or (cols.start == 0 and contact[:, 0].any())
         or (cols.stop == size and contact[:, -1].any()))
-    depth = np.zeros((size, size))
-    depth[rows, cols] = window
-    return DepthMap(_seal(depth)), in_field
+    return DepthMap.from_box((size, size), (rows, cols), _seal(window)), in_field
 
 
 def render_sequence(field: DepthField, poses: list[Pose], geom: SensorGeometry,

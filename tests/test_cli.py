@@ -1180,7 +1180,10 @@ class TestFlags:
         (["--object", "hex_nut", "--step-deg=-inf"],
          "argument --step-deg: -inf must be finite"),
         (["--object", "hex_nut", "--frames", "-2"],
-         "argument --frames: -2 must be >= 0"),
+         "argument --frames: -2 must be in [0, 1000]"),
+        # Each frame writes a ~336 KB PGM and a 1.35 MB DTD: the press bound.
+        (["--object", "hex_nut", "--frames", "1001"],
+         "argument --frames: 1001 must be in [0, 1000]"),
         (["--object", "hex_nut", "--frames", "3", "--step-deg", "1e308"],
          "argument --step-deg: 1e+308 must be finite, and so must each frame's "
          "angle, up to 2 times it"),

@@ -280,3 +280,50 @@ class TestCopyContract:
         for value in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 DepthMap(np.array([[0.0, value]], dtype=np.float32))
+
+
+class TestDepthMapFromBox:
+    """`DepthMap.from_box` validates only the box's values, as a map would."""
+
+    BOX = (slice(1, 3), slice(2, 5))
+
+    def test_values_land_in_the_box_of_a_read_only_zero_frame(self):
+        values = np.arange(6, dtype=np.float32).reshape(2, 3)
+        depth = DepthMap.from_box((4, 6), self.BOX, values)
+        expected = np.zeros((4, 6), np.float32)
+        expected[self.BOX] = values
+        assert depth.data.dtype == np.float32 and depth.box == self.BOX
+        assert np.array_equal(depth.data, expected)
+        assert not depth.data.flags.writeable
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "depth map contains non-finite values"),
+        (np.inf, "depth map contains non-finite values"),
+        (-np.inf, "depth map contains non-finite values"),
+        (-1e-300, "depth map contains negative values"),
+    ])
+    def test_refuses_what_a_depth_map_refuses(self, bad, message):
+        values = np.ones((2, 3))
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DepthMap.from_box((4, 6), self.BOX, values)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 4), (1, 3), (0, 0)])
+    def test_refuses_values_that_do_not_fill_the_box(self, shape):
+        with pytest.raises(ValueError, match="do not fill box"):
+            DepthMap.from_box((4, 6), self.BOX, np.zeros(shape))
+
+    @pytest.mark.parametrize("box", [
+        (slice(1, 5), slice(0, 2)),     # past the last row
+        (slice(-2, 4), slice(0, 2)),    # a negative start
+        (slice(None, 2), slice(0, 2)),  # an open start
+        (slice(0, 2), slice(0, 4, 2)),  # a step
+        (slice(0, 2),),                 # one slice
+    ])
+    def test_refuses_a_box_that_does_not_fit_the_frame(self, box):
+        with pytest.raises(ValueError, match="does not fit a frame of shape"):
+            DepthMap.from_box((4, 6), box, np.zeros((2, 2)))
+
+    def test_refuses_a_frame_that_is_not_2d(self):
+        with pytest.raises(ValueError, match="does not fit a frame of shape"):
+            DepthMap.from_box((4, 6, 1), self.BOX, np.zeros((2, 3)))

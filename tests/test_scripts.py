@@ -19,13 +19,14 @@ def run_script(name, *args) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_bench_record_writes_one_record_per_tree(tmp_path):
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--pr", "0",
-         "--workload", "calib_eval", "--seeds", "1", "--heldout", "2",
-         "--seconds", "0.5", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
+def test_bench_record_writes_one_record_per_tree(tmp_path, monkeypatch):
+    """Run in process, with the accuracy tail's EVAL_TAIL_SEEDS shrunk to two."""
+    bench_record = load_script("bench_record.py")
+    assert bench_record.EVAL_TAIL_SEEDS == tuple(range(701, 801))
+    monkeypatch.setattr(bench_record, "EVAL_TAIL_SEEDS", (701, 759))
+    assert bench_record.main(["--pr", "0", "--workload", "calib_eval", "--seeds", "1",
+                              "--heldout", "2", "--seconds", "0.5",
+                              "--out-dir", str(tmp_path)]) == 0
     record = json.loads((tmp_path / "BENCH_0.json").read_text())
     assert record["pr"] == 0 and record["settings"]["seeds"] == [1]
     assert record["settings"]["heldout_seeds"] == [2]
@@ -56,6 +57,10 @@ def test_bench_record_writes_one_record_per_tree(tmp_path):
         assert value == statistics.median(run["metrics"][name] for run in traced)
     assert entry["runs"][0]["figures"]["regression_mae_mm"] > 0
     assert record["units"]["regression_mae_mm"] == "mm"
+    # The accuracy tail: each held-out seed's regression MAE, within criterion 1.
+    assert record["settings"]["eval_tail_seeds"] == [701, 759]
+    assert [run["seed"] for run in entry["tail"]] == [701, 759]
+    assert all(0 < run["regression_mae_mm"] <= 0.10 for run in entry["tail"])
 
 
 def load_script(name):
@@ -114,6 +119,28 @@ def test_bench_compare_prints_the_tracking_tail(tmp_path):
     del payload["records"][0]["workloads"]["live_track"]["tail"]
     record.write_text(json.dumps(payload))
     assert "tracking tail" not in run_script("bench_compare.py", str(record)).stdout
+
+
+def test_bench_compare_prints_the_accuracy_tail(tmp_path):
+    """calib_eval's regression MAE per held-out seed: median, p90 and max,
+    how many kept it to the bit, and every seed whose MAE is above 0.10 mm."""
+    payload = json.loads((ROOT / "BENCH_31.json").read_text())
+    old = {701: 0.008, 702: 0.12, 703: 0.009, 704: 0.05}
+    new = {701: 0.008, 702: 0.11, 703: 0.2, 705: 0.3}
+    for entry, mae in zip(payload["records"], (old, new)):
+        entry["workloads"]["calib_eval"]["tail"] = [
+            {"seed": seed, "regression_mae_mm": value} for seed, value in mae.items()]
+    record = tmp_path / "BENCH_31.json"
+    record.write_text(json.dumps(payload))
+    done = run_script("bench_compare.py", str(record))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    start = lines.index("  regression MAE per held-out seed over 3 seeds:")
+    assert lines[start + 1:start + 3] == [
+        "    median 0.009 -> 0.11, p90 0.0978 -> 0.182, max 0.12 -> 0.2 mm",
+        "    identical on 1 of 3 seeds; above 0.1 mm: 702 (0.12 -> 0.11), "
+        "703 (0.009 -> 0.2)"]
+    assert "tracking tail" not in done.stdout
 
 
 def test_bench_compare_reads_the_committed_record():

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tacsense import sim
-from tacsense.core import DepthMap, SensorGeometry, image_mean_std, surface_axis
+from tacsense import recon, sim
+from tacsense.core import (EMPTY_BOX, DepthMap, SensorGeometry, image_mean_std,
+                           surface_axis)
 from tacsense.pose import Pose
 
 from oracles import delta_from_depth, depth_from_delta
@@ -89,6 +90,64 @@ class TestSpherePressDepth:
                 "press center (12.5, -0.25) outside sensing field")):
             sim.sphere_press_depth(geom, 4.0, 1.0,
                                    center=(np.float64(12.5), np.float64(-0.25)))
+
+
+class TestBoxedDepthMaps:
+    """A press's map carries the box of its reach; what reads only the box
+    gives what the same map with no box gives over the whole frame."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geom=st.sampled_from([SensorGeometry(),
+                                 SensorGeometry(crop_size=61, field_mm=5.0)]),
+           fx=st.floats(-1.0, 1.0), fy=st.floats(-1.0, 1.0),
+           radius=st.floats(0.05, 12.0), frac=st.floats(1e-3, 1.0),
+           seed=st.integers(0, 2 ** 16))
+    # Contact circles cut by each edge of the field, whose boxes end at it.
+    @example(geom=SensorGeometry(), fx=1.0, fy=0.0, radius=8.0, frac=0.5, seed=0)
+    @example(geom=SensorGeometry(), fx=-1.0, fy=0.0, radius=8.0, frac=0.5, seed=0)
+    @example(geom=SensorGeometry(), fx=0.0, fy=1.0, radius=8.0, frac=0.5, seed=0)
+    @example(geom=SensorGeometry(), fx=0.0, fy=-1.0, radius=8.0, frac=0.5, seed=0)
+    @example(geom=SensorGeometry(crop_size=61, field_mm=5.0), fx=0.2, fy=-0.1,
+             radius=12.0, frac=1.0, seed=1)
+    def test_boxed_press_equals_its_full_frame(self, geom, fx, fy, radius, frac, seed):
+        center = (fx * geom.field_mm / 2.0, fy * geom.field_mm / 2.0)
+        d_max = frac * radius
+        boxed = sim.sphere_press_depth(geom, radius, d_max, center=center)
+        plain = DepthMap(boxed.data)
+        assert plain.box is None and boxed.box is not None
+        assert boxed.data.tobytes() == full_frame_sphere(geom, radius, d_max,
+                                                         center).tobytes()
+        outside = np.ones(boxed.data.shape, bool)
+        outside[boxed.box] = False
+        assert not boxed.data[outside].any()
+        # Renders, noiseless and with a given noise frame, byte for byte.
+        model = sim.OpticalModel(thickness=max(2.0, d_max))
+        illum = sim.make_illumination("standard", geom.crop_size,
+                                      led_sigma=sim.DEFAULT_LED_SIGMA)
+        noise = np.random.default_rng(seed).standard_normal(illum.gains.shape)
+        for kwargs in ({}, {"noise_sigma": 1.5, "noise": noise}):
+            assert (sim.render_tactile(boxed, model, illum, **kwargs).pixels.tobytes()
+                    == sim.render_tactile(plain, model, illum, **kwargs).pixels.tobytes())
+        # The same rim points and normals, in the same order.
+        rims = [recon.depth_rim_pointcloud(d, geom) for d in (boxed, plain)]
+        assert rims[0].points.tobytes() == rims[1].points.tobytes()
+        assert rims[0].normals.tobytes() == rims[1].normals.tobytes()
+        # The MAE against another boxed press, and against an unboxed map.
+        other = sim.sphere_press_depth(geom, radius, d_max,
+                                       center=(-center[1], center[0] / 2.0))
+        for truth in (other, DepthMap(other.data)):
+            expected = np.abs(boxed.data - truth.data).mean()
+            assert recon.depth_mae(boxed, truth) == pytest.approx(expected, rel=1e-14)
+
+    def test_mae_of_reconstructions_reads_their_boxes(self, geom):
+        empty = DepthMap.from_box((geom.crop_size,) * 2, EMPTY_BOX,
+                                  np.zeros((0, 0), np.float32))
+        press = sim.sphere_press_depth(geom, 4.0, 1.0, center=(11.0, -11.0))
+        assert recon.depth_mae(empty, empty) == 0.0
+        assert recon.depth_mae(empty, press) == pytest.approx(press.data.mean(),
+                                                              rel=1e-14)
+        with pytest.raises(ValueError, match="depth maps differ in shape"):
+            recon.depth_mae(press, DepthMap(np.zeros((3, 3))))
 
 
 class TestWindowedPress:
