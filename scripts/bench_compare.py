@@ -30,8 +30,13 @@ the same way: the regression MAE per held-out seed, naming every seed whose
 MAE lies above ``EVAL_TAIL_LIMIT_MM``. Last, per workload, it prints every
 per-layer metric of the two records' traced runs (``layers``) as old -> new,
 so that a gain can be placed in the layer that made it; a metric one record
-lacks reads ``-``. At the end it prints each command's best CLI wall time
-(``cli_wall_s``) as old -> new, where both records hold it.
+lacks reads ``-``. Where both records hold traced runs, which
+``bench_record.py`` alternates between the trees, the i-th runs of the two
+pair up, and each metric's line also gives the median over the pairs of
+new / old and how many pairs fell: a slower or faster host moves both runs
+of a pair alike, where it moves raw medians apart. A pair whose old value
+is not positive has no ratio. At the end it prints each command's best CLI
+wall time (``cli_wall_s``) as old -> new, where both records hold it.
 """
 
 from __future__ import annotations
@@ -177,10 +182,19 @@ def compare(payload: dict, spec: dict, old: str, new: str) -> list[str]:
         lines += tail((entry, after["workloads"][workload]), workload)
         layers = [record["workloads"][workload].get("layers", {}).get("metrics", {})
                   for record in (before, after)]
+        traced = [record["workloads"][workload].get("traced_runs", [])
+                  for record in (before, after)]
         lines.append(f"  traced layers, seed {payload['settings'].get('trace_seed')}:")
         for name in dict.fromkeys([*layers[0], *layers[1]]):
             a, b = (f"{m[name]:.4g}" if name in m else "-" for m in layers)
-            lines.append(f"    {name:<36} {a} -> {b} {units.get(name, '')}")
+            line = f"    {name:<36} {a} -> {b} {units.get(name, '')}"
+            ratios = [n["metrics"][name] / o["metrics"][name] for o, n in zip(*traced)
+                      if o["metrics"].get(name, 0) > 0 and name in n["metrics"]]
+            if ratios:
+                line += (f"  {new}/{old} per pair: median "
+                         f"{statistics.median(ratios):.3g}, "
+                         f"fell in {sum(r < 1 for r in ratios)} of {len(ratios)}")
+            lines.append(line)
     walls = [record.get("cli_wall_s", {}) for record in (before, after)]
     names = [name for name in walls[0] if name in walls[1]]
     if names:

@@ -68,16 +68,18 @@ def _seal(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _finite_floats(data, message: str) -> tuple[np.ndarray, float]:
-    """float32 data as it is and any other dtype as float64, with its least
-    value (0 if empty); ValueError(message) if a value is not finite."""
+def _floats(data) -> np.ndarray:
+    """float32 data as it is and any other dtype as float64."""
     arr = np.asarray(data)
-    arr = arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
-    # min and max propagate NaN, so together they see every non-finite value.
-    lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
+
+
+def _finite_floats(data, message: str) -> np.ndarray:
+    """`_floats(data)`, checked in one pass: ValueError(message) if not finite."""
+    arr = _floats(data)
+    if not np.isfinite(arr).all():
         raise ValueError(message)
-    return arr, lo
+    return arr
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,10 @@ class DepthMap:
     box: tuple[slice, slice] | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
-        d, lo = _finite_floats(self.data, "depth map contains non-finite values")
+        d = _floats(self.data)
+        lo, hi = (d.min(), d.max()) if d.size else (0.0, 0.0)  # both propagate NaN
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("depth map contains non-finite values")
         if d.ndim != 2:
             raise ValueError(f"depth map must be 2-D, got shape {d.shape}")
         if lo < 0:
@@ -325,16 +330,24 @@ class PointCloud:
     normals: np.ndarray | None = None
 
     def __post_init__(self):
-        p, _ = _finite_floats(self.points, "point cloud contains non-finite coordinates")
+        p = _finite_floats(self.points, "point cloud contains non-finite coordinates")
         if p.ndim != 2 or p.shape[1] != 3:
             raise ValueError(f"point cloud must have shape (n, 3), got {p.shape}")
         object.__setattr__(self, "points", _freeze(p))
         if self.normals is not None:
-            n, _ = _finite_floats(self.normals, "point cloud contains non-finite normals")
+            n = _finite_floats(self.normals, "point cloud contains non-finite normals")
             if n.shape != p.shape:
                 raise ValueError(f"normals must have the points' shape {p.shape}, "
                                  f"got {n.shape}")
             object.__setattr__(self, "normals", _freeze(n))
+
+    @classmethod
+    def _of_finite(cls, points: np.ndarray) -> "PointCloud":
+        """A cloud of fresh (n, 3) float32 or float64 `points` that the caller
+        guarantees finite: sealed and kept without a scan."""
+        cloud = object.__new__(cls)
+        object.__setattr__(cloud, "points", _seal(points))
+        return cloud  # normals: the field's default, None
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -223,7 +223,8 @@ def depth_to_pointcloud(depth: DepthMap, geom: SensorGeometry) -> PointCloud:
     # reads included, fault their pages back in.
     pts = _flat_surface(geom, d.dtype).copy()
     np.negative(d.ravel(), out=pts[:, 2])
-    return PointCloud(_seal(pts))
+    # x and y are a checked geometry's axis, z a checked depth map: all finite.
+    return PointCloud._of_finite(pts)
 
 
 def _icp_step(n: int) -> int:

@@ -1477,6 +1477,110 @@ def test_track_survives_one_mutation(small_press_run, small_sequence_run, mutati
                 RUN_CHOICES | CALIB_CHOICES, ["track_report.json"])
 
 
+@pytest.fixture(scope="module")
+def small_model_cloud(small_press_run, small_sequence_run, tmp_path_factory):
+    """(binary PLY model, --out tree of a track against it): the cloud that
+    `reconstruct` writes for the small sequence's frame 0, and that track's
+    output, which the fault tests below must leave as it is."""
+    root = tmp_path_factory.mktemp("small_model")
+    model = root / "reconstruct" / "cloud_000.ply"
+    for command, extra in (("reconstruct", []), ("track", ["--model-cloud", str(model)])):
+        assert cli.main([command, "--run", str(small_sequence_run), "--calib",
+                         str(small_press_run[1]), "--out", str(root / command),
+                         *extra]) == 0
+    return model, root / "track"
+
+
+def file_tree(root: Path) -> dict:
+    """Each path under `root`: True for a directory, a file's bytes."""
+    return {p.relative_to(root): p.is_dir() or p.read_bytes() for p in root.rglob("*")}
+
+
+def track_model_cloud(small_press_run, small_sequence_run, small_model_cloud,
+                      edit) -> tuple[int, list[str], Path, bool]:
+    """`track --model-cloud` with a copy of the model changed by `edit(path)`,
+    over a copy of an earlier track's --out tree; warnings are errors.
+    (exit code, stderr lines, the model's path, whether the tree kept every
+    file and byte it had)."""
+    model, track_out = small_model_cloud
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / model.name
+        shutil.copy(model, path)
+        edit(path)
+        out = tmp / "out"
+        shutil.copytree(track_out, out)
+        before = file_tree(out)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["track", "--run", str(small_sequence_run), "--calib",
+                             str(small_press_run[1]), "--out", str(out),
+                             "--model-cloud", str(path)])
+        return code, err.getvalue().splitlines(), path, file_tree(out) == before
+
+
+def ply_body(path: Path) -> int:
+    """Byte offset of a PLY file's first vertex."""
+    return path.read_bytes().index(b"end_header\n") + len(b"end_header\n")
+
+
+def test_track_model_cloud_cut_mid_body_names_the_byte(
+        small_press_run, small_sequence_run, small_model_cloud):
+    model, _ = small_model_cloud
+    body, size = ply_body(model), model.stat().st_size
+    count = (size - body) // 12
+    cut = body + (size - body) // 2 + 5  # inside a vertex's row
+
+    def truncate(path):
+        path.write_bytes(path.read_bytes()[:cut])
+
+    code, lines, path, kept = track_model_cloud(small_press_run, small_sequence_run,
+                                                small_model_cloud, truncate)
+    assert code == 1 and kept
+    assert lines == [f"tacsense track: {path}: truncated PLY body at byte {cut}, "
+                     f"expected {count} vertices, found {(cut - body) // 12}"]
+
+
+def test_track_model_cloud_directory_names_it(small_press_run, small_sequence_run,
+                                              small_model_cloud):
+    def directory(path):
+        path.unlink()
+        path.mkdir()
+
+    code, lines, path, kept = track_model_cloud(small_press_run, small_sequence_run,
+                                                small_model_cloud, directory)
+    assert code == 1 and kept
+    assert lines == [f"tacsense track: [Errno 21] Is a directory: {str(path)!r}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(where=st.sampled_from(["header", "body"]), at=st.floats(0, 1, exclude_max=True),
+       mask=st.integers(1, 255))
+def test_track_survives_one_flipped_model_cloud_byte(
+        small_press_run, small_sequence_run, small_model_cloud, where, at, mask):
+    """One byte of the model's header or body XORed with `mask`: track exits
+    0 with an empty stderr, or 1 with one line naming the model, and leaves
+    the earlier --out tree as it was. No exception escapes `cli.main`."""
+    model, _ = small_model_cloud
+    body, size = ply_body(model), model.stat().st_size
+    start, stop = (0, body) if where == "header" else (body, size)
+    offset = start + int(at * (stop - start))
+
+    def flip(path):
+        data = bytearray(path.read_bytes())
+        data[offset] ^= mask
+        path.write_bytes(data)
+
+    code, lines, path, kept = track_model_cloud(small_press_run, small_sequence_run,
+                                                small_model_cloud, flip)
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1 and kept
+        assert len(lines) == 1 and lines[0].startswith(f"tacsense track: {path}: ")
+
+
 # Every RunConfig key, on a 32 px crop with noise and 8 presses, for the
 # simulate mutations; evaluate's take a 64 px crop, on which its every stage runs.
 SIMULATE_CONFIG = ({f.name: f.default for f in fields(RunConfig)}

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.ndimage import correlate1d
 
@@ -14,6 +14,7 @@ from tacsense.core import (
     DifferenceImage,
     GrayImage,
     Planar,
+    PointCloud,
     SensorGeometry,
     Sphere,
     surface_axis,
@@ -529,6 +530,15 @@ class TestFullPipeline:
 
 
 SMALL_GEOM = SensorGeometry(crop_size=240, field_mm=24.0)
+# The clouds' geometries: the sensor's, a small one, and the widest field,
+# whose edge coordinate is the largest float32.
+CLOUD_GEOMS = [SensorGeometry(),
+               SensorGeometry(raw_width=16, raw_height=16, crop_size=16),
+               SensorGeometry(raw_width=16, raw_height=16, crop_size=16,
+                              field_mm=2.0 * float(np.finfo(np.float32).max))]
+# The deepest a mapped pixel may be: `map_depth` clamps to the layer, 2 mm by
+# default, exact in float32 and float64.
+LAYER_MAX = recon.PipelineConfig.depth_clamp
 IDENTITY_MODEL = calib.RegressionModel(k_c=0.0, b_c=1.0, center_u=0.0, center_v=0.0)
 
 
@@ -577,6 +587,35 @@ class TestPointCloud:
     def test_depth_of_another_size_refused(self):
         with pytest.raises(ValueError, match="does not cover the 240 px crop"):
             recon.depth_to_pointcloud(DepthMap(np.zeros((10, 10))), SMALL_GEOM)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape_geom=st.sampled_from(CLOUD_GEOMS),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1), zeros=st.floats(0, 1), peaks=st.floats(0, 1))
+    @example(shape_geom=SensorGeometry(), dtype=np.float32, seed=0, zeros=1.0, peaks=0.0)
+    @example(shape_geom=SensorGeometry(), dtype=np.float64, seed=0, zeros=0.0, peaks=1.0)
+    def test_unchecked_cloud_is_what_the_check_gives(self, shape_geom, dtype, seed,
+                                                     zeros, peaks):
+        """The cloud is built without a finite check: its points, dtype and
+        read-only flag are, bit for bit, what the checking constructor gives
+        for the same points built apart, and every coordinate is finite, for
+        depths from 0 (a `zeros` share of pixels) to the layer-clamped
+        maximum (a `peaks` share)."""
+        n = shape_geom.crop_size
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(0.0, LAYER_MAX, (n, n)).astype(dtype)
+        share = rng.random((n, n))
+        data[share < zeros] = 0.0
+        data[share >= 1.0 - peaks] = LAYER_MAX
+        cloud = recon.depth_to_pointcloud(DepthMap(data), shape_geom)
+        xx, yy = np.meshgrid(surface_axis(shape_geom), surface_axis(shape_geom))
+        checked = PointCloud(np.column_stack([xx.ravel(), yy.ravel(),
+                                              -data.ravel()]).astype(dtype))
+        assert cloud.points.dtype == checked.points.dtype == dtype
+        assert cloud.points.tobytes() == checked.points.tobytes()
+        assert not cloud.points.flags.writeable and not checked.points.flags.writeable
+        assert cloud.normals is None
+        assert np.isfinite(cloud.points).all()
 
 
 class TestRimPointCloud:

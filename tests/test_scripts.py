@@ -19,11 +19,21 @@ def run_script(name, *args) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True, timeout=300)
 
 
+def test_bench_record_runs_several_of_each_by_default():
+    """Three or more traced runs per workload, whose median rejects an
+    outlier, and fresh-process runs per command, whose best is recorded."""
+    bench_record = load_script("bench_record.py")
+    assert bench_record.TRACED_RUNS >= 3 and bench_record.CLI_RUNS >= 3
+
+
 def test_bench_record_writes_one_record_per_tree(tmp_path, monkeypatch):
-    """Run in process, with the accuracy tail's EVAL_TAIL_SEEDS shrunk to two."""
+    """Run in process, with the accuracy tail's EVAL_TAIL_SEEDS shrunk to two,
+    and one traced run and one run of each command."""
     bench_record = load_script("bench_record.py")
     assert bench_record.EVAL_TAIL_SEEDS == tuple(range(701, 801))
     monkeypatch.setattr(bench_record, "EVAL_TAIL_SEEDS", (701, 759))
+    monkeypatch.setattr(bench_record, "TRACED_RUNS", 1)
+    monkeypatch.setattr(bench_record, "CLI_RUNS", 1)
     assert bench_record.main(["--pr", "0", "--workload", "calib_eval", "--seeds", "1",
                               "--heldout", "2", "--seconds", "0.5",
                               "--out-dir", str(tmp_path)]) == 0
@@ -38,7 +48,7 @@ def test_bench_record_writes_one_record_per_tree(tmp_path, monkeypatch):
                 "reconstruct", "track", "evaluate --noise 0", "evaluate --noise 1"]
     assert list(tree["cli_runs_s"]) == list(tree["cli_wall_s"]) == commands
     for name in commands:
-        assert len(tree["cli_runs_s"][name]) == record["settings"]["cli_runs"] >= 3
+        assert len(tree["cli_runs_s"][name]) == record["settings"]["cli_runs"] == 1
         assert tree["cli_wall_s"][name] == min(tree["cli_runs_s"][name]) > 0
     entry = tree["workloads"]["calib_eval"]
     assert set(entry["median"]) == {"frames_per_s_norm", "depth_mae_mm",
@@ -48,9 +58,9 @@ def test_bench_record_writes_one_record_per_tree(tmp_path, monkeypatch):
     assert entry["heldout_runs"][0]["correct"]
     assert entry["runs"][0]["correct"] and entry["layers"]["correct"]
     assert "calib.detect_contact_circle.ms" in entry["layers"]["metrics"]
-    # Several traced runs, and each layer's median over them.
+    # The traced runs, and each layer's median over them.
     traced = entry["traced_runs"]
-    assert len(traced) == record["settings"]["traced_runs"] >= 3
+    assert len(traced) == record["settings"]["traced_runs"] == 1
     assert all(run["correct"] for run in traced)
     assert entry["layers"]["attempted"] == sum(run["attempted"] for run in traced)
     for name, value in entry["layers"]["metrics"].items():
@@ -181,6 +191,54 @@ def test_bench_compare_prints_the_traced_layers(tmp_path):
     assert layers["pose.icp.ms"] == ["8.389", "->", "8.072", "ms"]
     assert layers["recon.gaussian_denoise.ms"] == ["7.396", "->", "1.41", "ms"]
     assert layers["cli.self_ms"] == ["0", "->", "-", "ms"]
+
+
+def test_bench_compare_prints_each_layers_ratio_per_pair(tmp_path):
+    """Where both records hold traced runs, the i-th runs pair up, and each
+    layer's line ends with the median of new / old over the pairs and how
+    many pairs fell; a pair whose old value is not positive, or whose new run
+    lacks the metric, has no ratio."""
+    payload = json.loads((ROOT / "BENCH_31.json").read_text())
+    runs = [record["workloads"]["batch_reconstruct"]["traced_runs"]
+            for record in payload["records"]]
+    name = "recon.depth_to_pointcloud.ms"
+    for traced, values in zip(runs, ([1.0, 2.0, 1.0], [0.5, 2.5, 0.8])):
+        for run, value in zip(traced, values):
+            run["metrics"][name] = value
+    for traced, values in zip(runs, ([0.0, 4.0, 2.0], [1.0, 3.0, 1.0])):
+        for run, value in zip(traced, values):
+            run["metrics"]["fileio.read_ply.ms"] = value
+    del runs[1][2]["metrics"]["fileio.read_ply.ms"]
+    for traced in runs:
+        for run in traced:
+            run["metrics"]["pose.icp.ms"] = 0.0
+    record = tmp_path / "BENCH_31.json"
+    record.write_text(json.dumps(payload))
+    done = run_script("bench_compare.py", str(record))
+    assert done.returncode == 0, done.stderr
+
+    def batch_layers(stdout: str) -> dict:
+        lines = stdout.splitlines()
+        start = lines.index("  traced layers, seed 11:",
+                            lines.index(next(line for line in lines
+                                             if line.startswith("batch_reconstruct:"))))
+        end = next((i for i, line in enumerate(lines) if i > start
+                    and not line.startswith("    ")), len(lines))
+        return {line.split()[0]: line for line in lines[start + 1:end]}
+
+    layers = batch_layers(done.stdout)
+    assert len(layers) == 29
+    assert layers[name].endswith("  change/parent per pair: median 0.8, fell in 2 of 3")
+    # 3 / 4 from the one pair with a non-zero old value and a new one.
+    assert layers["fileio.read_ply.ms"].endswith(
+        "  change/parent per pair: median 0.75, fell in 1 of 1")
+    assert layers["pose.icp.ms"].split() == ["pose.icp.ms", "0", "->", "0", "ms"]
+    assert "per pair" not in layers["trace.overhead_s"]  # negative in every run
+    # Swapping the labels inverts the ratios.
+    done = run_script("bench_compare.py", str(record), "--old", "change",
+                      "--new", "parent")
+    assert batch_layers(done.stdout)[name].endswith(
+        "  parent/change per pair: median 1.25, fell in 1 of 3")
 
 
 def test_bench_compare_prints_accuracy_old_to_new():
